@@ -44,19 +44,39 @@ class GroupMismatch(Exception):
     pass
 
 
-_VALIDATED_COEFFS: set[int] = set()
+_VALIDATED_COEFFS: set[tuple] = set()
+
+
+def _content_key(coeff: MackeyFunctor) -> tuple:
+    """Everything check_axioms reads, so equal keys get equal verdicts."""
+
+    def maps(d):
+        return tuple(sorted(
+            (k, h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items()
+        ))
+
+    return (
+        coeff.group_name,
+        coeff.is_zmodule,
+        tuple(sorted((s, lvl.orders) for s, lvl in coeff.levels.items())),
+        maps(coeff.res),
+        maps(coeff.tr),
+        maps(coeff.weyl),
+    )
 
 
 def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
-    """Coefficient systems must satisfy the Mackey axioms; checked once."""
+    """Coefficient systems must satisfy the Mackey axioms; checked once per
+    content, so a functor mutated after validation is checked again."""
     from .functors import check_axioms
 
-    if id(coeff) in _VALIDATED_COEFFS:
+    key = _content_key(coeff)
+    if key in _VALIDATED_COEFFS:
         return
     report = check_axioms(coeff)
     if not report.ok:
         raise AxiomFailure(str(report))
-    _VALIDATED_COEFFS.add(id(coeff))
+    _VALIDATED_COEFFS.add(key)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .bredon import (
     cohomology_mackey,
@@ -407,9 +408,13 @@ def cmd_verify(args) -> int:
             print(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
             return 2
         failures: list[str] = []
+        t0 = time.perf_counter()
         SUITES[name](args, failures)
-        status = "ok" if not failures else "FAIL"
-        print(f"{status} {name}" + (f" ({len(failures)} mismatches)" if failures else ""))
+        secs = time.perf_counter() - t0
+        if failures:
+            print(f"FAIL {name} ({len(failures)} mismatches, {secs:.1f} s)")
+        else:
+            print(f"ok {name} ({secs:.1f} s)")
         for f in failures:
             print(f"    {f}")
         any_fail = any_fail or bool(failures)

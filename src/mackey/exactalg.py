@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 
@@ -70,6 +71,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def _mat_mul_mod(a: Matrix, b: Matrix, orders: Sequence[int], ncols: int) -> Matrix:
+    """a @ b with row i reduced mod orders[i] (0 leaves it alone).
+
+    ``ncols`` is the column count of b, which a b without rows cannot carry.
+    """
+    cols = tuple(zip(*b)) if b else ((),) * ncols
+    out = []
+    for row, o in zip(a, orders):
+        if o:
+            out.append(tuple([sum(map(mul, row, col)) % o for col in cols]))
+        else:
+            out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+    return tuple(out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -588,15 +604,13 @@ class AbHom:
         """self after first."""
         if first.cod.orders != self.dom.orders:
             raise NonComposable("middle objects differ")
-        mid = self.dom.ngens
-        m = tuple(
-            tuple(
-                sum(self.matrix[i][k] * first.matrix[k][j] for k in range(mid))
-                for j in range(first.dom.ngens)
-            )
-            for i in range(self.cod.ngens)
-        )
-        return AbHom(first.dom, self.cod, m)
+        m = _mat_mul_mod(self.matrix, first.matrix, self.cod.orders, first.dom.ngens)
+        # A composite of two valid homs respects torsion and has the right
+        # shape, so only the reduction mod cod is redone, not the checks.
+        out = object.__new__(AbHom)
+        fields = out.__dict__
+        fields["dom"], fields["cod"], fields["matrix"] = first.dom, self.cod, m
+        return out
 
     def __add__(self, other: "AbHom") -> "AbHom":
         if (self.dom, self.cod) != (other.dom, other.cod):

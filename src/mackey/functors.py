@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import gcd
 
-from .exactalg import AbHom, FgAbelian, identity
+from .exactalg import AbHom, FgAbelian, identity, _mat_mul_mod
 from .grouplat import Group, Subgroup, group
 
 
@@ -100,7 +101,11 @@ class MackeyFunctor:
     def weyl_action(self, sub: str, elem: str) -> AbHom:
         h = self.weyl.get((sub, elem))
         if h is None:
-            return AbHom.identity(self.levels[sub])
+            memo = self._memo()
+            key = ("weyl_id", sub)
+            h = memo.get(key)
+            if h is None:
+                h = memo[key] = AbHom.identity(self.levels[sub])
         return h
 
     def with_name(self, name: str) -> "MackeyFunctor":
@@ -272,15 +277,17 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
                 w.dom.orders == lvl.orders and w.cod.orders == lvl.orders,
                 f"weyl shape {s.name},{e}",
             )
+        ident = AbHom.identity(lvl)
         for x in s.elements:
             expect(
-                m.weyl_action(s.name, x).equals(AbHom.identity(lvl)),
+                m.weyl_action(s.name, x).equals(ident),
                 f"weyl trivial on own subgroup {s.name},{x}",
             )
         for x in g.elements:
+            wx = m.weyl_action(s.name, x)
             for y in g.elements:
                 wxy = m.weyl_action(s.name, g.mul(x, y))
-                comp = m.weyl_action(s.name, x).compose(m.weyl_action(s.name, y))
+                comp = wx.compose(m.weyl_action(s.name, y))
                 expect(wxy.equals(comp), f"weyl action {s.name}: {x}*{y}")
 
     # equivariance of res and tr
@@ -508,12 +515,20 @@ def _hom_columns(order: int, cod: FgAbelian) -> list[tuple[int, ...]]:
     return [tuple(c) for c in itertools.product(*choices)]
 
 
-def _isos_between(a: FgAbelian, b: FgAbelian) -> list[AbHom]:
+def _isos_between(a: FgAbelian, b: FgAbelian) -> tuple[AbHom, ...]:
     """All isomorphisms a -> b.  Free rank at most 1 is supported."""
+    return _iso_table(a.orders, b.orders)
+
+
+@lru_cache(maxsize=256)
+def _iso_table(a_orders: tuple[int, ...], b_orders: tuple[int, ...]) -> tuple[AbHom, ...]:
+    # Keyed on the presentations, not on FgAbelian equality: equal groups
+    # with different generator orders give different matrices.
+    a, b = FgAbelian(a_orders), FgAbelian(b_orders)
     if a != b:
-        return []
+        return ()
     if a.is_trivial:
-        return [AbHom.zero(a, b)]
+        return (AbHom.zero(a, b),)
     if a.rank > 1:
         raise NotImplementedError("iso search needs free rank <= 1")
     cols = [_hom_columns(o, b) for o in a.orders]
@@ -545,7 +560,7 @@ def _isos_between(a: FgAbelian, b: FgAbelian) -> list[AbHom]:
         image = {h(v) for v in torsion_elems}
         if image == target_torsion and len(image) == len(torsion_elems):
             out.append(h)
-    return out
+    return tuple(out)
 
 
 def _torsion_elements(g: FgAbelian) -> list[tuple[int, ...]]:
@@ -560,14 +575,40 @@ def _torsion_reduce(g: FgAbelian, v) -> tuple[int, ...]:
     return tuple(0 if o == 0 else x % o for x, o in zip(v, g.orders))
 
 
+def _weyl_pairs(a: MackeyFunctor, b: MackeyFunctor, s: str, elements):
+    """Distinct pairs (W_a(e), W_b(e)) at level s, as matrices when both are
+    endomorphisms of the level presentations and as AbHoms otherwise."""
+    a_orders, b_orders = a.levels[s].orders, b.levels[s].orders
+    mats: set = set()
+    homs: list = []
+    for e in elements:
+        if (s, e) not in a.weyl and (s, e) not in b.weyl:
+            continue
+        wa, wb = a.weyl_action(s, e), b.weyl_action(s, e)
+        if (wa.dom.orders == wa.cod.orders == a_orders
+                and wb.dom.orders == wb.cod.orders == b_orders):
+            mats.add((wa.matrix, wb.matrix))
+        else:
+            homs.append((wa, wb))
+    return mats, homs
+
+
 def is_isomorphic(a: MackeyFunctor, b: MackeyFunctor) -> bool:
     return find_isomorphism(a, b) is not None
 
 
 def find_isomorphism(a: MackeyFunctor, b: MackeyFunctor) -> dict[str, AbHom] | None:
     """Search for a family of levelwise isomorphisms commuting with all
-    structure maps.  Levels are tiny, so backtracking over levelwise
-    automorphism candidates is cheap."""
+    structure maps, or None.
+
+    The candidates at each level are all isomorphisms between the two
+    presentations, a table memoised per pair of presentation tuples.  They
+    are first filtered for Weyl equivariance, h . W_a(e) == W_b(e) . h, on
+    plain reduced integer matrices: one test per distinct pair of Weyl
+    matrices over every group element either functor stores a map for
+    (elsewhere both sides are the identity).  Backtracking top down over the
+    survivors then enforces res and tr on every covering pair; the first
+    consistent family in candidate order is returned."""
     if a.group_name != b.group_name:
         return None
     g = a.group()
@@ -578,15 +619,16 @@ def find_isomorphism(a: MackeyFunctor, b: MackeyFunctor) -> dict[str, AbHom] | N
 
     cand: dict[str, list[AbHom]] = {}
     for s in subs:
-        isos = _isos_between(a.levels[s], b.levels[s])
+        mats, homs = _weyl_pairs(a, b, s, g.elements)
+        orders, ncols = b.levels[s].orders, a.levels[s].ngens
         isos = [
-            h for h in isos
+            h for h in _isos_between(a.levels[s], b.levels[s])
             if all(
-                h.compose(a.weyl_action(s, e)).equals(
-                    b.weyl_action(s, e).compose(h)
-                )
-                for e in g.elements
+                _mat_mul_mod(h.matrix, wa, orders, ncols)
+                == _mat_mul_mod(wb, h.matrix, orders, ncols)
+                for wa, wb in mats
             )
+            and all(h.compose(wa).equals(wb.compose(h)) for wa, wb in homs)
         ]
         if not isos:
             return None

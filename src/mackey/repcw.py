@@ -710,11 +710,12 @@ def expand_level_e(c: BurnsideComplex) -> tuple[dict[int, int], dict[int, dict]]
     for n in sorted(c.diff):
         cols: dict[int, dict[int, int]] = {}
         tgt_index = {bk: idx for idx, bk in enumerate(basis.get(n - 1, []))}
+        by_source: dict[int, list[tuple[int, OrbitSum]]] = {}
+        for (ti, si), entry in c.diff[n].items():
+            by_source.setdefault(si, []).append((ti, entry))
         for sj, (i, cs) in enumerate(basis.get(n, [])):
             col: dict[int, int] = {}
-            for (ti, si), entry in c.diff[n].items():
-                if si != i:
-                    continue
+            for ti, entry in by_source.get(i, ()):
                 ktgt = g.subgroup(c.cells[n - 1][ti])
                 for coeff, u in entry:
                     pt = g.coset(g.mul(cs, u), ktgt)

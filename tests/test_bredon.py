@@ -6,10 +6,12 @@ reproduce the table exactly, including recognizing each answer in the
 named catalog.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mackey.bredon import (
+    AxiomFailure,
     MackeyHomology,
     cohomology_mackey,
     homology_mackey,
@@ -17,10 +19,11 @@ from mackey.bredon import (
     suspension_homotopy,
 )
 from mackey.catalog import named
-from mackey.exactalg import FgAbelian
+from mackey.exactalg import AbHom, FgAbelian
 from mackey.functors import (
     box_dual,
     check_axioms,
+    expression_functor,
     is_isomorphic,
     match_expression,
     restrict_functor,
@@ -239,3 +242,13 @@ def test_underlying_level_matches_sphere_dimension(data):
             assert lvl == FgAbelian((0,))
         else:
             assert lvl.is_trivial
+
+
+def test_coefficients_changed_after_validation_are_checked_again():
+    coeff = expression_functor("Q8", "Z")
+    MackeyHomology(coeff)  # validates the constant functor
+    key = sorted(coeff.res)[0]
+    coeff.res[key] = AbHom.zero(coeff.res[key].dom, coeff.res[key].cod)
+    assert not check_axioms(coeff).ok
+    with pytest.raises(AxiomFailure):
+        MackeyHomology(coeff)

@@ -152,6 +152,46 @@ def test_abhom_torsion_check():
         AbHom(z2, z4, mat([[1]]))
 
 
+GROUPS = st.lists(st.sampled_from([0, 2, 3, 4, 6]), max_size=3).map(
+    lambda orders: FgAbelian(tuple(orders))
+)
+
+
+def random_hom(data, dom, cod):
+    """A valid hom: a generator of order o goes to elements killed by o."""
+    cols = []
+    for o in dom.orders:
+        col = []
+        for co in cod.orders:
+            if o == 0:
+                col.append(data.draw(st.integers(-9, 9)))
+            elif co == 0:
+                col.append(0)
+            else:
+                col.append(co // gcd(co, o) * data.draw(st.integers(-9, 9)))
+        cols.append(col)
+    rows = tuple(tuple(col[i] for col in cols) for i in range(cod.ngens))
+    return AbHom(dom, cod, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GROUPS, GROUPS, GROUPS, st.data())
+def test_compose_agrees_with_validating_constructor(a, b, c, data):
+    first = random_hom(data, a, b)
+    second = random_hom(data, b, c)
+    raw = tuple(
+        tuple(
+            sum(second.matrix[i][k] * first.matrix[k][j] for k in range(b.ngens))
+            for j in range(a.ngens)
+        )
+        for i in range(c.ngens)
+    )
+    composite = second.compose(first)
+    checked = AbHom(a, c, raw)
+    assert composite.dom.orders == a.orders and composite.cod.orders == c.orders
+    assert composite.matrix == checked.matrix
+
+
 def test_homology_circle():
     z = Zn()
     d = AbHom.zero(z, z)

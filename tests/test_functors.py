@@ -2,20 +2,28 @@
 functor, duality, the seven short exact sequences, and isomorphism search.
 """
 
+import itertools
+from math import gcd
+
 import pytest
 
 from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian
 from mackey.functors import (
+    MackeyFunctor,
+    MackeyMorphism,
     Mismatch,
     MixedTorsion,
     UnknownName,
     box_dual,
     check_axioms,
+    covering_pairs,
     expression_functor,
+    find_isomorphism,
     is_isomorphic,
     match_expression,
     ses_check,
+    strip_g_summands,
     zero_functor,
 )
 from mackey.grouplat import group
@@ -192,3 +200,159 @@ def test_expression_functor_sum_levels():
     s = expression_functor("K4", "g^3")
     assert s.levels["K4"] == FgAbelian((2, 2, 2))
     assert s.levels["e"].is_trivial
+
+
+# ---------------------------------------------------------------------------
+# the map find_isomorphism returns, against a brute-force reference search
+
+
+def _reference_isos(a, b):
+    """Every isomorphism a -> b of free rank <= 1, in enumeration order."""
+    if a != b:
+        return []
+    if a.is_trivial:
+        return [AbHom.zero(a, b)]
+    cols = []
+    for order in a.orders:
+        choices = []
+        for o in b.orders:
+            if order == 0:
+                choices.append(range(-1, 2) if o == 0 else range(o))
+            else:
+                choices.append((0,) if o == 0 else range(0, o, o // gcd(o, order)))
+        cols.append(list(itertools.product(*choices)))
+    elems = list(itertools.product(*[(0,) if o == 0 else range(o) for o in a.orders]))
+    target = {b.reduce_vec(v) for v in itertools.product(
+        *[(0,) if o == 0 else range(o) for o in b.orders])}
+    out = []
+    for combo in itertools.product(*cols):
+        h = AbHom(a, b, tuple(zip(*combo)))
+        free = [j for j, o in enumerate(a.orders) if o == 0]
+        if free and sum(
+            abs(h.matrix[i][free[0]]) for i, o in enumerate(b.orders) if o == 0
+        ) != 1:
+            continue
+        image = {h(v) for v in elems}
+        if image == target and len(image) == len(elems):
+            out.append(h)
+    return out
+
+
+def _reference_find_isomorphism(a, b):
+    """Levelwise candidates filtered by Weyl equivariance on AbHom objects,
+    then top-down backtracking over res and tr."""
+    g = a.group()
+    subs = [s.name for s in reversed(g.subgroups())]
+    if any(a.levels[s] != b.levels[s] for s in subs):
+        return None
+    cand = {}
+    for s in subs:
+        cand[s] = [
+            h for h in _reference_isos(a.levels[s], b.levels[s])
+            if all(
+                h.compose(a.weyl_action(s, e)).equals(b.weyl_action(s, e).compose(h))
+                for e in g.elements
+            )
+        ]
+    pairs = covering_pairs(g)
+    assignment = {}
+
+    def consistent(s, h):
+        for low, high in pairs:
+            if low == s and high in assignment:
+                f_high = assignment[high]
+                if not (h.compose(a.res[(low, high)]).equals(
+                        b.res[(low, high)].compose(f_high))
+                        and f_high.compose(a.tr[(low, high)]).equals(
+                        b.tr[(low, high)].compose(h))):
+                    return False
+            if high == s and low in assignment:
+                f_low = assignment[low]
+                if not (f_low.compose(a.res[(low, high)]).equals(
+                        b.res[(low, high)].compose(h))
+                        and h.compose(a.tr[(low, high)]).equals(
+                        b.tr[(low, high)].compose(f_low))):
+                    return False
+        return True
+
+    def backtrack(idx):
+        if idx == len(subs):
+            return True
+        for h in cand[subs[idx]]:
+            if consistent(subs[idx], h):
+                assignment[subs[idx]] = h
+                if backtrack(idx + 1):
+                    return True
+                del assignment[subs[idx]]
+        return False
+
+    return dict(assignment) if backtrack(0) else None
+
+
+def _check_returned_iso(a, b):
+    iso = find_isomorphism(a, b)
+    ref = _reference_find_isomorphism(a, b)
+    if ref is None:
+        assert iso is None
+        return None
+    assert iso is not None and set(iso) == set(ref)
+    for s in ref:
+        assert iso[s].equals(ref[s]), s
+    MackeyMorphism(a, b, iso)  # raises Mismatch unless res, tr, Weyl commute
+    return iso
+
+
+def test_returned_isomorphism_on_catalog_pairs():
+    found = 0
+    for gname in ALL_GROUPS:
+        table = catalog(gname)
+        subs = [s.name for s in group(gname).subgroups()]
+        for x, y in itertools.product(sorted(table), repeat=2):
+            a, b = table[x], table[y]
+            if any(a.levels[s] != b.levels[s] for s in subs):
+                continue
+            iso = _check_returned_iso(a, b)
+            found += iso is not None
+            if x == y:
+                assert iso is not None, f"{gname}:{x}"
+    # the registered Q8 aliases phi_Z(X) ~ X add pairs off the diagonal
+    assert found > sum(len(catalog(gn)) for gn in ALL_GROUPS)
+
+
+@pytest.mark.parametrize(
+    "gname, left, right",
+    [
+        ("Q8", "m + g + Z", "Z + m"),
+        ("Q8", "phi_Z(F) + g^2", "phi_Z(F)"),
+        ("Q8", "w + Z(2,1) + g", "Z(2,1) + w"),
+        ("K4", "m + w + g", "w + m"),
+        ("C4", "Z(2,1) + g^2", "Z(2,1)"),
+    ],
+)
+def test_returned_isomorphism_after_stripping_g(gname, left, right):
+    a = strip_g_summands(expression_functor(gname, left))[1]
+    b = strip_g_summands(expression_functor(gname, right))[1]
+    assert _check_returned_iso(a, b) is not None
+
+
+def _c2_with_action_at_e(action):
+    """Over C2: level e is (Z/2)^2 with s acting by the given matrix, the
+    top level is zero; res and tr are zero."""
+    e, top = FgAbelian((2, 2)), FgAbelian(())
+    weyl = {("e", "s"): AbHom(e, e, action)} if action else {}
+    return MackeyFunctor(
+        "C2", {"e": e, "C2": top},
+        {("e", "C2"): AbHom.zero(top, e)}, {("e", "C2"): AbHom.zero(e, top)},
+        weyl,
+    )
+
+
+def test_returned_isomorphism_respects_the_weyl_action():
+    swap = _c2_with_action_at_e(((0, 1), (1, 0)))
+    shear = _c2_with_action_at_e(((1, 1), (0, 1)))
+    trivial = _c2_with_action_at_e(None)
+    # res and tr say nothing here, so only the Weyl filter rules candidates out
+    iso = _check_returned_iso(swap, shear)
+    assert iso is not None and not iso["e"].equals(AbHom.identity(FgAbelian((2, 2))))
+    assert _check_returned_iso(trivial, swap) is None
+    assert _check_returned_iso(shear, trivial) is None
