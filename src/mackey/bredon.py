@@ -73,6 +73,9 @@ def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
     key = _content_key(coeff)
     if key in _VALIDATED_COEFFS:
         return
+    # Composites memoised before a change would outlive it: drop them so the
+    # check and every engine built afterwards read the current maps.
+    coeff.__dict__.pop("_map_memo", None)
     report = check_axioms(coeff)
     if not report.ok:
         raise AxiomFailure(str(report))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
 
-from .exactalg import AbHom, FgAbelian, identity, _mat_mul_mod
+from .exactalg import AbHom, FgAbelian, NonComposable, identity, _mat_mul_mod
 from .grouplat import Group, Subgroup, group
 
 
@@ -515,15 +515,13 @@ def _hom_columns(order: int, cod: FgAbelian) -> list[tuple[int, ...]]:
     return [tuple(c) for c in itertools.product(*choices)]
 
 
-def _isos_between(a: FgAbelian, b: FgAbelian) -> tuple[AbHom, ...]:
-    """All isomorphisms a -> b.  Free rank at most 1 is supported."""
-    return _iso_table(a.orders, b.orders)
-
-
 @lru_cache(maxsize=256)
-def _iso_table(a_orders: tuple[int, ...], b_orders: tuple[int, ...]) -> tuple[AbHom, ...]:
-    # Keyed on the presentations, not on FgAbelian equality: equal groups
-    # with different generator orders give different matrices.
+def _isos_between(a_orders: tuple[int, ...], b_orders: tuple[int, ...]) -> tuple[AbHom, ...]:
+    """All isomorphisms between the two presentations.  Free rank at most 1
+    is supported.
+
+    Keyed on the presentations, not on FgAbelian equality: equal groups
+    with different generator orders give different matrices."""
     a, b = FgAbelian(a_orders), FgAbelian(b_orders)
     if a != b:
         return ()
@@ -575,22 +573,20 @@ def _torsion_reduce(g: FgAbelian, v) -> tuple[int, ...]:
     return tuple(0 if o == 0 else x % o for x, o in zip(v, g.orders))
 
 
-def _weyl_pairs(a: MackeyFunctor, b: MackeyFunctor, s: str, elements):
-    """Distinct pairs (W_a(e), W_b(e)) at level s, as matrices when both are
-    endomorphisms of the level presentations and as AbHoms otherwise."""
+def _weyl_pairs(a: MackeyFunctor, b: MackeyFunctor, s: str, elements) -> set:
+    """Distinct matrix pairs (W_a(e), W_b(e)) at level s over the elements
+    either functor stores a Weyl map for."""
     a_orders, b_orders = a.levels[s].orders, b.levels[s].orders
     mats: set = set()
-    homs: list = []
     for e in elements:
         if (s, e) not in a.weyl and (s, e) not in b.weyl:
             continue
         wa, wb = a.weyl_action(s, e), b.weyl_action(s, e)
-        if (wa.dom.orders == wa.cod.orders == a_orders
+        if not (wa.dom.orders == wa.cod.orders == a_orders
                 and wb.dom.orders == wb.cod.orders == b_orders):
-            mats.add((wa.matrix, wb.matrix))
-        else:
-            homs.append((wa, wb))
-    return mats, homs
+            raise NonComposable(f"weyl map at {s},{e} is not a level endomorphism")
+        mats.add((wa.matrix, wb.matrix))
+    return mats
 
 
 def is_isomorphic(a: MackeyFunctor, b: MackeyFunctor) -> bool:
@@ -619,16 +615,15 @@ def find_isomorphism(a: MackeyFunctor, b: MackeyFunctor) -> dict[str, AbHom] | N
 
     cand: dict[str, list[AbHom]] = {}
     for s in subs:
-        mats, homs = _weyl_pairs(a, b, s, g.elements)
+        mats = _weyl_pairs(a, b, s, g.elements)
         orders, ncols = b.levels[s].orders, a.levels[s].ngens
         isos = [
-            h for h in _isos_between(a.levels[s], b.levels[s])
+            h for h in _isos_between(a.levels[s].orders, orders)
             if all(
                 _mat_mul_mod(h.matrix, wa, orders, ncols)
                 == _mat_mul_mod(wb, h.matrix, orders, ncols)
                 for wa, wb in mats
             )
-            and all(h.compose(wa).equals(wb.compose(h)) for wa, wb in homs)
         ]
         if not isos:
             return None

@@ -252,3 +252,16 @@ def test_coefficients_changed_after_validation_are_checked_again():
     assert not check_axioms(coeff).ok
     with pytest.raises(AxiomFailure):
         MackeyHomology(coeff)
+
+
+def test_homology_follows_a_valid_change_of_validated_coefficients():
+    # constant Z over C2 (res 1, tr 2) turned into its dual (res 2, tr 1):
+    # both are valid, and the engine must compute with the new maps
+    coeff = expression_functor("C2", "Z")
+    assert is_isomorphic(MackeyHomology(coeff).functor(0), named("C2", "Z"))
+    z = FgAbelian((0,))
+    coeff.res[("e", "C2")] = AbHom(z, z, ((2,),))
+    coeff.tr[("e", "C2")] = AbHom(z, z, ((1,),))
+    dual = box_dual(named("C2", "Z"))
+    assert is_isomorphic(coeff, dual)
+    assert is_isomorphic(MackeyHomology(coeff).functor(0), dual)

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from mackey.catalog import catalog, named
-from mackey.exactalg import AbHom, FgAbelian
+from mackey.exactalg import AbHom, FgAbelian, NonComposable
 from mackey.functors import (
     MackeyFunctor,
     MackeyMorphism,
@@ -356,3 +356,13 @@ def test_returned_isomorphism_respects_the_weyl_action():
     assert iso is not None and not iso["e"].equals(AbHom.identity(FgAbelian((2, 2))))
     assert _check_returned_iso(trivial, swap) is None
     assert _check_returned_iso(shear, trivial) is None
+
+
+def test_weyl_map_off_the_level_presentation_is_refused():
+    # (2, 2) and (2, 2, 1) present the same group, so the levels agree, but a
+    # Weyl map onto the second is not an endomorphism of the level
+    e, wide = FgAbelian((2, 2)), FgAbelian((2, 2, 1))
+    odd = _c2_with_action_at_e(None)
+    odd.weyl[("e", "s")] = AbHom(e, wide, ((0, 1), (1, 0), (0, 0)))
+    with pytest.raises(NonComposable):
+        find_isomorphism(odd, _c2_with_action_at_e(None))
