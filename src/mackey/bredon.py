@@ -33,14 +33,17 @@ from .exactalg import (
 )
 from .functors import MackeyFunctor, covering_pairs, is_isomorphic
 from .grouplat import Group, group
-from .repcw import BurnsideComplex, VirtualRep, parse_rep, point_complex, sphere_complex
+from .repcw import (
+    BurnsideComplex,
+    GroupMismatch,
+    VirtualRep,
+    parse_rep,
+    point_complex,
+    sphere_complex,
+)
 
 
 class AxiomFailure(Exception):
-    pass
-
-
-class GroupMismatch(Exception):
     pass
 
 
@@ -437,24 +440,9 @@ class MackeyHomology:
         self._functor_cache[n] = out
         return out
 
-    def nonzero_degrees(self) -> list[int]:
-        lo = min(
-            (t for h in self.levels for t in self._groups[h]), default=0
-        )
-        hi = max(
-            (t for h in self.levels for t in self._groups[h]), default=0
-        )
-        return list(range(lo + self.offset, hi + self.offset + 1))
-
 
 # ---------------------------------------------------------------------------
 # recognition against the catalog
-
-
-def _g_power(group_name: str, k: int) -> MackeyFunctor:
-    from .functors import expression_functor
-
-    return expression_functor(group_name, f"g^{k}" if k else "")
 
 
 def identify(m: MackeyFunctor) -> str | None:
@@ -489,20 +477,14 @@ def homology_mackey(
     c: BurnsideComplex, coeff: MackeyFunctor, n: int
 ) -> tuple[MackeyFunctor, str | None]:
     """Degree-n Mackey-functor-valued homology of a Burnside complex."""
-    eng = MackeyHomology(coeff, primal=c)
-    f = eng.functor(n)
-    nm = identify(f)
-    return (f.with_name(nm) if nm else f, nm)
+    return _named(MackeyHomology(coeff, primal=c).functor(n))
 
 
 def cohomology_mackey(
     c: BurnsideComplex, coeff: MackeyFunctor, n: int
 ) -> tuple[MackeyFunctor, str | None]:
     """Degree-n cohomology; equals pi_{-n} of the function object."""
-    eng = MackeyHomology(coeff, dual=c)
-    f = eng.functor(-n)
-    nm = identify(f)
-    return (f.with_name(nm) if nm else f, nm)
+    return _named(MackeyHomology(coeff, dual=c).functor(-n))
 
 
 def homology_table(
@@ -517,7 +499,9 @@ def _named(f: MackeyFunctor) -> tuple[MackeyFunctor, str | None]:
     return (f.with_name(nm) if nm else f, nm)
 
 
+# engines by group, rep and coefficient name and content, least recently used first
 _ENGINE_CACHE: dict[tuple, MackeyHomology] = {}
+_ENGINE_CACHE_SIZE = 64
 
 
 def suspension_engine(
@@ -531,13 +515,19 @@ def suspension_engine(
     if isinstance(rep, str):
         rep = parse_rep(group_name, rep)
     pos, neg, offset = rep.split()
-    key = (group_name, rep.mults, rep.shift, coeff.name, id(coeff))
-    if key in _ENGINE_CACHE:
-        return _ENGINE_CACHE[key]
-    primal = sphere_complex(pos) if pos.mults else None
-    dual = sphere_complex(neg) if neg.mults else None
-    eng = MackeyHomology(coeff, primal=primal, dual=dual, offset=offset)
-    _ENGINE_CACHE[key] = eng
+    content = _content_key(coeff)
+    # the key holds the content's hash, not the content (kilobytes per
+    # engine); a hit is confirmed on the full content, which also refuses
+    # an engine whose own coefficients changed since (it reads them lazily)
+    key = (group_name, rep.mults, rep.shift, coeff.name, hash(content))
+    eng = _ENGINE_CACHE.pop(key, None)
+    if eng is None or _content_key(eng.coeff) != content:
+        primal = sphere_complex(pos) if pos.mults else None
+        dual = sphere_complex(neg) if neg.mults else None
+        eng = MackeyHomology(coeff, primal=primal, dual=dual, offset=offset)
+    _ENGINE_CACHE[key] = eng  # now the most recently used
+    if len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:
+        del _ENGINE_CACHE[next(iter(_ENGINE_CACHE))]
     return eng
 
 

@@ -269,6 +269,7 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
             )
 
     # Weyl actions are actions, trivial on the subgroup itself
+    known = len(failures)
     for s in g.subgroups():
         lvl = m.levels[s.name]
         for e in g.elements:
@@ -277,7 +278,10 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
                 w.dom.orders == lvl.orders and w.cod.orders == lvl.orders,
                 f"weyl shape {s.name},{e}",
             )
-        ident = AbHom.identity(lvl)
+    if len(failures) > known:  # maps of the wrong shape do not compose
+        return AxiomReport(failures, checked)
+    for s in g.subgroups():
+        ident = AbHom.identity(m.levels[s.name])
         for x in s.elements:
             expect(
                 m.weyl_action(s.name, x).equals(ident),

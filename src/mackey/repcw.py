@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .grouplat import Group, Subgroup, group, subgroup_iso, subgroup_image_under_iso
 
@@ -57,19 +58,36 @@ def osum(pairs) -> OrbitSum:
     return tuple(sorted((c, u) for u, c in acc.items() if c != 0))
 
 
-def osum_add(a: OrbitSum, b: OrbitSum) -> OrbitSum:
-    return osum(list(a) + list(b))
+# ---------------------------------------------------------------------------
+# integer element tables: the smash, reduction and level-e kernels work on
+# element indices and turn sums back into OrbitSums only where they store them
 
 
-def osum_scale(c: int, a: OrbitSum) -> OrbitSum:
-    return tuple((c * x, u) for x, u in a) if c else ()
+class _Tables(NamedTuple):
+    names: tuple[str, ...]  # element names; the identity is index 0
+    index: dict[str, int]
+    mul: tuple[tuple[int, ...], ...]  # mul[x][y] is the index of x.y
+    cosets: dict[str, tuple[int, ...]]  # subgroup -> representatives, in g.cosets order
+    coset_pos: dict[str, tuple[int, ...]]  # subgroup -> element -> position of its coset
 
 
-def osum_compose(g: Group, first: OrbitSum, then: OrbitSum) -> OrbitSum:
-    """x. u1 followed by x.u2 is x.(u1 u2)."""
-    return osum(
-        (c1 * c2, g.mul(u1, u2)) for c1, u1 in first for c2, u2 in then
-    )
+@lru_cache(maxsize=None)
+def _tables(group_name: str) -> _Tables:
+    g = group(group_name)
+    names = g.elements
+    index = {x: k for k, x in enumerate(names)}
+    cosets = {s.name: tuple(index[x] for x in g.cosets(s)) for s in g.subgroups()}
+    pos = {
+        s.name: tuple(cosets[s.name].index(index[g.coset(x, s)]) for x in names)
+        for s in g.subgroups()
+    }
+    mul = tuple(tuple(index[g.mul(x, y)] for y in names) for x in names)
+    return _Tables(names, index, mul, cosets, pos)
+
+
+def _osum_of(sums: dict[int, int], names: tuple[str, ...]) -> OrbitSum:
+    """The OrbitSum of {element index: coefficient}."""
+    return tuple(sorted([(c, names[u]) for u, c in sums.items() if c]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +248,11 @@ class BurnsideComplex:
     def group(self) -> Group:
         return group(self.group_name)
 
-    def degrees(self) -> list[int]:
-        return sorted(d for d, cs in self.cells.items() if cs)
-
     def ncells(self) -> int:
         return sum(len(cs) for cs in self.cells.values())
 
     def entry(self, n: int, i: int, j: int) -> OrbitSum:
         return self.diff.get(n, {}).get((i, j), ())
-
-    def top_degree(self) -> int:
-        ds = self.degrees()
-        return ds[-1] if ds else 0
-
-    def describe(self) -> str:
-        return " ".join(
-            f"{n}:[{','.join(self.cells[n])}]" for n in self.degrees()
-        )
 
 
 def point_complex(group_name: str) -> BurnsideComplex:
@@ -375,18 +381,46 @@ def product_reps(group_name: str, k1: str, k2: str) -> tuple[tuple[str, str], ..
 
 
 @lru_cache(maxsize=None)
-def locate_in_product(
-    group_name: str, k1: str, k2: str, p1: str, p2: str
-) -> tuple[str, str]:
-    """Find (rep, u) with u.(eK1, rep.K2) = (p1.K1, p2.K2)."""
+def _product_table(group_name: str, k1: str, k2: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """[x][y] -> (orbit, u) with u.(e.K1, rep.K2) = (x.K1, y.K2), where rep
+    is the orbit's representative in product_reps; on element indices."""
     g = group(group_name)
     s1, s2 = g.subgroup(k1), g.subgroup(k2)
-    for rep, _ in product_reps(group_name, k1, k2):
-        for x in s1.elements:
-            u = g.mul(p1, x)
-            if g.coset(g.mul(u, rep), s2) == g.coset(p2, s2):
-                return rep, u
-    raise RuntimeError("point not found in any orbit")
+    reps = product_reps(group_name, k1, k2)
+    index = _tables(group_name).index
+
+    def locate(p1: str, p2: str) -> tuple[int, int]:
+        for r, (rep, _) in enumerate(reps):
+            for x in s1.elements:
+                u = g.mul(p1, x)
+                if g.coset(g.mul(u, rep), s2) == p2:
+                    return r, index[u]
+        raise RuntimeError("point not found in any orbit")
+
+    return tuple(
+        tuple(locate(g.coset(x, s1), g.coset(y, s2)) for y in g.elements)
+        for x in g.elements
+    )
+
+
+def _terms_by_source(c: BurnsideComplex, n: int, t: _Tables) -> dict[int, list]:
+    """diff[n] as {source cell: [(target cell, [(coeff, element index)])]},
+    in the order of diff[n]."""
+    ix = t.index
+    out: dict[int, list] = {}
+    for (ti, si), entry in c.diff.get(n, {}).items():
+        out.setdefault(si, []).append((ti, [(x, ix[u]) for x, u in entry]))
+    return out
+
+
+def _add_term(acc: dict[int, dict[int, int]], key: int, coeff: int, u: int) -> None:
+    """Add coeff.u to acc[key]; an entry that was zero moves to the end, as a
+    deleted and re-inserted dict key would."""
+    sums = acc.get(key)
+    if sums is None or not any(sums.values()):
+        acc.pop(key, None)
+        acc[key] = sums = {} if sums is None else sums
+    sums[u] = sums.get(u, 0) + coeff
 
 
 # ---------------------------------------------------------------------------
@@ -399,63 +433,57 @@ def smash(c: BurnsideComplex, d: BurnsideComplex) -> BurnsideComplex:
     if c.group_name != d.group_name:
         raise GroupMismatch("smash needs complexes over the same group")
     g = c.group()
+    t = _tables(g.name)
     cells: dict[int, list[str]] = {}
-    index: dict[tuple[int, int, int, int, str], int] = {}
-    meta: dict[int, list[tuple[int, int, int, int, str]]] = {}
+    # (p, i, q, j) -> index of the first orbit of cell i x cell j; its
+    # orbits follow in the order of product_reps
+    first: dict[tuple[int, int, int, int], int] = {}
+    # per degree: (p, i, q, j, element index of the orbit's rep)
+    meta: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for p in sorted(c.cells):
         for q in sorted(d.cells):
             n = p + q
             for i, k1 in enumerate(c.cells[p]):
                 for j, k2 in enumerate(d.cells[q]):
+                    out_cells = cells.setdefault(n, [])
+                    out_meta = meta.setdefault(n, [])
+                    first[(p, i, q, j)] = len(out_cells)
                     for rep, stab in product_reps(g.name, k1, k2):
-                        cells.setdefault(n, [])
-                        meta.setdefault(n, [])
-                        index[(p, i, q, j, rep)] = len(cells[n])
-                        cells[n].append(stab)
-                        meta[n].append((p, i, q, j, rep))
+                        out_cells.append(stab)
+                        out_meta.append((p, i, q, j, t.index[rep]))
+    c_terms = {p: _terms_by_source(c, p, t) for p in c.diff}
+    d_terms = {q: _terms_by_source(d, q, t) for q in d.diff}
     diff: dict[int, dict[tuple[int, int], OrbitSum]] = {}
-
-    def add_entry(n, ti, si, term):
-        if not term:
-            return
-        dd = diff.setdefault(n, {})
-        prev = dd.get((ti, si), ())
-        new = osum_add(prev, term)
-        if new:
-            dd[(ti, si)] = new
-        elif (ti, si) in dd:
-            del dd[(ti, si)]
-
     for n in sorted(meta):
         for si, (p, i, q, j, rep) in enumerate(meta[n]):
             k1 = c.cells[p][i]
             k2 = d.cells[q][j]
-            # boundary on the left factor
-            for (ti_c, sj_c), entry in c.diff.get(p, {}).items():
-                if sj_c != i:
-                    continue
-                k1t = c.cells[p - 1][ti_c]
+            acc: dict[int, dict[int, int]] = {}
+            # boundary on the left factor: the base point (e.K1, rep.K2)
+            # goes to (a.K1t, rep.K2)
+            for ti_c, entry in c_terms.get(p, {}).get(i, ()):
+                table = _product_table(g.name, c.cells[p - 1][ti_c], k2)
+                base = first[(p - 1, ti_c, q, j)]
                 for coeff, a in entry:
-                    # image of base point (e.K1, rep.K2) is (a.K1t, rep.K2)
-                    tgt_rep, u = locate_in_product(
-                        g.name, k1t, k2, g.coset(a, g.subgroup(k1t)),
-                        g.coset(rep, g.subgroup(k2)),
-                    )
-                    ti = index[(p - 1, ti_c, q, j, tgt_rep)]
-                    add_entry(n, ti, si, osum([(coeff, u)]))
-            # boundary on the right factor, with the sign of the left degree
+                    tgt, u = table[a][rep]
+                    _add_term(acc, base + tgt, coeff, u)
+            # boundary on the right factor, with the sign of the left degree:
+            # the base point goes to (e.K1, rep.b.K2t), in row e = 0 of its table
             sign = -1 if p % 2 else 1
-            for (ti_d, sj_d), entry in d.diff.get(q, {}).items():
-                if sj_d != j:
-                    continue
-                k2t = d.cells[q - 1][ti_d]
+            rep_row = t.mul[rep]
+            for ti_d, entry in d_terms.get(q, {}).get(j, ()):
+                table = _product_table(g.name, k1, d.cells[q - 1][ti_d])[0]
+                base = first[(p, i, q - 1, ti_d)]
                 for coeff, b in entry:
-                    tgt_rep, u = locate_in_product(
-                        g.name, k1, k2t, g.coset(g.identity, g.subgroup(k1)),
-                        g.coset(g.mul(rep, b), g.subgroup(k2t)),
-                    )
-                    ti = index[(p, i, q - 1, ti_d, tgt_rep)]
-                    add_entry(n, ti, si, osum([(sign * coeff, u)]))
+                    tgt, u = table[rep_row[b]]
+                    _add_term(acc, base + tgt, sign * coeff, u)
+            if not acc:
+                continue
+            dd = diff.setdefault(n, {})
+            for ti, sums in acc.items():
+                entry = _osum_of(sums, t.names)
+                if entry:
+                    dd[(ti, si)] = entry
     out = BurnsideComplex(
         c.group_name, {n: tuple(cs) for n, cs in cells.items()}, diff
     )
@@ -479,7 +507,11 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
     the number of entries actually touched.
     """
     g = c.group()
+    t = _tables(g.name)
+    ix, mul, names = t.index, t.mul, t.names
     alive = {n: [True] * len(cs) for n, cs in c.cells.items()}
+    # entries are OrbitSums until a correction rewrites them as
+    # {element index: coeff}
     diff = {n: dict(d) for n, d in c.diff.items()}
     by_row: dict[int, dict[int, set[int]]] = {}
     by_col: dict[int, dict[int, set[int]]] = {}
@@ -492,24 +524,18 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
         by_row[n] = rows
         by_col[n] = cols
 
+    def sums_of(entry) -> dict[int, int]:
+        return entry if type(entry) is dict else {ix[u]: x for x, u in entry}
+
     def is_unit(n, i, j) -> bool:
         entry = diff[n].get((i, j))
-        return (
-            entry is not None
-            and len(entry) == 1
-            and entry[0][0] in (1, -1)
-            and c.cells[n][j] == c.cells[n - 1][i]
-        )
+        if entry is None or len(entry) != 1:
+            return False
+        x = next(iter(entry.values())) if type(entry) is dict else entry[0][0]
+        return x in (1, -1) and c.cells[n][j] == c.cells[n - 1][i]
 
-    def set_entry(n, i, j, val: OrbitSum):
-        d = diff[n]
-        if val:
-            if (i, j) not in d:
-                by_row[n].setdefault(i, set()).add(j)
-                by_col[n].setdefault(j, set()).add(i)
-            d[(i, j)] = val
-        elif (i, j) in d:
-            del d[(i, j)]
+    def clear_entry(n, i, j):
+        if diff[n].pop((i, j), None) is not None:
             by_row[n][i].discard(j)
             by_col[n][j].discard(i)
 
@@ -523,15 +549,15 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
         n, pi, pj = queue.pop()
         if not (alive[n][pj] and alive[n - 1][pi]) or not is_unit(n, pi, pj):
             continue
-        pc, pu = diff[n][(pi, pj)][0]
-        inv = ((pc, g.inv(pu)),)
+        ((pu, pc),) = sums_of(diff[n][(pi, pj)]).items()
+        pinv = ix[g.inv(names[pu])]
         row = [
-            (j, diff[n][(pi, j)])
+            (j, sums_of(diff[n][(pi, j)]))
             for j in list(by_row[n].get(pi, ()))
             if j != pj
         ]
         col = [
-            (i, diff[n][(i, pj)])
+            (i, sums_of(diff[n][(i, pj)]))
             for i in list(by_col[n].get(pj, ()))
             if i != pi
         ]
@@ -539,25 +565,46 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
         alive[n - 1][pi] = False
         # clear the pivot row and column
         for j, _ in row:
-            set_entry(n, pi, j, ())
+            clear_entry(n, pi, j)
         for i, _ in col:
-            set_entry(n, i, pj, ())
-        set_entry(n, pi, pj, ())
+            clear_entry(n, i, pj)
+        clear_entry(n, pi, pj)
         if n + 1 in diff:
             for j in list(by_row[n + 1].get(pj, ())):
-                set_entry(n + 1, pj, j, ())
+                clear_entry(n + 1, pj, j)
         if n - 1 in diff:
             for i in list(by_col[n - 1].get(pi, ())):
-                set_entry(n - 1, i, pi, ())
-        # correction terms
+                clear_entry(n - 1, i, pi)
+        # correction terms: the map beta o pivot^-1 o gamma comes off entry
+        # (i, j); its elements are u_gamma.u_pivot^-1.u_beta.  The pivot's
+        # inverse is composed into each row entry once: right multiplication
+        # by an element permutes elements, so those products need no
+        # collecting.  Storing an entry and the unit test are inlined: this
+        # loop makes every fill-in.
+        dn, rows_n, cols_n = diff[n], by_row[n], by_col[n]
+        cells_n, cells_lo = c.cells[n], c.cells[n - 1]
+        col_terms = [(i, list(beta.items())) for i, beta in col]
         for j, gamma in row:
-            ginv = osum_compose(g, gamma, inv)
-            for i, beta in col:
-                corr = osum_scale(-1, osum_compose(g, ginv, beta))
-                new = osum_add(diff[n].get((i, j), ()), corr)
-                set_entry(n, i, j, new)
-                if new and is_unit(n, i, j):
-                    queue.append((n, i, j))
+            row_terms = [(-pc * x, mul[mul[u][pinv]]) for u, x in gamma.items()]
+            for i, beta in col_terms:
+                key = (i, j)
+                old = dn.get(key)
+                sums = {} if old is None else dict(sums_of(old))
+                for x, times in row_terms:
+                    for u, y in beta:
+                        w = times[u]
+                        sums[w] = sums.get(w, 0) + x * y
+                new = {w: x for w, x in sums.items() if x}
+                if new:
+                    if old is None:
+                        rows_n.setdefault(i, set()).add(j)
+                        cols_n.setdefault(j, set()).add(i)
+                    dn[key] = new
+                    if (len(new) == 1 and next(iter(new.values())) in (1, -1)
+                            and cells_n[j] == cells_lo[i]):
+                        queue.append((n, i, j))
+                elif old is not None:
+                    clear_entry(n, i, j)
 
     # reindex the surviving cells
     new_index: dict[int, dict[int, int]] = {}
@@ -577,7 +624,9 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
         if not d:
             continue
         out_diff[n] = {
-            (new_index[n - 1][i], new_index[n][j]): e for (i, j), e in d.items()
+            (new_index[n - 1][i], new_index[n][j]):
+                _osum_of(e, names) if type(e) is dict else e
+            for (i, j), e in d.items()
         }
     out = BurnsideComplex(c.group_name, cells, out_diff)
     check_boundary(out)
@@ -649,13 +698,16 @@ def restrict_complex(c: BurnsideComplex, sub_name: str) -> BurnsideComplex:
                 index[(n, i, rep)] = len(cells[n])
                 cells[n].append(stab)
                 meta[n].append((i, rep))
+    t = _tables(target)
     diff: dict[int, dict[tuple[int, int], OrbitSum]] = {}
     for n in sorted(c.diff):
         dd: dict[tuple[int, int], OrbitSum] = {}
+        by_source: dict[int, list[tuple[int, OrbitSum]]] = {}
+        for (ti_c, sj_c), entry in c.diff[n].items():
+            by_source.setdefault(sj_c, []).append((ti_c, entry))
         for si, (j, grep) in enumerate(meta[n]):
-            for (ti_c, sj_c), entry in c.diff[n].items():
-                if sj_c != j:
-                    continue
+            acc: dict[int, dict[int, int]] = {}
+            for ti_c, entry in by_source.get(j, ()):
                 ktgt = g.subgroup(c.cells[n - 1][ti_c])
                 for coeff, a in entry:
                     ga = g.mul(grep, a)
@@ -668,13 +720,11 @@ def restrict_complex(c: BurnsideComplex, sub_name: str) -> BurnsideComplex:
                         if g.coset(g.mul(x, trep), ktgt) == g.coset(ga, ktgt)
                     )
                     ti = index[(n - 1, ti_c, trep)]
-                    term = osum([(coeff, iso[h0])])
-                    prev = dd.get((ti, si), ())
-                    new = osum_add(prev, term)
-                    if new:
-                        dd[(ti, si)] = new
-                    elif (ti, si) in dd:
-                        del dd[(ti, si)]
+                    _add_term(acc, ti, coeff, t.index[iso[h0]])
+            for ti, sums in acc.items():
+                entry = _osum_of(sums, t.names)
+                if entry:
+                    dd[(ti, si)] = entry
         if dd:
             diff[n] = dd
     out = BurnsideComplex(target, {n: tuple(cs) for n, cs in cells.items()}, diff)
@@ -695,52 +745,60 @@ def _h_orbit_rep(g: Group, h: Subgroup, k: Subgroup, x: str) -> str:
 # verification
 
 
+def _level_e_columns(c: BurnsideComplex, t: _Tables, n: int):
+    """The columns of d_n on the underlying integer complex, one {row:
+    coeff} per point, in basis order.  A cell G/K has one point per coset
+    of K, in g.cosets order; the point cs.K of cell i goes to the point
+    cs.u.Kt of cell ti for each term x.u of its boundary."""
+    lower = c.cells.get(n - 1, ())
+    low_offs, size = {}, 0  # level-e row of the first point of each cell
+    for ti, k in enumerate(lower):
+        low_offs[ti], size = size, size + len(t.cosets[k])
+    by_source = _terms_by_source(c, n, t)
+    for i, k in enumerate(c.cells.get(n, ())):
+        terms = [
+            (low_offs[ti], t.coset_pos[lower[ti]], x, u)
+            for ti, entry in by_source.get(i, ())
+            for x, u in entry
+        ]
+        for cs in t.cosets[k]:
+            times = t.mul[cs]
+            col: dict[int, int] = {}
+            for off, pos, x, u in terms:
+                r = off + pos[times[u]]
+                col[r] = col.get(r, 0) + x
+            yield col
+
+
 def expand_level_e(c: BurnsideComplex) -> tuple[dict[int, int], dict[int, dict]]:
     """Underlying integer complex: one basis vector per point of each orbit."""
-    g = c.group()
-    sizes = {}
-    basis: dict[int, list[tuple[int, str]]] = {}
-    for n in sorted(c.cells):
-        basis[n] = []
-        for i, k in enumerate(c.cells[n]):
-            for cs in g.cosets(g.subgroup(k)):
-                basis[n].append((i, cs))
-        sizes[n] = len(basis[n])
+    t = _tables(c.group_name)
+    sizes = {n: sum(len(t.cosets[k]) for k in c.cells[n]) for n in sorted(c.cells)}
     mats: dict[int, dict] = {}
     for n in sorted(c.diff):
-        cols: dict[int, dict[int, int]] = {}
-        tgt_index = {bk: idx for idx, bk in enumerate(basis.get(n - 1, []))}
-        by_source: dict[int, list[tuple[int, OrbitSum]]] = {}
-        for (ti, si), entry in c.diff[n].items():
-            by_source.setdefault(si, []).append((ti, entry))
-        for sj, (i, cs) in enumerate(basis.get(n, [])):
-            col: dict[int, int] = {}
-            for ti, entry in by_source.get(i, ()):
-                ktgt = g.subgroup(c.cells[n - 1][ti])
-                for coeff, u in entry:
-                    pt = g.coset(g.mul(cs, u), ktgt)
-                    r = tgt_index[(ti, pt)]
-                    col[r] = col.get(r, 0) + coeff
-            cols[sj] = {r: v for r, v in col.items() if v}
-        mats[n] = cols
+        mats[n] = {
+            sj: {r: v for r, v in col.items() if v}
+            for sj, col in enumerate(_level_e_columns(c, t, n))
+        }
     return sizes, mats
 
 
 def check_boundary(c: BurnsideComplex) -> None:
-    """Verify d.d = 0 on the underlying integer complex."""
-    sizes, mats = expand_level_e(c)
-    for n in sorted(mats):
-        if n + 1 not in mats:
-            continue
-        upper = mats[n + 1]
-        lower = mats[n]
-        for sj, col in upper.items():
-            acc: dict[int, int] = {}
-            for mid, cv in col.items():
-                for r, v in lower.get(mid, {}).items():
-                    acc[r] = acc.get(r, 0) + cv * v
-            if any(v for v in acc.values()):
-                raise BoundaryError(f"d.d != 0 at degree {n + 1}")
+    """Verify d.d = 0 on the underlying integer complex, column by column;
+    only the columns of the degree below are kept while a degree is checked."""
+    t = _tables(c.group_name)
+    lower: list[dict[int, int]] = []
+    for n in sorted(c.diff):
+        cols = list(_level_e_columns(c, t, n))
+        if n - 1 in c.diff:
+            for col in cols:
+                acc: dict[int, int] = {}
+                for r, x in col.items():
+                    for rr, y in lower[r].items():
+                        acc[rr] = acc.get(rr, 0) + x * y
+                if any(acc.values()):
+                    raise BoundaryError(f"d.d != 0 at degree {n}")
+        lower = cols
 
 
 def underlying_homology_ranks(c: BurnsideComplex) -> dict[int, tuple[int, tuple[int, ...]]]:

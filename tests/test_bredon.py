@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mackey import bredon
 from mackey.bredon import (
     AxiomFailure,
     MackeyHomology,
     cohomology_mackey,
     homology_mackey,
     homology_table,
+    suspension_engine,
     suspension_homotopy,
 )
 from mackey.catalog import named
@@ -265,3 +267,35 @@ def test_homology_follows_a_valid_change_of_validated_coefficients():
     dual = box_dual(named("C2", "Z"))
     assert is_isomorphic(coeff, dual)
     assert is_isomorphic(MackeyHomology(coeff).functor(0), dual)
+
+
+def _make_dual(coeff):
+    """Turn constant Z over C2 (res 1, tr 2) into its dual (res 2, tr 1)."""
+    z = FgAbelian((0,))
+    coeff.res[("e", "C2")] = AbHom(z, z, ((2,),))
+    coeff.tr[("e", "C2")] = AbHom(z, z, ((1,),))
+
+
+def test_engine_cache_is_keyed_on_coefficient_content():
+    bredon._ENGINE_CACHE.clear()
+    engines = {
+        id(suspension_engine("C2", "sigma", expression_functor("C2", "Z")))
+        for _ in range(50)
+    }
+    assert len(engines) == 1 and len(bredon._ENGINE_CACHE) == 1
+    eng = suspension_engine("C2", "sigma", expression_functor("C2", "Z"))
+    changed = expression_functor("C2", "Z")
+    _make_dual(changed)
+    assert suspension_engine("C2", "sigma", changed) is not eng
+    # an engine whose own coefficients changed is not handed out again
+    _make_dual(eng.coeff)
+    again = suspension_engine("C2", "sigma", expression_functor("C2", "Z"))
+    assert again is not eng
+    assert is_isomorphic(again.coeff, named("C2", "Z"))
+
+
+def test_engine_cache_is_bounded():
+    bredon._ENGINE_CACHE.clear()
+    for k in range(bredon._ENGINE_CACHE_SIZE + 5):
+        suspension_engine("C2", str(k), expression_functor("C2", "Z"))
+    assert len(bredon._ENGINE_CACHE) == bredon._ENGINE_CACHE_SIZE

@@ -366,3 +366,12 @@ def test_weyl_map_off_the_level_presentation_is_refused():
     odd.weyl[("e", "s")] = AbHom(e, wide, ((0, 1), (1, 0), (0, 0)))
     with pytest.raises(NonComposable):
         find_isomorphism(odd, _c2_with_action_at_e(None))
+
+
+def test_check_axioms_reports_a_weyl_map_off_its_level():
+    e, wide = FgAbelian((2, 2)), FgAbelian((2, 2, 1))
+    odd = _c2_with_action_at_e(None)
+    odd.weyl[("e", "s")] = AbHom(e, wide, ((0, 1), (1, 0), (0, 0)))
+    report = check_axioms(odd)
+    assert report.ok is False
+    assert report.failures == ["weyl shape e,s"]
