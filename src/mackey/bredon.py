@@ -25,11 +25,10 @@ from functools import lru_cache
 from .catalog import catalog
 from .exactalg import (
     AbHom,
-    FgAbelian,
+    Entries,
+    HomologyClassData,
     ReducedComplex,
-    direct_sum,
     induced_on_homology,
-    mat,
 )
 from .functors import MackeyFunctor, covering_pairs, is_isomorphic
 from .grouplat import Group, group
@@ -146,6 +145,27 @@ class _Summand:
     pi: int  # primal cell index
     orbit: int  # orbit index in the triple product
     stab: str  # stabilizer subgroup name
+    offset: int  # its first generator in the chain group of degree q - p
+
+
+def _add_block(acc: Entries, r0: int, c0: int, hom: AbHom, coeff: int) -> None:
+    """Add coeff * hom to sparse entries acc with its corner at (r0, c0)."""
+    for a, row in enumerate(hom.matrix, r0):
+        for b, x in enumerate(row, c0):
+            if x:
+                key = (a, b)
+                acc[key] = acc.get(key, 0) + coeff * x
+
+
+def _reduced(acc: Entries, orders: tuple[int, ...]) -> Entries:
+    """The entries mod their row's order, without zeros."""
+    out = {}
+    for (i, j), x in acc.items():
+        if orders[i]:
+            x %= orders[i]
+        if x:
+            out[(i, j)] = x
+    return out
 
 
 class MackeyHomology:
@@ -154,6 +174,8 @@ class MackeyHomology:
     ``primal`` contributes homologically (degree +q), ``dual``
     cohomologically (degree -p); either may be a point.  ``offset`` shifts
     reported degrees, implementing formal suspensions by trivial summands.
+    Boundaries and structure chain maps are sparse entries {(row, col):
+    value}, the format ReducedComplex reduces.
     """
 
     def __init__(
@@ -178,72 +200,46 @@ class MackeyHomology:
         self.offset = offset
         self.levels = [s.name for s in self.g.subgroups()]
         self._summands: dict[str, dict[int, list[_Summand]]] = {}
-        self._groups: dict[str, dict[int, FgAbelian]] = {}
-        self._slices: dict[str, dict[int, list[tuple[int, int]]]] = {}
+        # summand of each (p, di, q, pi, orbit), per level
+        self._index: dict[str, dict[tuple, _Summand]] = {}
+        self._orders: dict[str, dict[int, tuple[int, ...]]] = {}
         self._complex: dict[str, ReducedComplex] = {}
-        self._homology_cache: dict[tuple[str, int], object] = {}
+        self._homology_cache: dict[tuple[str, int], HomologyClassData] = {}
         self._functor_cache: dict[int, MackeyFunctor] = {}
         self._hom_cache: dict[tuple, AbHom] = {}
-        self._level_map_cache: dict[tuple, dict[int, AbHom]] = {}
+        self._level_map_cache: dict[tuple, dict[int, Entries]] = {}
         for h in self.levels:
             self._build_level(h)
 
     # -- chain-level assembly ------------------------------------------------
 
     def _build_level(self, h: str) -> None:
-        g = self.g
         summands: dict[int, list[_Summand]] = {}
+        index: dict[tuple, _Summand] = {}
+        orders: dict[int, list[int]] = {}
         for p in sorted(self.dual.cells):
             for q in sorted(self.primal.cells):
                 t = q - p
                 for di, ka in enumerate(self.dual.cells[p]):
                     for pi, kb in enumerate(self.primal.cells[q]):
-                        reps, _, stab = _orbit_table(g.name, (ka, kb, h))
+                        reps, _, stab = _orbit_table(self.g.name, (ka, kb, h))
                         for oi in range(len(reps)):
-                            summands.setdefault(t, []).append(
-                                _Summand(p, di, q, pi, oi, stab)
-                            )
-        groups: dict[int, FgAbelian] = {}
-        slices: dict[int, list[tuple[int, int]]] = {}
-        for t, lst in summands.items():
-            offs = []
-            pos = 0
-            for s in lst:
-                n = self.coeff.levels[s.stab].ngens
-                offs.append((pos, n))
-                pos += n
-            slices[t] = offs
-            groups[t] = direct_sum([self.coeff.levels[s.stab] for s in lst])
-        diffs: dict[int, AbHom] = {}
-        degrees = sorted(summands)
-        for t in degrees:
-            if t - 1 not in summands:
-                continue
-            diffs[t] = self._boundary(h, summands, slices, groups, t)
+                            gens = orders.setdefault(t, [])
+                            s = _Summand(p, di, q, pi, oi, stab, len(gens))
+                            gens.extend(self.coeff.levels[stab].orders)
+                            summands.setdefault(t, []).append(s)
+                            index[(p, di, q, pi, oi)] = s
         self._summands[h] = summands
-        self._groups[h] = groups
-        self._slices[h] = slices
-        self._complex[h] = ReducedComplex(groups, diffs)
+        self._index[h] = index
+        self._orders[h] = {t: tuple(o) for t, o in orders.items()}
+        diffs = {t: self._boundary(h, t) for t in sorted(summands) if t - 1 in summands}
+        self._complex[h] = ReducedComplex(self._orders[h], diffs)
 
-    def _boundary(self, h, summands, slices, groups, t) -> AbHom:
+    def _boundary(self, h: str, t: int) -> Entries:
         g = self.g
-        src = summands[t]
-        tgt = summands[t - 1]
-        tgt_pos = {
-            (s.p, s.di, s.q, s.pi, s.orbit): k for k, s in enumerate(tgt)
-        }
-        dom = groups[t]
-        cod = groups[t - 1]
-        m = [[0] * dom.ngens for _ in range(cod.ngens)]
-
-        def add_block(ti, si, hom: AbHom, coeff: int):
-            r0, _ = slices[t - 1][ti]
-            c0, _ = slices[t][si]
-            for a, row in enumerate(hom.matrix):
-                for b, x in enumerate(row):
-                    m[r0 + a][c0 + b] += coeff * x
-
-        for si, s in enumerate(src):
+        index = self._index[h]
+        acc: Entries = {}
+        for s in self._summands[h][t]:
             ka = self.dual.cells[s.p][s.di]
             kb = self.primal.cells[s.q][s.pi]
             reps, _, _ = _orbit_table(g.name, (ka, kb, h))
@@ -260,17 +256,15 @@ class MackeyHomology:
                         base[2],
                     )
                     oi, w = _locate(g.name, (ka, kb2, h), pt)
-                    ti = tgt_pos[(s.p, s.di, s.q - 1, ti_c, oi)]
-                    add_block(ti, si, self._covariant(s.stab, tgt[ti].stab, w), coeff)
+                    tgt = index[(s.p, s.di, s.q - 1, ti_c, oi)]
+                    _add_block(acc, tgt.offset, s.offset,
+                               self._covariant(s.stab, tgt.stab, w), coeff)
         # dual direction: contravariant, dual degree p -> p+1, Koszul sign.
         # Components are indexed by target orbits: for a cell map
         # phi_u: (cell in degree p+1) -> (cell in degree p), apply M^* to
         # phi_u x id x id, whose components go from the orbit containing
         # the image of each (p+1)-side orbit to that orbit.
-        src_pos = {
-            (s.p, s.di, s.q, s.pi, s.orbit): k for k, s in enumerate(src)
-        }
-        for ti, s2 in enumerate(tgt):
+        for s2 in self._summands[h][t - 1]:
             kb = self.primal.cells[s2.q][s2.pi]
             ka2 = self.dual.cells[s2.p][s2.di]
             reps2, _, _ = _orbit_table(g.name, (ka2, kb, h))
@@ -287,14 +281,10 @@ class MackeyHomology:
                         base2[2],
                     )
                     oi, w = _locate(g.name, (ka, kb, h), pt)
-                    si = src_pos[(s2.p - 1, i_tgt, s2.q, s2.pi, oi)]
-                    add_block(
-                        ti,
-                        si,
-                        self._contravariant(s2.stab, src[si].stab, w),
-                        sign * coeff,
-                    )
-        return AbHom(dom, cod, mat(m))
+                    src = index[(s2.p - 1, i_tgt, s2.q, s2.pi, oi)]
+                    _add_block(acc, s2.offset, src.offset,
+                               self._contravariant(s2.stab, src.stab, w), sign * coeff)
+        return _reduced(acc, self._orders[h][t - 1])
 
     def _covariant(self, a: str, b: str, u: str) -> AbHom:
         """M_* of the orbit map x -> x.u from G/a into G/b."""
@@ -317,7 +307,8 @@ class MackeyHomology:
     # -- structure chain maps -----------------------------------------------
 
     def _level_map(self, h_from: str, h_to: str, kind: str, elem: str | None = None):
-        """Chain map between level complexes induced on the G/H factor.
+        """Chain map between level complexes induced on the G/H factor, as
+        sparse entries per degree.
 
         kind "res": contravariant along G/h_to -> G/h_from (h_to <= h_from);
         kind "tr": covariant along G/h_from -> G/h_to (h_from <= h_to);
@@ -327,28 +318,12 @@ class MackeyHomology:
         if cache_key in self._level_map_cache:
             return self._level_map_cache[cache_key]
         g = self.g
-        out: dict[int, AbHom] = {}
-        src_summands = self._summands[h_from]
-        tgt_summands = self._summands[h_to]
-        for t, src in src_summands.items():
-            tgt = tgt_summands.get(t, [])
-            tgt_pos = {
-                (s.p, s.di, s.q, s.pi, s.orbit): k for k, s in enumerate(tgt)
-            }
-            dom = self._groups[h_from][t]
-            cod = self._groups[h_to].get(t, FgAbelian(()))
-            m = [[0] * dom.ngens for _ in range(cod.ngens)]
-
-            def add(ti, si, hom):
-                r0, _ = self._slices[h_to][t][ti]
-                c0, _ = self._slices[h_from][t][si]
-                for a, row in enumerate(hom.matrix):
-                    for b, x in enumerate(row):
-                        m[r0 + a][c0 + b] += x
-
+        out: dict[int, Entries] = {}
+        for t, src in self._summands[h_from].items():
+            acc: Entries = {}
             if kind in ("tr", "weyl"):
                 # covariant along the projection or translation of G/h
-                for si, s in enumerate(src):
+                for s in src:
                     ka = self.dual.cells[s.p][s.di]
                     kb = self.primal.cells[s.q][s.pi]
                     reps, _, _ = _orbit_table(g.name, (ka, kb, h_from))
@@ -358,30 +333,29 @@ class MackeyHomology:
                     else:
                         p3 = g.coset(g.mul(base[2], g.inv(elem)), g.subgroup(h_to))
                     oi, w = _locate(g.name, (ka, kb, h_to), (base[0], base[1], p3))
-                    ti = tgt_pos[(s.p, s.di, s.q, s.pi, oi)]
-                    add(ti, si, self._covariant(s.stab, tgt[ti].stab, w))
+                    tgt = self._index[h_to][(s.p, s.di, s.q, s.pi, oi)]
+                    _add_block(acc, tgt.offset, s.offset,
+                               self._covariant(s.stab, tgt.stab, w), 1)
             else:
                 # restriction is contravariant along G/h_to -> G/h_from, so
                 # components are indexed by the h_to-side orbits
-                src_pos = {
-                    (x.p, x.di, x.q, x.pi, x.orbit): k for k, x in enumerate(src)
-                }
-                for ti, s2 in enumerate(tgt):
+                for s2 in self._summands[h_to].get(t, []):
                     ka = self.dual.cells[s2.p][s2.di]
                     kb = self.primal.cells[s2.q][s2.pi]
                     reps2, _, _ = _orbit_table(g.name, (ka, kb, h_to))
                     base2 = reps2[s2.orbit]
                     pt = (base2[0], base2[1], g.coset(base2[2], g.subgroup(h_from)))
                     oi, w = _locate(g.name, (ka, kb, h_from), pt)
-                    si = src_pos[(s2.p, s2.di, s2.q, s2.pi, oi)]
-                    add(ti, si, self._contravariant(s2.stab, src[si].stab, w))
-            out[t] = AbHom(dom, cod, mat(m))
+                    s = self._index[h_from][(s2.p, s2.di, s2.q, s2.pi, oi)]
+                    _add_block(acc, s2.offset, s.offset,
+                               self._contravariant(s2.stab, s.stab, w), 1)
+            out[t] = _reduced(acc, self._orders[h_to].get(t, ()))
         self._level_map_cache[cache_key] = out
         return out
 
     # -- homology -------------------------------------------------------------
 
-    def homology_raw(self, h: str, n: int):
+    def homology_raw(self, h: str, n: int) -> HomologyClassData:
         key = (h, n - self.offset)
         if key not in self._homology_cache:
             self._homology_cache[key] = self._complex[h].homology(n - self.offset)

@@ -17,14 +17,16 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 Matrix = tuple[tuple[int, ...], ...]
+# a sparse matrix: {(row, col): value}, no zero values
+Entries = dict[tuple[int, int], int]
 
 
 class NonComposable(Exception):
@@ -146,28 +148,6 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """A rectangular integer matrix; the carrier for all boundary data."""
-
-    data: Matrix
-
-    def __post_init__(self):
-        if self.data and any(len(r) != len(self.data[0]) for r in self.data):
-            raise ValueError("ragged matrix")
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(mat_mul(self.data, other.data))
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -283,9 +263,7 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-def snf_full(
-    m: Matrix | IntMatrix,
-) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
+def snf_full(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
     """Smith normal form with transforms and their inverses.
 
     Returns (s, u, v, uinv, vinv) with u*m*v = s; s is diagonal with
@@ -293,8 +271,6 @@ def snf_full(
     absolute value with a deterministic (row, col) tie-break so normal
     forms are reproducible.
     """
-    if isinstance(m, IntMatrix):
-        m = m.data
     n_r = len(m)
     n_c = len(m[0]) if m else 0
     a = [list(row) for row in m]
@@ -346,7 +322,7 @@ def snf_full(
     )
 
 
-def snf(m: Matrix | IntMatrix) -> tuple[Matrix, Matrix, Matrix]:
+def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: (s, u, v) with u*m*v = s; see snf_full."""
     s, u, v, _, _ = snf_full(m)
     return s, u, v
@@ -385,8 +361,13 @@ def invert_unimodular(u: Matrix) -> Matrix:
 
 def solve_exact(a: Matrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of a x = b, or None if none exists."""
-    s, u, v = snf(a)
-    n_r, n_c = shape(a)
+    return _solve(snf(a), b)
+
+
+def _solve(snf_a: tuple[Matrix, Matrix, Matrix], b: Sequence[int]) -> tuple[int, ...] | None:
+    """solve_exact from the Smith form (s, u, v) of a, kept for many b."""
+    s, u, v = snf_a
+    n_r, n_c = len(u), len(v)
     ub = mat_vec(u, tuple(b))
     y = [0] * n_c
     for i in range(n_r):
@@ -546,13 +527,6 @@ class FgAbelian:
         return " + ".join(parts) if parts else "0"
 
 
-def direct_sum(groups: Sequence[FgAbelian]) -> FgAbelian:
-    orders: tuple[int, ...] = ()
-    for g in groups:
-        orders = orders + g.orders
-    return FgAbelian(orders)
-
-
 @dataclass(frozen=True)
 class AbHom:
     """Homomorphism of f.g. abelian groups as a matrix on generators."""
@@ -648,24 +622,6 @@ def _reduce_matrix(m: Matrix, cod: FgAbelian) -> Matrix:
     )
 
 
-def block_hom(
-    dom: FgAbelian,
-    cod: FgAbelian,
-    dom_slices: Sequence[tuple[int, int]],
-    cod_slices: Sequence[tuple[int, int]],
-    blocks: dict[tuple[int, int], AbHom],
-) -> AbHom:
-    """Assemble an AbHom from blocks indexed by (cod_summand, dom_summand)."""
-    m = [[0] * dom.ngens for _ in range(cod.ngens)]
-    for (bi, bj), h in blocks.items():
-        r0, _ = cod_slices[bi]
-        c0, _ = dom_slices[bj]
-        for i, row in enumerate(h.matrix):
-            for j, x in enumerate(row):
-                m[r0 + i][c0 + j] += x
-    return AbHom(dom, cod, mat(m))
-
-
 # ---------------------------------------------------------------------------
 # homology of complexes of f.g. abelian groups
 
@@ -678,28 +634,45 @@ def _relation_columns(g: FgAbelian) -> list[tuple[int, ...]]:
     return cols
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomologyClassData:
     """A homology group together with coordinates on the chain level.
 
     ``lift`` maps normal-form generators to chain vectors; ``project`` sends
     a cycle (chain vector) to its homology class in normal-form coordinates.
+    The Smith normal forms run on a core of the chain group: the generators
+    at positions ``alive``, left by the elimination ``steps`` in ``degree``
+    of a ReducedComplex (no steps when it comes from ``homology_at``).  It is
+    plain data, so it keeps no complex alive.
     """
 
     group: FgAbelian
-    chain: FgAbelian
-    _basis: Matrix  # n x r, columns span the cycle lattice
+    orders: tuple[int, ...]  # chain generator orders
+    _basis: Matrix  # core x r, columns span the cycle lattice
     _gen_coords: Matrix  # r x ngens, homology generators in basis coords
-    _proj: Callable[[Sequence[int]], tuple[int, ...]]
+    _basis_snf: tuple[Matrix, Matrix, Matrix]  # Smith form (s, u, v) of _basis
+    _u: Matrix  # basis coords -> Smith coords of the relations
+    _sel: tuple[int, ...]  # the Smith coords that are homology generators
+    alive: tuple[int, ...]
+    steps: tuple = ()
+    degree: int = 0
 
     def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.group.ngens:
             raise ValueError("bad coordinate length")
-        w = mat_vec(self._gen_coords, coords)
-        return mat_vec(self._basis, w)
+        core = mat_vec(self._basis, mat_vec(self._gen_coords, coords))
+        v = [0] * len(self.orders)
+        for idx, x in zip(self.alive, core):
+            v[idx] = x
+        return tuple(_lift_steps(self.steps, self.degree, self.orders, v))
 
     def project(self, chain_vec: Sequence[int]) -> tuple[int, ...]:
-        return self._proj(chain_vec)
+        v = _project_steps(self.steps, self.degree, self.orders, chain_vec)
+        w = _solve(self._basis_snf, [v[idx] for idx in self.alive])
+        if w is None:
+            raise ValueError("vector is not a cycle")
+        coords = mat_vec(self._u, w)
+        return self.group.reduce_vec(tuple(coords[i] for i in self._sel))
 
 
 def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
@@ -731,7 +704,7 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
     basis_cols = column_space_basis(cycle_gens + rel_mid, n)
     r = len(basis_cols)
     basis = transpose(mat(basis_cols)) if basis_cols else zeros(n, 0)
-    solve_in_basis = _cached_solver(basis)
+    basis_snf = snf(basis)
     # relations: boundaries and the middle torsion expressed in the basis
     rel_vecs = list(rel_mid)
     if d_in is not None:
@@ -739,7 +712,7 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
             rel_vecs.append(tuple(d_in.matrix[i][j] for i in range(n)))
     rel_in_basis = []
     for v in rel_vecs:
-        w = solve_in_basis(v)
+        w = _solve(basis_snf, v)
         if w is None:
             raise NotAComplex("boundary does not lie in the cycle lattice")
         rel_in_basis.append(w)
@@ -760,38 +733,10 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
     sel_orders = tuple([0] * len(free) + [orders[kept.index(i)] for i in tors])
     group = FgAbelian(sel_orders)
     gen_coords = transpose(mat([transpose(uinv)[i] for i in sel])) if sel else zeros(r, 0)
-
-    def proj(vec: Sequence[int], _solve=solve_in_basis, _u=u, _sel=tuple(sel),
-             _group=group) -> tuple[int, ...]:
-        w = _solve(vec)
-        if w is None:
-            raise ValueError("vector is not a cycle")
-        coords = mat_vec(_u, w)
-        out = tuple(coords[i] for i in _sel)
-        return _group.reduce_vec(out)
-
-    return HomologyClassData(group, middle, basis, gen_coords, proj)
-
-
-def _cached_solver(a: Matrix) -> Callable[[Sequence[int]], tuple[int, ...] | None]:
-    """Solver for a x = b reusing one SNF of a across many right-hand sides."""
-    s, u, v = snf(a)
-    n_r, n_c = shape(a)
-
-    def solve(b: Sequence[int]) -> tuple[int, ...] | None:
-        ub = mat_vec(u, tuple(b))
-        y = [0] * n_c
-        for i in range(n_r):
-            d = s[i][i] if i < min(n_r, n_c) else 0
-            if i < n_c and d:
-                if ub[i] % d != 0:
-                    return None
-                y[i] = ub[i] // d
-            elif ub[i] != 0:
-                return None
-        return mat_vec(v, y)
-
-    return solve
+    return HomologyClassData(
+        group, middle.orders, basis, gen_coords, basis_snf, u, tuple(sel),
+        tuple(range(n)),
+    )
 
 
 @dataclass
@@ -821,16 +766,10 @@ class ChainComplexAb:
                 raise NotAComplex(f"d.d != 0 at degree {n + 1}")
 
     def homology(self, n: int) -> HomologyClassData:
-        g = self.groups.get(n)
-        if g is None or g.ngens == 0:
-            trivial = FgAbelian(())
-            return HomologyClassData(
-                trivial, trivial, (), (), lambda v: ()
-            )
         d_in = self.diff.get(n + 1)
         d_out = self.diff.get(n)
         if d_in is None and d_out is None:
-            d_out = AbHom.zero(g, FgAbelian(()))
+            d_out = AbHom.zero(self.groups.get(n, FgAbelian(())), FgAbelian(()))
         return homology_at(d_in, d_out)
 
 
@@ -844,27 +783,24 @@ class ReducedComplex:
     can be projected into, and lifted out of, the reduced complex; homology
     classes therefore keep coordinates in the original chain groups while
     all Smith normal forms run on the small core.
+
+    ``orders[n]`` are the generator orders of C_n, and ``diffs[n]`` is the
+    boundary C_n -> C_{n-1} as sparse entries {(row, col): value}, each
+    reduced mod its row's order and nonzero.
     """
 
-    def __init__(self, groups: dict[int, FgAbelian], diffs: dict[int, AbHom]):
-        self.orders: dict[int, tuple[int, ...]] = {
-            n: g.orders for n, g in groups.items()
-        }
+    def __init__(self, orders: dict[int, tuple[int, ...]], diffs: dict[int, Entries]):
+        self.orders = orders
         self.alive: dict[int, list[bool]] = {
-            n: [True] * len(o) for n, o in self.orders.items()
+            n: [True] * len(o) for n, o in orders.items()
         }
-        self.d: dict[int, dict[tuple[int, int], int]] = {}
-        for n, h in diffs.items():
-            sparse = {}
-            for i, row in enumerate(h.matrix):
-                for j, x in enumerate(row):
-                    if x:
-                        sparse[(i, j)] = x
-            self.d[n] = sparse
+        # row-major, as a dense matrix reads: the pivot scan depends on it
+        self.d: dict[int, Entries] = {
+            n: {k: entries[k] for k in sorted(entries)} for n, entries in diffs.items()
+        }
         # steps: (degree, source_idx, target_idx, pinv, gamma, beta)
         self.steps: list[tuple[int, int, int, int, dict, dict]] = []
         self._reduce()
-        self._homology: dict[int, HomologyClassData] = {}
 
     def _invertible(self, order: int, v: int) -> int | None:
         if order == 0:
@@ -919,42 +855,6 @@ class ReducedComplex:
         self.alive[n - 1][pi] = False
         self.steps.append((n, pj, pi, pinv, gamma, beta))
 
-    # -- chain maps between full and reduced coordinates --------------------
-
-    def project_full(self, n: int, vec) -> list[int]:
-        """Apply the elimination steps to a degree-n chain vector."""
-        v = list(vec)
-        orders = self.orders[n]
-        for d, s, t, pinv, gamma, beta in self.steps:
-            if d == n:
-                v[s] = 0
-            elif d - 1 == n:
-                if v[t]:
-                    for i2, bv in beta.items():
-                        v[i2] -= bv * pinv * v[t]
-                        if orders[i2]:
-                            v[i2] %= orders[i2]
-                v[t] = 0
-        return v
-
-    def lift_full(self, n: int, vec) -> list[int]:
-        """Undo the elimination steps on a reduced degree-n chain vector."""
-        v = list(vec)
-        orders = self.orders[n]
-        for d, s, t, pinv, gamma, beta in reversed(self.steps):
-            if d == n:
-                acc = 0
-                for j2, gv in gamma.items():
-                    if v[j2]:
-                        acc += gv * v[j2]
-                val = -pinv * acc
-                if orders[s]:
-                    val %= orders[s]
-                v[s] = val
-            elif d - 1 == n:
-                v[t] = 0
-        return v
-
     # -- homology -------------------------------------------------------------
 
     def _alive_indices(self, n: int) -> list[int]:
@@ -975,67 +875,74 @@ class ReducedComplex:
             m[tgt_pos[i]][src_pos[j]] = v
         return AbHom(self._reduced_group(n), self._reduced_group(n - 1), mat(m))
 
-    def homology(self, n: int) -> "WrappedHomology":
-        if n in self._homology:
-            return self._homology[n]
-        if n not in self.orders or not self._alive_indices(n):
-            trivial = FgAbelian(())
-            data = WrappedHomology(trivial, lambda c: (), lambda v: ())
-            self._homology[n] = data
-            return data
-        d_in = self._reduced_diff(n + 1) if n + 1 in self.orders else None
-        d_out = self._reduced_diff(n)
+    def homology(self, n: int) -> HomologyClassData:
+        """H_n, with lift and project in the full degree-n chain coordinates."""
+        d_in, d_out = self._reduced_diff(n + 1), self._reduced_diff(n)
         if d_in is None and d_out is None:
             d_out = AbHom.zero(self._reduced_group(n), FgAbelian(()))
-        core = homology_at(d_in, d_out)
-        sel = self._alive_indices(n)
-
-        def lift(coords, _core=core, _sel=sel, _n=n):
-            small = _core.lift(coords)
-            v = [0] * len(self.orders[_n])
-            for k, idx in enumerate(_sel):
-                v[idx] = small[k]
-            return tuple(self.lift_full(_n, v))
-
-        def project(vec, _core=core, _sel=sel, _n=n):
-            v = self.project_full(_n, vec)
-            return _core.project(tuple(v[idx] for idx in _sel))
-
-        data = WrappedHomology(core.group, lift, project)
-        self._homology[n] = data
-        return data
+        return replace(
+            homology_at(d_in, d_out),
+            orders=self.orders.get(n, ()),
+            alive=tuple(self._alive_indices(n)),
+            # only eliminations in degrees n and n + 1 touch degree-n chains
+            steps=tuple(st for st in self.steps if st[0] in (n, n + 1)),
+            degree=n,
+        )
 
 
-@dataclass
-class WrappedHomology:
-    """Homology data exposing lift/project in ambient chain coordinates."""
+def _project_steps(steps, n: int, orders, vec) -> list[int]:
+    """Apply elimination steps to a degree-n chain vector."""
+    v = list(vec)
+    for d, s, t, pinv, gamma, beta in steps:
+        if d == n:
+            v[s] = 0
+        elif d - 1 == n:
+            if v[t]:
+                for i2, bv in beta.items():
+                    v[i2] -= bv * pinv * v[t]
+                    if orders[i2]:
+                        v[i2] %= orders[i2]
+            v[t] = 0
+    return v
 
-    group: FgAbelian
-    _lift: Callable
-    _project: Callable
 
-    def lift(self, coords) -> tuple[int, ...]:
-        return self._lift(coords)
-
-    def project(self, vec) -> tuple[int, ...]:
-        return self._project(vec)
+def _lift_steps(steps, n: int, orders, vec) -> list[int]:
+    """Undo elimination steps on a reduced degree-n chain vector."""
+    v = list(vec)
+    for d, s, t, pinv, gamma, beta in reversed(steps):
+        if d == n:
+            acc = 0
+            for j2, gv in gamma.items():
+                if v[j2]:
+                    acc += gv * v[j2]
+            val = -pinv * acc
+            if orders[s]:
+                val %= orders[s]
+            v[s] = val
+        elif d - 1 == n:
+            v[t] = 0
+    return v
 
 
 def induced_on_homology(
-    f: AbHom, src: HomologyClassData, tgt: HomologyClassData
+    f: Entries, src: HomologyClassData, tgt: HomologyClassData
 ) -> AbHom:
     """Map induced on homology by a chain-level map in one degree.
 
-    ``f`` must send the source chain group to the target chain group and be
-    compatible with the differentials (the caller checks chain-map-ness
-    across degrees; here we only need cycles to land on cycles, which is
-    verified by the projection step).
+    ``f`` is the sparse matrix of a map from the source chain group to the
+    target chain group.  It must be compatible with the differentials (the
+    caller checks chain-map-ness across degrees; here we only need cycles to
+    land on cycles, which is verified by the projection step).
     """
+    orders = tgt.orders
     cols = []
     for k in range(src.group.ngens):
-        e = tuple(1 if i == k else 0 for i in range(src.group.ngens))
-        v = src.lift(e)
-        cols.append(tgt.project(f(v)))
+        v = src.lift(tuple(1 if i == k else 0 for i in range(src.group.ngens)))
+        w = [0] * len(orders)
+        for (i, j), x in f.items():
+            if v[j]:
+                w[i] += x * v[j]
+        cols.append(tgt.project([x % o if o else x for x, o in zip(w, orders)]))
     m = transpose(mat(cols)) if cols else zeros(tgt.group.ngens, 0)
     return AbHom(src.group, tgt.group, m)
 

@@ -633,46 +633,39 @@ def find_isomorphism(a: MackeyFunctor, b: MackeyFunctor) -> dict[str, AbHom] | N
             return None
         cand[s] = isos
 
+    # depth-first over levels, top down: choice[k] is the next candidate to
+    # try at level k; a loop with explicit state leaves no reference cycle
     pairs = covering_pairs(g)
     assignment: dict[str, AbHom] = {}
+    choice = [0] * len(subs)
+    k = 0
+    while 0 <= k < len(subs):
+        s = subs[k]
+        assignment.pop(s, None)
+        for c in range(choice[k], len(cand[s])):
+            if _consistent(a, b, pairs, assignment, s, cand[s][c]):
+                assignment[s] = cand[s][c]
+                choice[k] = c + 1
+                k += 1
+                break
+        else:
+            choice[k] = 0
+            k -= 1
+    return assignment if k == len(subs) else None
 
-    def consistent(s: str, h: AbHom) -> bool:
-        for low, high in pairs:
-            if low == s and high in assignment:
-                if not h.compose(a.res[(low, high)]).equals(
-                    b.res[(low, high)].compose(assignment[high])
-                ):
-                    return False
-                if not assignment[high].compose(a.tr[(low, high)]).equals(
-                    b.tr[(low, high)].compose(h)
-                ):
-                    return False
-            if high == s and low in assignment:
-                if not assignment[low].compose(a.res[(low, high)]).equals(
-                    b.res[(low, high)].compose(h)
-                ):
-                    return False
-                if not h.compose(a.tr[(low, high)]).equals(
-                    b.tr[(low, high)].compose(assignment[low])
-                ):
-                    return False
-        return True
 
-    def backtrack(idx: int) -> bool:
-        if idx == len(subs):
-            return True
-        s = subs[idx]
-        for h in cand[s]:
-            if consistent(s, h):
-                assignment[s] = h
-                if backtrack(idx + 1):
-                    return True
-                del assignment[s]
-        return False
-
-    if backtrack(0):
-        return dict(assignment)
-    return None
+def _consistent(a: MackeyFunctor, b: MackeyFunctor, pairs, assignment: dict,
+                s: str, h: AbHom) -> bool:
+    """h at level s commutes with res and tr to and from the assigned levels."""
+    for low, high in pairs:
+        if s not in (low, high) or (high if s == low else low) not in assignment:
+            continue
+        h_low, h_high = (h, assignment[high]) if s == low else (assignment[low], h)
+        key = (low, high)
+        if not (h_low.compose(a.res[key]).equals(b.res[key].compose(h_high))
+                and h_high.compose(a.tr[key]).equals(b.tr[key].compose(h_low))):
+            return False
+    return True
 
 
 def restrict_functor(m: MackeyFunctor, sub_name: str) -> MackeyFunctor:

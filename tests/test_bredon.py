@@ -6,6 +6,9 @@ reproduce the table exactly, including recognizing each answer in the
 named catalog.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,3 +302,22 @@ def test_engine_cache_is_bounded():
     for k in range(bredon._ENGINE_CACHE_SIZE + 5):
         suspension_engine("C2", str(k), expression_functor("C2", "Z"))
     assert len(bredon._ENGINE_CACHE) == bredon._ENGINE_CACHE_SIZE
+
+
+def test_dropped_engine_is_freed_without_the_cycle_collector():
+    # homology data is plain data with no closure over its ReducedComplex,
+    # so the complexes go with the last reference to the engine
+    coeff = named("Q8", "Z")
+    c = sphere_complex(parse_rep("Q8", "rhoQ"))
+    gc.collect()
+    gc.disable()
+    try:
+        eng = MackeyHomology(coeff, primal=c)
+        for n in range(5):
+            eng.functor(n)
+        refs = [weakref.ref(rc) for rc in eng._complex.values()]
+        del eng
+        assert len(refs) == 6
+        assert [r() for r in refs] == [None] * 6
+    finally:
+        gc.enable()

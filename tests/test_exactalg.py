@@ -7,6 +7,7 @@ all, so it cannot share a bug with the implementation under test.
 """
 
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from mackey.exactalg import (
     FgAbelian,
     NotAComplex,
     NotChainMap,
+    ReducedComplex,
     check_chain_map,
     det,
     homology_at,
@@ -238,9 +240,9 @@ def test_induced_identity_and_doubling():
     zero = AbHom.zero(z, z)
     src = homology_at(zero, zero)
     tgt = homology_at(zero, zero)
-    ind = induced_on_homology(AbHom.identity(z), src, tgt)
+    ind = induced_on_homology({(0, 0): 1}, src, tgt)
     assert ind.matrix == identity(1)
-    ind2 = induced_on_homology(AbHom.scalar(z, 2), src, tgt)
+    ind2 = induced_on_homology({(0, 0): 2}, src, tgt)
     assert ind2.matrix == ((2,),)
 
 
@@ -264,3 +266,108 @@ def test_homology_with_torsion_chains():
     z8 = FgAbelian((8,))
     d8 = AbHom(z8, z8, mat([[4]]))
     assert homology_at(d8, d8).group == FgAbelian((2,))
+
+
+# ---------------------------------------------------------------------------
+# ReducedComplex against the full-SNF oracle, on random complexes
+
+# Elementary complexes Z/s --x--> Z/t (order 0 = Z), keyed (s, t, x), with
+# the homology they leave at the source and at the target degree.
+PIECES = {
+    (0, 0, 1): ((), ()),
+    (0, 0, -1): ((), ()),
+    (2, 2, 1): ((), ()),
+    (3, 3, 2): ((), ()),
+    (4, 4, 3): ((), ()),
+    (0, 0, 3): ((), (3,)),
+    (0, 0, 4): ((), (4,)),
+    (0, 3, 1): ((0,), ()),
+    (0, 4, 1): ((0,), ()),
+    (2, 4, 2): ((), (2,)),
+    (4, 4, 2): ((2,), (2,)),
+    (4, 2, 1): ((2,), ()),
+}
+TOP = 3
+
+
+def _random_automorphism(rng, orders):
+    """(a, a_inv, new orders): a permutation after elementary operations
+    e_i += c e_j that respect torsion, with the exact inverse."""
+    n = len(orders)
+    a = [list(r) for r in identity(n)]
+    a_inv = [list(r) for r in identity(n)]
+    for _ in range(3 * n):
+        i, j, c = rng.randrange(n), rng.randrange(n), rng.choice((-2, -1, 1, 2))
+        oi, oj = orders[i], orders[j]
+        if i == j or (oj * c % oi if oi else oj * c):
+            continue
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a_inv:
+            row[j] -= c * row[i]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return ([a[p] for p in perm], [[row[p] for p in perm] for row in a_inv],
+            tuple(orders[p] for p in perm))
+
+
+def _random_complex(seed):
+    """Orders, dense differentials and expected homology of a direct sum of
+    elementary complexes in degrees 0..TOP, in random bases."""
+    rng = random.Random(seed)
+    orders = {n: [] for n in range(TOP + 1)}
+    entries = {n: [] for n in range(1, TOP + 1)}
+    expected = {n: [] for n in range(TOP + 1)}
+    for n in range(TOP + 1):
+        for _ in range(rng.randrange(3)):
+            o = rng.choice((0, 2, 3, 4))
+            orders[n].append(o)
+            expected[n].append(o)
+    for n in range(1, TOP + 1):
+        for _ in range(rng.randrange(1, 5)):
+            (s, t, x), (hs, ht) = rng.choice(list(PIECES.items()))
+            entries[n].append((len(orders[n - 1]), len(orders[n]), x))
+            orders[n].append(s)
+            orders[n - 1].append(t)
+            expected[n] += hs
+            expected[n - 1] += ht
+    autos = {n: _random_automorphism(rng, o) for n, o in orders.items()}
+    diffs = {}
+    for n in range(1, TOP + 1):
+        d = [[0] * len(orders[n]) for _ in orders[n - 1]]
+        for i, j, x in entries[n]:
+            d[i][j] = x
+        d = mat_mul(mat_mul(mat(autos[n - 1][0]), mat(d)), mat(autos[n][1]))
+        diffs[n] = [[x % o if o else x for x in row]
+                    for row, o in zip(d, autos[n - 1][2])]
+    new_orders = {n: auto[2] for n, auto in autos.items()}
+    return new_orders, diffs, {n: FgAbelian(tuple(h)) for n, h in expected.items()}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduced_complex_matches_the_full_snf(seed):
+    orders, dense, expected = _random_complex(seed)
+    groups = {n: FgAbelian(o) for n, o in orders.items()}
+    oracle = ChainComplexAb(
+        groups,
+        {n: AbHom(groups[n], groups[n - 1], mat(d)) for n, d in dense.items()},
+    )
+    oracle.check()
+    rc = ReducedComplex(orders, {
+        n: {(i, j): x for i, row in enumerate(d) for j, x in enumerate(row) if x}
+        for n, d in dense.items()
+    })
+    for n in range(-1, TOP + 2):
+        h = rc.homology(n)
+        assert h.group == oracle.homology(n).group == expected.get(n, FgAbelian(()))
+        k = h.group.ngens
+        for e in identity(k):
+            chain = h.lift(e)
+            assert h.project(chain) == e
+            if n in dense:  # lifts are cycles
+                image = [sum(x * c for x, c in zip(row, chain)) for row in dense[n]]
+                assert not any(y % o if o else y for y, o in zip(image, orders[n - 1]))
+        ident = {(i, i): 1 for i in range(len(orders.get(n, ())))}
+        assert induced_on_homology(ident, h, h).matrix == identity(k)
+        # boundaries project to 0
+        for col in zip(*dense.get(n + 1, [])):
+            assert h.project(col) == (0,) * k

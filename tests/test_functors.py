@@ -2,6 +2,7 @@
 functor, duality, the seven short exact sequences, and isomorphism search.
 """
 
+import gc
 import itertools
 from math import gcd
 
@@ -375,3 +376,16 @@ def test_check_axioms_reports_a_weyl_map_off_its_level():
     report = check_axioms(odd)
     assert report.ok is False
     assert report.failures == ["weyl shape e,s"]
+
+
+def test_isomorphism_search_leaves_no_reference_cycles():
+    z = named("Q8", "Z")
+    assert is_isomorphic(z, z)  # fills the memoised candidate tables
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_isomorphic(z, z)
+        assert not is_isomorphic(z, box_dual(z))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
