@@ -46,7 +46,9 @@ class AxiomFailure(Exception):
     pass
 
 
-_VALIDATED_COEFFS: set[tuple] = set()
+# content keys of the validated coefficients, least recently used first
+_VALIDATED_COEFFS: dict[tuple, None] = {}
+_VALIDATED_COEFFS_SIZE = 64
 
 
 def _content_key(coeff: MackeyFunctor) -> tuple:
@@ -69,19 +71,23 @@ def _content_key(coeff: MackeyFunctor) -> tuple:
 
 def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
     """Coefficient systems must satisfy the Mackey axioms; checked once per
-    content, so a functor mutated after validation is checked again."""
+    content while that content is among the most recently validated, so a
+    functor mutated after validation is checked again."""
     from .functors import check_axioms
 
     key = _content_key(coeff)
     if key in _VALIDATED_COEFFS:
-        return
-    # Composites memoised before a change would outlive it: drop them so the
-    # check and every engine built afterwards read the current maps.
-    coeff.__dict__.pop("_map_memo", None)
-    report = check_axioms(coeff)
-    if not report.ok:
-        raise AxiomFailure(str(report))
-    _VALIDATED_COEFFS.add(key)
+        del _VALIDATED_COEFFS[key]
+    else:
+        # Composites memoised before a change would outlive it: drop them so
+        # the check and every engine built afterwards read the current maps.
+        coeff.__dict__.pop("_map_memo", None)
+        report = check_axioms(coeff)
+        if not report.ok:
+            raise AxiomFailure(str(report))
+    _VALIDATED_COEFFS[key] = None  # now the most recently used
+    if len(_VALIDATED_COEFFS) > _VALIDATED_COEFFS_SIZE:
+        del _VALIDATED_COEFFS[next(iter(_VALIDATED_COEFFS))]
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +358,11 @@ class MackeyHomology:
             out[t] = _reduced(acc, self._orders[h_to].get(t, ()))
         self._level_map_cache[cache_key] = out
         return out
+
+    def level_sizes(self) -> dict[str, tuple[int, int, int]]:
+        """Per level: chain generators, core generators left by the
+        reduction, and the largest absolute value of a core entry."""
+        return {h: self._complex[h].sizes() for h in self.levels}
 
     # -- homology -------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from .bredon import (
     cohomology_mackey,
     homology_mackey,
     identify,
+    suspension_engine,
     suspension_homotopy,
 )
 from .catalog import named
@@ -134,12 +135,19 @@ def _print_graded(results, as_json: bool) -> None:
 
 
 def cmd_homology(args) -> int:
-    coeff = expression_functor(canonical_group_name(args.group), args.coeff)
-    results = suspension_homotopy(
-        canonical_group_name(args.group), args.rep, coeff,
-        _parse_degrees(args.degrees),
-    )
+    gname = canonical_group_name(args.group)
+    coeff = expression_functor(gname, args.coeff)
+    results = suspension_homotopy(gname, args.rep, coeff, _parse_degrees(args.degrees))
     _print_graded(results, args.json)
+    if args.stats:
+        # the engine the computation just cached
+        sizes = suspension_engine(gname, args.rep, coeff).level_sizes()
+        for h, (chain, core, top) in sizes.items():
+            print(
+                f"level {h}: {chain} chain generators, {core} core generators, "
+                f"largest core entry {top}",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -449,6 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--coeff", default="Z")
     s.add_argument("--degrees", default="0..8")
     s.add_argument("--json", action="store_true")
+    s.add_argument(
+        "--stats", action="store_true",
+        help="print each level's chain and reduced-core sizes to stderr",
+    )
     s.set_defaults(func=cmd_homology)
 
     s = sub.add_parser("cohomology", help="cohomology of a sphere complex")

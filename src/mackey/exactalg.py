@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -151,57 +152,33 @@ def det(a: Matrix) -> int:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-
-class _Transforms:
-    """Row/column transforms of an SNF run, with inverses kept in step.
-
-    Row op U := E U entails Uinv := Uinv E^-1 (a column op), and dually for
-    V, so everything stays in integers; no matrix is ever inverted after
-    the fact.
-    """
-
-    def __init__(self, n_r: int, n_c: int):
-        self.left = [list(r) for r in identity(n_r)]
-        self.left_inv = [list(r) for r in identity(n_r)]
-        self.right = [list(r) for r in identity(n_c)]
-        self.right_inv = [list(r) for r in identity(n_c)]
-
-    def swap_rows(self, a, b):
-        self.left[a], self.left[b] = self.left[b], self.left[a]
-        for row in self.left_inv:
-            row[a], row[b] = row[b], row[a]
-
-    def swap_cols(self, a, b):
-        for row in self.right:
-            row[a], row[b] = row[b], row[a]
-        self.right_inv[a], self.right_inv[b] = (
-            self.right_inv[b],
-            self.right_inv[a],
-        )
-
-    def add_row(self, i, t, q):
-        """row_i -= q row_t."""
-        li, lt = self.left[i], self.left[t]
-        for j in range(len(li)):
-            li[j] -= q * lt[j]
-        for row in self.left_inv:
-            row[t] += q * row[i]
-
-    def add_col(self, j, t, q):
-        """col_j -= q col_t."""
-        for row in self.right:
-            row[j] -= q * row[t]
-        rj, rt = self.right_inv[j], self.right_inv[t]
-        for k in range(len(rt)):
-            rt[k] += q * rj[k]
-
-    def negate_row(self, i):
-        self.left[i] = [-x for x in self.left[i]]
-        for row in self.left_inv:
-            row[i] = -row[i]
+_TRANSFORMS = frozenset({"u", "v", "uinv", "vinv"})
 
 
-def _unit_sweep(m, tf: "_Transforms", start):
+# A transform side is a pair [fwd, inv] of row lists, each None when not
+# wanted.  The left side is (u, uinv^T) and the right side is (v^T, vinv):
+# every operation on m then updates both members of a side by row
+# operations.  Row op "row_i -= q row_t" on m makes u do the same and uinv
+# do "col_t += q col_i"; column op "col_j -= q col_t" on m makes v do the
+# same and vinv do "row_t += q row_j".
+
+
+def _side_swap(side, a, b):
+    for rows in side:
+        if rows is not None:
+            rows[a], rows[b] = rows[b], rows[a]
+
+
+def _side_add(side, i, t, q):
+    """fwd: row_i -= q row_t; inv: row_t += q row_i."""
+    fwd, inv = side
+    if fwd is not None:
+        fwd[i] = [x - q * y for x, y in zip(fwd[i], fwd[t])]
+    if inv is not None:
+        inv[t] = [x + q * y for x, y in zip(inv[t], inv[i])]
+
+
+def _unit_sweep(m, left, right, start):
     """Eliminate with +-1 pivots first; this keeps entry growth tame."""
     n_r, n_c = len(m), len(m[0]) if m else 0
     t = start
@@ -216,8 +193,8 @@ def _unit_sweep(m, tf: "_Transforms", start):
                 break
         if pivot is None:
             return t
-        _pivot_to(m, tf, pivot, t)
-        _clear_with_pivot(m, tf, t)
+        _pivot_to(m, left, right, pivot, t)
+        _clear_with_pivot(m, left, right, t)
         if all(m[t][j] == 0 for j in range(t + 1, n_c)) and all(
             m[i][t] == 0 for i in range(t + 1, n_r)
         ):
@@ -225,35 +202,34 @@ def _unit_sweep(m, tf: "_Transforms", start):
     return t
 
 
-def _pivot_to(m, tf: "_Transforms", src, t):
+def _pivot_to(m, left, right, src, t):
     i, j = src
     if i != t:
         m[t], m[i] = m[i], m[t]
-        tf.swap_rows(t, i)
+        _side_swap(left, t, i)
     if j != t:
         for row in m:
             row[t], row[j] = row[j], row[t]
-        tf.swap_cols(t, j)
+        _side_swap(right, t, j)
 
 
-def _clear_with_pivot(m, tf: "_Transforms", t):
+def _clear_with_pivot(m, left, right, t):
     n_r, n_c = len(m), len(m[0])
     p = m[t][t]
     for i in range(n_r):
         if i != t and m[i][t] != 0:
             q = m[i][t] // p if p in (1, -1) else _nearest_quotient(m[i][t], p)
             if q:
-                mi, mt = m[i], m[t]
-                for j in range(n_c):
-                    mi[j] -= q * mt[j]
-                tf.add_row(i, t, q)
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                _side_add(left, i, t, q)
     for j in range(n_c):
         if j != t and m[t][j] != 0:
             q = m[t][j] // p if p in (1, -1) else _nearest_quotient(m[t][j], p)
             if q:
-                for i in range(n_r):
-                    m[i][j] -= q * m[i][t]
-                tf.add_col(j, t, q)
+                for row in m:
+                    if row[t]:
+                        row[j] -= q * row[t]
+                _side_add(right, j, t, q)
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -263,20 +239,28 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-def snf_full(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
-    """Smith normal form with transforms and their inverses.
+def snf_full(
+    m: Matrix, want: Iterable[str] = _TRANSFORMS
+) -> tuple[Matrix, Matrix | None, Matrix | None, Matrix | None, Matrix | None]:
+    """Smith normal form with the transforms named in ``want``.
 
     Returns (s, u, v, uinv, vinv) with u*m*v = s; s is diagonal with
-    nonnegative entries d_1 | d_2 | ... .  Pivots are chosen of minimal
-    absolute value with a deterministic (row, col) tie-break so normal
-    forms are reproducible.
+    nonnegative entries d_1 | d_2 | ... .  A transform that ``want`` does
+    not name is not built and comes back as None; the others do not depend
+    on which are built.  Pivots are chosen of minimal absolute value with a
+    deterministic (row, col) tie-break so normal forms are reproducible.
     """
     n_r = len(m)
     n_c = len(m[0]) if m else 0
     a = [list(row) for row in m]
-    tf = _Transforms(n_r, n_c)
+
+    def start(name, n):
+        return [list(r) for r in identity(n)] if name in want else None
+
+    left = [start("u", n_r), start("uinv", n_r)]
+    right = [start("v", n_c), start("vinv", n_c)]
     if n_r and n_c:
-        t = _unit_sweep(a, tf, 0)
+        t = _unit_sweep(a, left, right, 0)
         while t < min(n_r, n_c):
             pivot = None
             best = None
@@ -287,8 +271,8 @@ def snf_full(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
                         best, pivot = x, (i, j)
             if pivot is None:
                 break
-            _pivot_to(a, tf, pivot, t)
-            _clear_with_pivot(a, tf, t)
+            _pivot_to(a, left, right, pivot, t)
+            _clear_with_pivot(a, left, right, t)
             if any(a[t][j] for j in range(t + 1, n_c)) or any(
                 a[i][t] for i in range(t + 1, n_r)
             ):
@@ -298,9 +282,8 @@ def snf_full(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
             for i in range(t + 1, n_r):
                 for j in range(t + 1, n_c):
                     if a[i][j] % a[t][t] != 0:
-                        for jj in range(n_c):
-                            a[t][jj] += a[i][jj]
-                        tf.add_row(t, i, -1)
+                        a[t] = [x + y for x, y in zip(a[t], a[i])]
+                        _side_add(left, t, i, -1)
                         stuck = True
                         break
                 if stuck:
@@ -309,27 +292,25 @@ def snf_full(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
                 t += 1
     for i in range(min(n_r, n_c)):
         if a[i][i] < 0:
-            for j in range(n_c):
-                a[i][j] = -a[i][j]
-            tf.negate_row(i)
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return (
-        freeze(a),
-        freeze(tf.left),
-        freeze(tf.right),
-        freeze(tf.left_inv),
-        freeze(tf.right_inv),
-    )
+            a[i] = [-x for x in a[i]]
+            for rows in left:
+                if rows is not None:
+                    rows[i] = [-x for x in rows[i]]
+    u, uinv_t = left
+    v_t, vinv = right
+    freeze = lambda rows: None if rows is None else tuple(map(tuple, rows))
+    flip = lambda rows: None if rows is None else transpose(rows)
+    return freeze(a), freeze(u), flip(v_t), flip(uinv_t), freeze(vinv)
 
 
 def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: (s, u, v) with u*m*v = s; see snf_full."""
-    s, u, v, _, _ = snf_full(m)
+    s, u, v, _, _ = snf_full(m, ("u", "v"))
     return s, u, v
 
 
 def snf_diagonal(m: Matrix) -> list[int]:
-    s, _, _ = snf(m)
+    s = snf_full(m, ())[0]
     return [s[i][i] for i in range(min(shape(s)))]
 
 
@@ -386,7 +367,7 @@ def kernel_basis(a: Matrix) -> list[tuple[int, ...]]:
     n_r, n_c = shape(a)
     if n_c == 0:
         return []
-    s, _, v = snf(a)
+    s, _, v, _, _ = snf_full(a, ("v",))
     rank = sum(1 for i in range(min(n_r, n_c)) if s[i][i] != 0)
     cols = transpose(v)
     return [cols[j] for j in range(rank, n_c)]
@@ -401,7 +382,7 @@ def column_space_basis(gens: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     if not gens:
         return []
     g = transpose(mat(gens))  # dim x k
-    s, _, v = snf(g)
+    s, _, v, _, _ = snf_full(g, ("v",))
     gv = mat_mul(g, v)
     cols = transpose(gv)
     out = []
@@ -717,7 +698,7 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
             raise NotAComplex("boundary does not lie in the cycle lattice")
         rel_in_basis.append(w)
     relmat = transpose(mat(rel_in_basis)) if rel_in_basis else zeros(r, 0)
-    s, u, _, uinv, _ = snf_full(relmat)
+    s, u, _, uinv, _ = snf_full(relmat, ("u", "uinv"))
     sr, sc = shape(s)
     orders = []
     kept = []
@@ -732,7 +713,7 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
     sel = free + tors
     sel_orders = tuple([0] * len(free) + [orders[kept.index(i)] for i in tors])
     group = FgAbelian(sel_orders)
-    gen_coords = transpose(mat([transpose(uinv)[i] for i in sel])) if sel else zeros(r, 0)
+    gen_coords = tuple(tuple(row[i] for i in sel) for row in uinv)
     return HomologyClassData(
         group, middle.orders, basis, gen_coords, basis_snf, u, tuple(sel),
         tuple(range(n)),
@@ -779,7 +760,9 @@ class ReducedComplex:
     Gaussian elimination of complexes: whenever a differential entry is an
     isomorphism of cyclic summands (equal orders, invertible coefficient),
     the pair of generators cancels and the neighbouring entries pick up the
-    usual correction term.  The elimination steps are recorded so chains
+    usual correction term.  Each cancellation takes a unit of least
+    Markowitz cost, so the core fills in as little as the rule can see and
+    its entries stay small.  The elimination steps are recorded so chains
     can be projected into, and lifted out of, the reduced complex; homology
     classes therefore keep coordinates in the original chain groups while
     all Smith normal forms run on the small core.
@@ -794,7 +777,8 @@ class ReducedComplex:
         self.alive: dict[int, list[bool]] = {
             n: [True] * len(o) for n, o in orders.items()
         }
-        # row-major, as a dense matrix reads: the pivot scan depends on it
+        # row-major, as a dense matrix reads: pivots of equal cost are taken
+        # in this order
         self.d: dict[int, Entries] = {
             n: {k: entries[k] for k in sorted(entries)} for n, entries in diffs.items()
         }
@@ -802,58 +786,71 @@ class ReducedComplex:
         self.steps: list[tuple[int, int, int, int, dict, dict]] = []
         self._reduce()
 
-    def _invertible(self, order: int, v: int) -> int | None:
-        if order == 0:
-            return v if v in (1, -1) else None
-        if gcd(v % order, order) == 1:
-            return pow(v % order, -1, order)
-        return None
-
     def _reduce(self) -> None:
+        # the indices are locals: an engine keeps its reduced complexes, and
+        # they are of no use once the reduction is done
+        seq = itertools.count()  # one counter: a key's seq orders it in its degree
+        index = {
+            n: _DegreeIndex(dn, self.orders[n], self.orders[n - 1], seq)
+            for n, dn in self.d.items()
+        }
+        # one cancellation per degree per sweep, in ascending degrees
         changed = True
         while changed:
             changed = False
             for n in sorted(self.d):
-                pivot = None
-                for (i, j), v in self.d[n].items():
-                    if self.orders[n][j] != self.orders[n - 1][i]:
-                        continue
-                    pinv = self._invertible(self.orders[n][j], v)
-                    if pinv is not None:
-                        pivot = (i, j, pinv)
-                        break
-                if pivot is None:
-                    continue
-                self._cancel(n, *pivot)
-                changed = True
+                pivot = index[n].least_fill_pivot()
+                if pivot is not None:
+                    self._cancel(n, *pivot, index)
+                    changed = True
 
-    def _cancel(self, n: int, pi: int, pj: int, pinv: int) -> None:
-        dn = self.d[n]
-        gamma = {j: v for (i, j), v in dn.items() if i == pi and j != pj}
-        beta = {i: v for (i, j), v in dn.items() if j == pj and i != pi}
-        tgt_orders = self.orders[n - 1]
+    def _cancel(self, n: int, pi: int, pj: int, pinv: int, index) -> None:
+        ix = index[n]
+        dn, rows, cols, units, late = ix.d, ix.rows, ix.cols, ix.units, ix.late
+        gamma = {j: dn[(pi, j)] for j in rows[pi] if j != pj}
+        beta = {i: dn[(i, pj)] for i in cols[pj] if i != pi}
+        src_orders, tgt_orders = self.orders[n], self.orders[n - 1]
         for j, gv in gamma.items():
+            cj, c, src_o = cols[j], pinv * gv, src_orders[j]
             for i, bv in beta.items():
-                corr = bv * pinv * gv
+                key = (i, j)
                 o = tgt_orders[i]
-                new = dn.get((i, j), 0) - corr
+                old = dn.get(key)
+                new = (old or 0) - bv * c
                 if o:
                     new %= o
-                if new:
-                    dn[(i, j)] = new
-                elif (i, j) in dn:
-                    del dn[(i, j)]
-        for key in [k for k in dn if k[0] == pi or k[1] == pj]:
-            del dn[key]
-        if n + 1 in self.d:
-            for key in [k for k in self.d[n + 1] if k[0] == pj]:
-                del self.d[n + 1][key]
-        if n - 1 in self.d:
-            for key in [k for k in self.d[n - 1] if k[1] == pi]:
-                del self.d[n - 1][key]
+                if not new:
+                    if old is not None:
+                        ix.drop(i, j)
+                    continue
+                if old is None:
+                    rows[i][j] = next(ix.seq)
+                    cj[i] = None
+                dn[key] = new
+                if o == src_o and (inv := _unit_inverse(o, new)) is not None:
+                    if old is not None and key not in units:
+                        late.add(key)
+                    units[key] = inv
+                elif units.pop(key, None) is not None:
+                    late.discard(key)
+        ix.drop_row(pi)
+        ix.drop_col(pj)
+        # the cancelled generators leave the neighbouring differentials too
+        if n + 1 in index:
+            index[n + 1].drop_row(pj)
+        if n - 1 in index:
+            index[n - 1].drop_col(pi)
         self.alive[n][pj] = False
         self.alive[n - 1][pi] = False
         self.steps.append((n, pj, pi, pinv, gamma, beta))
+
+    def sizes(self) -> tuple[int, int, int]:
+        """(chain generators, core generators, largest |entry| of the core)."""
+        return (
+            sum(map(len, self.orders.values())),
+            sum(map(sum, self.alive.values())),
+            max((abs(v) for d in self.d.values() for v in d.values()), default=0),
+        )
 
     # -- homology -------------------------------------------------------------
 
@@ -888,6 +885,79 @@ class ReducedComplex:
             steps=tuple(st for st in self.steps if st[0] in (n, n + 1)),
             degree=n,
         )
+
+
+class _DegreeIndex:
+    """Indices of the entries d of one degree while ReducedComplex reduces
+    it, kept in step with d:
+
+    * rows {i: {j: seq}} and cols {j: {i: None}}, each in entry order, seq
+      being the entry's place in the entry order of d;
+    * units {(i, j): pinv}: the entries that may be pivots (equal orders,
+      invertible value), in entry order except for
+    * late: the units that were entries before a fill-in made them units,
+      and so joined ``units`` out of entry order.
+    """
+
+    __slots__ = ("d", "seq", "rows", "cols", "units", "late")
+
+    def __init__(self, d: Entries, src_orders, tgt_orders, seq):
+        self.d, self.seq = d, seq
+        self.rows: dict[int, dict[int, int]] = {}
+        self.cols: dict[int, dict[int, None]] = {}
+        self.units: Entries = {}
+        self.late: set[tuple[int, int]] = set()
+        for k, ((i, j), v) in zip(seq, d.items()):
+            self.rows.setdefault(i, {})[j] = k
+            self.cols.setdefault(j, {})[i] = None
+            o = src_orders[j]
+            if o == tgt_orders[i] and (pinv := _unit_inverse(o, v)) is not None:
+                self.units[(i, j)] = pinv
+
+    def least_fill_pivot(self) -> tuple[int, int, int] | None:
+        """The unit of least Markowitz cost (row entries - 1) * (column
+        entries - 1), which bounds the fill-in its cancellation makes; among
+        equal costs, the first in entry order.
+
+        The late units are compared first.  The scan of ``units`` may then
+        stop at its first unit of cost 0: every unit after it is either late
+        or a new entry, which comes later in entry order."""
+        rows, cols, late = self.rows, self.cols, self.late
+        best = None
+        for i, j in late:
+            cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+            if best is None or (cost, rows[i][j]) < best[:2]:
+                best = (cost, rows[i][j], i, j, self.units[(i, j)])
+        for (i, j), pinv in self.units.items():
+            cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+            if best is None or cost < best[0] or (cost == best[0] and rows[i][j] < best[1]):
+                best = (cost, rows[i][j], i, j, pinv)
+            if not cost:
+                break
+        return None if best is None else best[2:]
+
+    def drop(self, i: int, j: int) -> None:
+        """Remove entry (i, j) from d and from every index."""
+        del self.d[(i, j)], self.rows[i][j], self.cols[j][i]
+        if self.units.pop((i, j), None) is not None:
+            self.late.discard((i, j))
+
+    def drop_row(self, i: int) -> None:
+        for j in list(self.rows.get(i, ())):
+            self.drop(i, j)
+
+    def drop_col(self, j: int) -> None:
+        for i in list(self.cols.get(j, ())):
+            self.drop(i, j)
+
+
+def _unit_inverse(order: int, v: int) -> int | None:
+    """The inverse of v as a unit of Z/order (order 0: of Z), or None."""
+    if order == 0:
+        return v if v in (1, -1) else None
+    if gcd(v % order, order) == 1:
+        return pow(v % order, -1, order)
+    return None
 
 
 def _project_steps(steps, n: int, orders, vec) -> list[int]:

@@ -321,3 +321,34 @@ def test_dropped_engine_is_freed_without_the_cycle_collector():
         assert [r() for r in refs] == [None] * 6
     finally:
         gc.enable()
+
+
+def test_validated_coefficients_are_bounded_and_evicted_ones_checked_again(monkeypatch):
+    checked = []
+
+    def counting_check(coeff):
+        checked.append(coeff.name)
+        return check_axioms(coeff)
+
+    monkeypatch.setattr("mackey.functors.check_axioms", counting_check)
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", {})
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS_SIZE", 2)
+    z, zstar, f = (named("C2", nm) for nm in ("Z", "Z*", "F"))
+    for coeff in (z, zstar, z, f):
+        MackeyHomology(coeff)
+    # Z was used again before F came, so Z* was the least recently used
+    assert checked == ["Z", "Z*", "F"]
+    assert len(bredon._VALIDATED_COEFFS) == 2
+    MackeyHomology(z)
+    MackeyHomology(zstar)  # evicted, so validated again
+    assert checked == ["Z", "Z*", "F", "Z*"]
+    assert len(bredon._VALIDATED_COEFFS) == 2
+
+
+def test_least_fill_pivots_leave_a_smaller_core():
+    # Q8 rhoK+2rhoQ Z: of 1007 level-e generators, the first unit pivot in
+    # entry order left a core of 355 and least-fill pivots leave 225
+    eng = suspension_engine("Q8", "rhoK+2rhoQ", expression_functor("Q8", "Z"))
+    chain, core, _ = eng.level_sizes()["e"]
+    assert chain == 1007
+    assert core <= 225

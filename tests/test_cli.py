@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import json
+import re
 
 import pytest
 
@@ -126,3 +127,26 @@ def test_verify_detects_corrupted_fixture(tmp_path, capsys, monkeypatch):
         golden_mod.degree_table.cache_clear()
         golden_mod.slice_table.cache_clear()
         golden_mod.chart_table.cache_clear()
+
+
+def test_homology_stats_go_to_stderr(capsys):
+    code = main([
+        "homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4",
+        "--stats",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "4: B(3,0)" in captured.out and "level" not in captured.out
+    lines = captured.err.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"level {h}" for h in ("e", "Z", "L", "D", "R", "Q8")
+    ]
+    chain, core, top = (int(w) for w in re.findall(r"\d+", lines[0].split(":")[1]))
+    assert core <= chain and top >= 0
+    assert "chain generators" in lines[0] and "largest core entry" in lines[0]
+
+
+def test_homology_prints_no_stats_by_default(capsys):
+    code = main(["homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..1"])
+    assert code == 0
+    assert capsys.readouterr().err == ""

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mackey import exactalg
 from mackey.exactalg import (
     AbHom,
     ChainComplexAb,
     FgAbelian,
     NotAComplex,
+    Matrix,
     NotChainMap,
     ReducedComplex,
     check_chain_map,
@@ -371,3 +373,277 @@ def test_reduced_complex_matches_the_full_snf(seed):
         # boundaries project to 0
         for col in zip(*dense.get(n + 1, [])):
             assert h.project(col) == (0,) * k
+
+
+# ---------------------------------------------------------------------------
+# snf_full against a verbatim copy of the one that kept all four transforms
+# up to date; the kernel builds only the requested ones, with the same
+# pivots and operations, so every requested transform must be the copy's.
+
+
+class _Transforms:
+    """Row/column transforms of an SNF run, with inverses kept in step.
+
+    Row op U := E U entails Uinv := Uinv E^-1 (a column op), and dually for
+    V, so everything stays in integers; no matrix is ever inverted after
+    the fact.
+    """
+
+    def __init__(self, n_r: int, n_c: int):
+        self.left = [list(r) for r in identity(n_r)]
+        self.left_inv = [list(r) for r in identity(n_r)]
+        self.right = [list(r) for r in identity(n_c)]
+        self.right_inv = [list(r) for r in identity(n_c)]
+
+    def swap_rows(self, a, b):
+        self.left[a], self.left[b] = self.left[b], self.left[a]
+        for row in self.left_inv:
+            row[a], row[b] = row[b], row[a]
+
+    def swap_cols(self, a, b):
+        for row in self.right:
+            row[a], row[b] = row[b], row[a]
+        self.right_inv[a], self.right_inv[b] = (
+            self.right_inv[b],
+            self.right_inv[a],
+        )
+
+    def add_row(self, i, t, q):
+        """row_i -= q row_t."""
+        li, lt = self.left[i], self.left[t]
+        for j in range(len(li)):
+            li[j] -= q * lt[j]
+        for row in self.left_inv:
+            row[t] += q * row[i]
+
+    def add_col(self, j, t, q):
+        """col_j -= q col_t."""
+        for row in self.right:
+            row[j] -= q * row[t]
+        rj, rt = self.right_inv[j], self.right_inv[t]
+        for k in range(len(rt)):
+            rt[k] += q * rj[k]
+
+    def negate_row(self, i):
+        self.left[i] = [-x for x in self.left[i]]
+        for row in self.left_inv:
+            row[i] = -row[i]
+
+
+def _unit_sweep(m, tf: "_Transforms", start):
+    """Eliminate with +-1 pivots first; this keeps entry growth tame."""
+    n_r, n_c = len(m), len(m[0]) if m else 0
+    t = start
+    while t < min(n_r, n_c):
+        pivot = None
+        for i in range(t, n_r):
+            for j in range(t, n_c):
+                if m[i][j] in (1, -1):
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            return t
+        _pivot_to(m, tf, pivot, t)
+        _clear_with_pivot(m, tf, t)
+        if all(m[t][j] == 0 for j in range(t + 1, n_c)) and all(
+            m[i][t] == 0 for i in range(t + 1, n_r)
+        ):
+            t += 1
+    return t
+
+
+def _pivot_to(m, tf: "_Transforms", src, t):
+    i, j = src
+    if i != t:
+        m[t], m[i] = m[i], m[t]
+        tf.swap_rows(t, i)
+    if j != t:
+        for row in m:
+            row[t], row[j] = row[j], row[t]
+        tf.swap_cols(t, j)
+
+
+def _clear_with_pivot(m, tf: "_Transforms", t):
+    n_r, n_c = len(m), len(m[0])
+    p = m[t][t]
+    for i in range(n_r):
+        if i != t and m[i][t] != 0:
+            q = m[i][t] // p if p in (1, -1) else _nearest_quotient(m[i][t], p)
+            if q:
+                mi, mt = m[i], m[t]
+                for j in range(n_c):
+                    mi[j] -= q * mt[j]
+                tf.add_row(i, t, q)
+    for j in range(n_c):
+        if j != t and m[t][j] != 0:
+            q = m[t][j] // p if p in (1, -1) else _nearest_quotient(m[t][j], p)
+            if q:
+                for i in range(n_r):
+                    m[i][j] -= q * m[i][t]
+                tf.add_col(j, t, q)
+
+
+def _nearest_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if 2 * abs(r) > abs(b):
+        q += 1
+    return q
+
+
+def snf_full(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
+    """Smith normal form with transforms and their inverses.
+
+    Returns (s, u, v, uinv, vinv) with u*m*v = s; s is diagonal with
+    nonnegative entries d_1 | d_2 | ... .  Pivots are chosen of minimal
+    absolute value with a deterministic (row, col) tie-break so normal
+    forms are reproducible.
+    """
+    n_r = len(m)
+    n_c = len(m[0]) if m else 0
+    a = [list(row) for row in m]
+    tf = _Transforms(n_r, n_c)
+    if n_r and n_c:
+        t = _unit_sweep(a, tf, 0)
+        while t < min(n_r, n_c):
+            pivot = None
+            best = None
+            for i in range(t, n_r):
+                for j in range(t, n_c):
+                    x = abs(a[i][j])
+                    if x and (best is None or x < best):
+                        best, pivot = x, (i, j)
+            if pivot is None:
+                break
+            _pivot_to(a, tf, pivot, t)
+            _clear_with_pivot(a, tf, t)
+            if any(a[t][j] for j in range(t + 1, n_c)) or any(
+                a[i][t] for i in range(t + 1, n_r)
+            ):
+                continue
+            # force divisibility d_t | everything below
+            stuck = False
+            for i in range(t + 1, n_r):
+                for j in range(t + 1, n_c):
+                    if a[i][j] % a[t][t] != 0:
+                        for jj in range(n_c):
+                            a[t][jj] += a[i][jj]
+                        tf.add_row(t, i, -1)
+                        stuck = True
+                        break
+                if stuck:
+                    break
+            if not stuck:
+                t += 1
+    for i in range(min(n_r, n_c)):
+        if a[i][i] < 0:
+            for j in range(n_c):
+                a[i][j] = -a[i][j]
+            tf.negate_row(i)
+    freeze = lambda rows: tuple(tuple(r) for r in rows)
+    return (
+        freeze(a),
+        freeze(tf.left),
+        freeze(tf.right),
+        freeze(tf.left_inv),
+        freeze(tf.right_inv),
+    )
+
+
+TRANSFORM_NAMES = ("u", "v", "uinv", "vinv")
+SUBSETS = [
+    frozenset(c) for k in range(5) for c in itertools.combinations(TRANSFORM_NAMES, k)
+]
+
+
+def _random_matrix(seed):
+    """Entries mostly without a unit, so the minimal-pivot loop and the
+    nearest-quotient steps run and the transforms grow past one digit."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    return mat(
+        [[rng.choice((0, 0, 2, -2, 3, 4, -6, 9, 10, -15, 1, -1)) for _ in range(cols)]
+         for _ in range(rows)]
+    )
+
+
+SMITH_CASES = (
+    [pytest.param(_random_matrix(seed), id=f"seed{seed}") for seed in range(30)]
+    + [
+        # diag(2, 3) -> diag(1, 6) only through the divisibility-forcing step
+        pytest.param(mat([[2, 0], [0, 3]]), id="diag(2,3)"),
+        # a matrix without rows carries no column count: 0 x n reads as ()
+        pytest.param((), id="0xn"),
+        pytest.param(((),) * 3, id="3x0"),
+    ]
+)
+
+
+@pytest.mark.parametrize("m", SMITH_CASES)
+def test_snf_full_builds_the_requested_transforms_of_the_copy(m):
+    ref = snf_full(m)
+    s, u, v, uinv, vinv = ref
+    for want in SUBSETS:
+        got = exactalg.snf_full(m, want)
+        assert got[0] == s
+        for name, g, r in zip(TRANSFORM_NAMES, got[1:], ref[1:]):
+            assert g == (r if name in want else None), name
+    full = exactalg.snf_full(m)
+    assert full == ref
+    assert mat_mul(mat_mul(u, m), v) == s
+    assert mat_mul(u, uinv) == identity(len(u))
+    assert mat_mul(v, vinv) == identity(len(v))
+
+
+def test_snf_full_takes_the_divisibility_forcing_step():
+    # no pivot of diag(2, 3) divides the rest: only that step gives 1 | 6
+    assert exactalg.snf_full(mat([[2, 0], [0, 3]]), ())[0] == ((1, 0), (0, 6))
+
+
+# ---------------------------------------------------------------------------
+# the reducer's pivot rule
+
+
+def test_reducer_takes_a_least_fill_pivot():
+    # d = [[1, 1, 0], [1, 0, 2]] over Z.  The first unit in entry order,
+    # (0, 0), shares its row and its column and would fill in (1, 1); the
+    # unit (0, 1) is alone in its column, so cancelling it fills nothing.
+    d = mat([[1, 1, 0], [1, 0, 2]])
+    orders = {0: (0, 0), 1: (0, 0, 0)}
+    rc = ReducedComplex(orders, {1: {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 2): 2}})
+    degree, src, tgt, _, gamma, beta = rc.steps[0]
+    assert (degree, src, tgt) == (1, 1, 0)
+    assert gamma == {0: 1} and beta == {}
+    # (1, 0) is alone in its column next, and again nothing fills in
+    assert [st[:3] for st in rc.steps] == [(1, 1, 0), (1, 0, 1)]
+    groups = {n: FgAbelian(o) for n, o in orders.items()}
+    oracle = ChainComplexAb(groups, {1: AbHom(groups[1], groups[0], d)})
+    for n in (0, 1):
+        h = rc.homology(n)
+        assert h.group == oracle.homology(n).group
+        for e in identity(h.group.ngens):
+            assert h.project(h.lift(e)) == e
+    assert rc.homology(1).group == FgAbelian((0,))
+    assert rc.homology(0).group.is_trivial
+
+
+def test_reducer_breaks_ties_by_entry_order():
+    # both units of the identity cost nothing: the first in entry order
+    # (row-major, whatever order the entries come in) is cancelled first
+    rc = ReducedComplex({0: (0, 0), 1: (0, 0)}, {1: {(1, 1): 1, (0, 0): 1}})
+    assert [st[:3] for st in rc.steps] == [(1, 0, 0), (1, 1, 1)]
+
+
+def test_a_unit_made_by_fill_in_keeps_its_place_in_entry_order():
+    # d = [[1, 1, 2], [1, 2, 1]]: (0, 0) goes first (cost 2, first of the
+    # ties); its fill-in turns (1, 1) from 2 into 1 and (1, 2) from 1 into
+    # -1.  Both then cost nothing, and (1, 1) comes first in entry order
+    # although it became a unit after (1, 2) did.
+    orders = {0: (0, 0), 1: (0, 0, 0)}
+    d = mat([[1, 1, 2], [1, 2, 1]])
+    rc = ReducedComplex(orders, {1: {(i, j): x for i, row in enumerate(d)
+                                     for j, x in enumerate(row)}})
+    assert [st[:3] for st in rc.steps] == [(1, 0, 0), (1, 1, 1)]
+    assert rc.homology(1).group == FgAbelian((0,))
+    assert rc.homology(0).group.is_trivial
