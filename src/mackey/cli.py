@@ -141,8 +141,12 @@ def cmd_homology(args) -> int:
     _print_graded(results, args.json)
     if args.stats:
         # the engine the computation just cached
-        sizes = suspension_engine(gname, args.rep, coeff).level_sizes()
-        for h, (chain, core, top) in sizes.items():
+        eng = suspension_engine(gname, args.rep, coeff)
+        for side, c in (("primal", eng.primal), ("dual", eng.dual)):
+            per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
+            print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
+                  file=sys.stderr)
+        for h, (chain, core, top) in eng.level_sizes().items():
             print(
                 f"level {h}: {chain} chain generators, {core} core generators, "
                 f"largest core entry {top}",
@@ -459,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", action="store_true")
     s.add_argument(
         "--stats", action="store_true",
-        help="print each level's chain and reduced-core sizes to stderr",
+        help="print the cells per degree of the complexes and each level's "
+        "chain and reduced-core sizes to stderr",
     )
     s.set_defaults(func=cmd_homology)
 

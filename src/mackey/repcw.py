@@ -15,11 +15,12 @@ Library complexes:
   4-dimensional irreducible, with boundary matrices of ranks 2, 4, 3, 1.
 
 ``sphere_complex`` builds reduced complexes of representation spheres by
-smashing cones of the unit-sphere complexes, running Gaussian elimination
-over the Burnside category after every smash so that complexes stay near
-their homology size.  Unit pivots are single orbit maps with coefficient
-+-1 between cells with equal stabilizer; eliminating them changes nothing
-about any level's homology or its induced structure maps.
+smashing cones of the unit-sphere complexes onto a cached prefix sphere one
+irreducible at a time, running Gaussian elimination over the Burnside
+category after every smash so that complexes stay near their homology
+size.  Unit pivots are single orbit maps with coefficient +-1 between
+cells with equal stabilizer; eliminating them changes nothing about any
+level's homology or its induced structure maps.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class _Tables(NamedTuple):
     mul: tuple[tuple[int, ...], ...]  # mul[x][y] is the index of x.y
     cosets: dict[str, tuple[int, ...]]  # subgroup -> representatives, in g.cosets order
     coset_pos: dict[str, tuple[int, ...]]  # subgroup -> element -> position of its coset
+    below: frozenset[tuple[str, str]]  # (K, K') with K <= K'
 
 
 @lru_cache(maxsize=None)
@@ -76,13 +78,15 @@ def _tables(group_name: str) -> _Tables:
     g = group(group_name)
     names = g.elements
     index = {x: k for k, x in enumerate(names)}
-    cosets = {s.name: tuple(index[x] for x in g.cosets(s)) for s in g.subgroups()}
+    subs = g.subgroups()
+    cosets = {s.name: tuple(index[x] for x in g.cosets(s)) for s in subs}
     pos = {
         s.name: tuple(cosets[s.name].index(index[g.coset(x, s)]) for x in names)
-        for s in g.subgroups()
+        for s in subs
     }
     mul = tuple(tuple(index[g.mul(x, y)] for y in names) for x in names)
-    return _Tables(names, index, mul, cosets, pos)
+    below = frozenset((a.name, b.name) for a in subs for b in subs if a <= b)
+    return _Tables(names, index, mul, cosets, pos, below)
 
 
 def _osum_of(sums: dict[int, int], names: tuple[str, ...]) -> OrbitSum:
@@ -646,6 +650,12 @@ def sphere_complex(rep: VirtualRep | str, group_name: str | None = None) -> Burn
         if group_name is None:
             raise ValueError("group needed to parse a rep string")
         rep = parse_rep(group_name, rep)
+    return _sphere(rep)
+
+
+def _sphere(rep: VirtualRep) -> BurnsideComplex:
+    """sphere_complex of a parsed rep; the spheres it is built from are
+    cached too, so later spheres reuse them."""
     key = (rep.group_name, rep.mults, rep.shift)
     if key in _SPHERE_CACHE:
         return _SPHERE_CACHE[key]
@@ -654,27 +664,24 @@ def sphere_complex(rep: VirtualRep | str, group_name: str | None = None) -> Burn
         raise NegativeMultiplicity(
             "negative spheres are handled through cohomology, not cells"
         )
-    # smash the reduced factors pairwise, smallest first, so intermediate
-    # complexes stay close to their homology size
-    factors: list[BurnsideComplex] = []
-    for irr in IRREDUCIBLES[group(rep.group_name).name]:
-        m = mults.get(irr, 0)
-        if not m:
-            continue
-        factor = reduce_complex(
-            cone_of_unit_sphere(unit_sphere_complex(rep.group_name, irr))
-        )
-        factors.extend([factor] * m)
-    if not factors:
-        out = point_complex(rep.group_name)
+    gname = rep.group_name
+    irrs = [irr for irr in IRREDUCIBLES[group(gname).name] if mults.get(irr)]
+    if mults.get("1") or rep.shift:
+        nontrivial = VirtualRep.make(gname, {irr: mults[irr] for irr in irrs})
+        out = suspend(_sphere(nontrivial), mults.get("1", 0) + rep.shift)
+    elif not irrs:
+        out = point_complex(gname)
+    elif mults == {irrs[0]: 1}:
+        out = reduce_complex(cone_of_unit_sphere(unit_sphere_complex(gname, irrs[0])))
     else:
-        while len(factors) > 1:
-            factors.sort(key=lambda f: f.ncells(), reverse=True)
-            a = factors.pop()
-            b = factors.pop()
-            factors.append(reduce_complex(smash(a, b)))
-        out = factors[0]
-    out = suspend(out, mults.get("1", 0) + rep.shift)
+        # smash one factor at a time, S^V = S^(V-f) ^ S^f, with the factors
+        # ordered largest first (ties in IRREDUCIBLES order) and f the last:
+        # each intermediate complex is the cached sphere of a prefix, and
+        # stays near its final size
+        unit = {irr: _sphere(VirtualRep.make(gname, {irr: 1})) for irr in irrs}
+        f = sorted(irrs, key=lambda irr: unit[irr].ncells(), reverse=True)[-1]
+        prefix = VirtualRep.make(gname, {**mults, f: mults[f] - 1})
+        out = reduce_complex(smash(_sphere(prefix), unit[f]))
     _SPHERE_CACHE[key] = out
     return out
 
@@ -784,21 +791,36 @@ def expand_level_e(c: BurnsideComplex) -> tuple[dict[int, int], dict[int, dict]]
 
 
 def check_boundary(c: BurnsideComplex) -> None:
-    """Verify d.d = 0 on the underlying integer complex, column by column;
-    only the columns of the degree below are kept while a degree is checked."""
+    """Verify d.d = 0 on the underlying integer complex, once per cell.
+
+    Every entry must be a sum of orbit maps G/K -> G/K' with K <= K'.  Then
+    the level-e column of the point cs.K of a cell is the translate by cs of
+    the column of its base point e.K, so d.d vanishes on every point iff it
+    vanishes on each cell's base point: the Burnside composite of the
+    cell's boundary, sum x.y.(u.v)K'' over terms x.u then y.v, read per
+    point of each target cell G/K''."""
     t = _tables(c.group_name)
-    lower: list[dict[int, int]] = []
-    for n in sorted(c.diff):
-        cols = list(_level_e_columns(c, t, n))
-        if n - 1 in c.diff:
-            for col in cols:
-                acc: dict[int, int] = {}
-                for r, x in col.items():
-                    for rr, y in lower[r].items():
-                        acc[rr] = acc.get(rr, 0) + x * y
-                if any(acc.values()):
-                    raise BoundaryError(f"d.d != 0 at degree {n}")
-        lower = cols
+    mul, pos = t.mul, t.coset_pos
+    terms = {n: _terms_by_source(c, n, t) for n in c.diff}
+    for n, upper in terms.items():
+        src, tgt = c.cells[n], c.cells[n - 1]
+        lower = terms.get(n - 1, {})
+        for si, by_target in upper.items():
+            acc: dict[tuple[int, int], int] = {}
+            for ti, entry in by_target:
+                if (src[si], tgt[ti]) not in t.below:
+                    raise BoundaryError(
+                        f"no orbit map G/{src[si]} -> G/{tgt[ti]} at degree {n}"
+                    )
+                for tti, entry2 in lower.get(ti, ()):
+                    tpos = pos[c.cells[n - 2][tti]]
+                    for x, u in entry:
+                        row = mul[u]
+                        for y, v in entry2:
+                            key = (tti, tpos[row[v]])
+                            acc[key] = acc.get(key, 0) + x * y
+            if any(acc.values()):
+                raise BoundaryError(f"d.d != 0 at degree {n}")
 
 
 def underlying_homology_ranks(c: BurnsideComplex) -> dict[int, tuple[int, tuple[int, ...]]]:

@@ -35,7 +35,10 @@ from mackey.functors import (
 )
 from mackey.golden import degree_table
 from mackey.repcw import (
+    IRREDUCIBLES,
+    cone_of_unit_sphere,
     parse_rep,
+    reduce_complex,
     restrict_complex,
     small_h_unit_sphere,
     smash,
@@ -345,10 +348,35 @@ def test_validated_coefficients_are_bounded_and_evicted_ones_checked_again(monke
     assert len(bredon._VALIDATED_COEFFS) == 2
 
 
+def _balanced_sphere(group_name, text):
+    """S^V in the balanced smash order: the two smallest complexes smashed
+    and reduced until one is left (trivial summands left out).  Its
+    complexes are larger than sphere_complex's one-factor fold, which gives
+    the level reducer's pivot rule more to do."""
+    mults = parse_rep(group_name, text).mult_dict()
+    factors = []
+    for irr in IRREDUCIBLES[group_name]:
+        cone = reduce_complex(cone_of_unit_sphere(unit_sphere_complex(group_name, irr)))
+        factors.extend([cone] * mults.get(irr, 0))
+    while len(factors) > 1:
+        factors.sort(key=lambda f: f.ncells(), reverse=True)
+        factors.append(reduce_complex(smash(factors.pop(), factors.pop())))
+    return factors[0]
+
+
 def test_least_fill_pivots_leave_a_smaller_core():
-    # Q8 rhoK+2rhoQ Z: of 1007 level-e generators, the first unit pivot in
-    # entry order left a core of 355 and least-fill pivots leave 225
-    eng = suspension_engine("Q8", "rhoK+2rhoQ", expression_functor("Q8", "Z"))
+    # Q8 rhoK+2rhoQ Z on the balanced-order sphere (147 cells): of 1007
+    # level-e generators, the first unit pivot in entry order left a core of
+    # 355 and least-fill pivots leave 225
+    primal = _balanced_sphere("Q8", "rhoK+2rhoQ")
+    eng = MackeyHomology(expression_functor("Q8", "Z"), primal=primal)
     chain, core, _ = eng.level_sizes()["e"]
     assert chain == 1007
     assert core <= 225
+
+
+def test_the_folded_sphere_keeps_level_e_small():
+    # the same row on the sphere sphere_complex builds now (49 cells)
+    eng = suspension_engine("Q8", "rhoK+2rhoQ", expression_functor("Q8", "Z"))
+    chain, _, _ = eng.level_sizes()["e"]
+    assert chain <= 223

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from mackey.cli import main
+from mackey.repcw import point_complex, sphere_complex
 
 
 def run(capsys, *argv):
@@ -137,7 +138,14 @@ def test_homology_stats_go_to_stderr(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "4: B(3,0)" in captured.out and "level" not in captured.out
-    lines = captured.err.splitlines()
+    cell_lines, lines = captured.err.splitlines()[:2], captured.err.splitlines()[2:]
+    # the primal complex is the sphere of rhoQ, the dual one a point
+    sphere = sphere_complex("rhoQ", "Q8")
+    for line, side, c in zip(cell_lines, ("primal", "dual"), (sphere, point_complex("Q8"))):
+        assert line.startswith(f"{side} cells per degree: ")
+        per_degree = {int(n): k for n, k in re.findall(r"(\d+):(\d+)", line)}
+        assert per_degree == {n: str(len(cs)) for n, cs in c.cells.items()}
+        assert line.endswith(f"({c.ncells()} in all)")
     assert [ln.split(":")[0] for ln in lines] == [
         f"level {h}" for h in ("e", "Z", "L", "D", "R", "Q8")
     ]

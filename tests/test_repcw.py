@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mackey import repcw
 from mackey.repcw import (
     GroupMismatch,
     NegativeMultiplicity,
@@ -77,6 +78,45 @@ def test_sphere_s0_and_suspension():
     assert s0.cells == {0: ("Q8",)}
     s3 = sphere_complex(parse_rep("Q8", "3"))
     assert s3.cells == {3: ("Q8",)}
+
+
+@pytest.mark.parametrize("group_name, text", [
+    ("C2", "3rho"), ("C4", "2rho+lambda"), ("K4", "3rhoK"), ("Q8", "2rhoQ"),
+    ("Q8", "rhoK+2rhoQ"), ("Q8", "3rhoQ"), ("Q8", "4rhoQ"),
+])
+def test_sphere_has_the_homology_of_a_sphere_of_its_dimension(group_name, text):
+    # the closed form, read off the underlying integer complex without the
+    # Mackey engine: Z in degree dim V and 0 in every other degree
+    rep = parse_rep(group_name, text)
+    h = underlying_homology_ranks(sphere_complex(rep))
+    assert h.get(rep.dim) == (1, ())
+    assert all(v == (0, ()) for n, v in h.items() if n != rep.dim)
+
+
+@pytest.mark.parametrize("text, most", [
+    ("rhoK+2rhoQ", 49), ("3rhoQ", 55), ("4rhoQ", 85), ("rhoK+3rhoQ", 79),
+])
+def test_folded_spheres_stay_small(text, most):
+    # smashing one factor at a time onto the prefix sphere; the balanced
+    # order that paired the two smallest complexes left 147, 65, 189 and 81
+    assert sphere_complex(text, "Q8").ncells() <= most
+
+
+def test_a_sphere_is_one_smash_from_its_cached_prefix(monkeypatch):
+    monkeypatch.setattr(repcw, "_SPHERE_CACHE", {})
+    prefix = sphere_complex("2H+sigmaL", "Q8")
+    smashed = []
+    real_smash = repcw.smash
+
+    def counting_smash(c, d):
+        smashed.append((c, d))
+        return real_smash(c, d)
+
+    monkeypatch.setattr(repcw, "smash", counting_smash)
+    sphere_complex("2H+2sigmaL", "Q8")
+    assert len(smashed) == 1
+    c, d = smashed[0]
+    assert c is prefix and d is sphere_complex("sigmaL", "Q8")
 
 
 def test_sign_sphere_homology():

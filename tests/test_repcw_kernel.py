@@ -372,28 +372,26 @@ def _assert_same(new: BurnsideComplex, ref: BurnsideComplex) -> None:
 
 def _sphere_both_ways(group_name: str, text: str) -> BurnsideComplex:
     """S^V built as sphere_complex builds it, once with the kernel and once
-    with the copies, comparing every smash and every reduction."""
+    with the copies, comparing every smash and every reduction: the reduced
+    unit-sphere cones, largest first, smashed onto the product so far one
+    factor at a time."""
     rep = parse_rep(group_name, text)
     mults = rep.mult_dict()
-    new, ref = [], []
+    factors = []
     for irr in repcw.IRREDUCIBLES[rep.group_name]:
         if mults.get(irr, 0):
             cone = cone_of_unit_sphere(unit_sphere_complex(rep.group_name, irr))
             a, b = repcw.reduce_complex(cone), reduce_complex(cone)
             _assert_same(a, b)
-            new.extend([a] * mults[irr])
-            ref.extend([b] * mults[irr])
-    while len(new) > 1:
-        for factors in (new, ref):
-            factors.sort(key=lambda f: f.ncells(), reverse=True)
-        a, b = new.pop(), new.pop()
-        s_new, s_ref = repcw.smash(a, b), smash(ref.pop(), ref.pop())
+            factors.extend([(a, b)] * mults[irr])
+    factors.sort(key=lambda ab: ab[0].ncells(), reverse=True)
+    (new, ref), *rest = factors
+    for a, b in rest:
+        s_new, s_ref = repcw.smash(new, a), smash(ref, b)
         _assert_same(s_new, s_ref)
-        r_new, r_ref = repcw.reduce_complex(s_new), reduce_complex(s_ref)
-        _assert_same(r_new, r_ref)
-        new.append(r_new)
-        ref.append(r_ref)
-    return repcw.suspend(new[0], mults.get("1", 0) + rep.shift)
+        new, ref = repcw.reduce_complex(s_new), reduce_complex(s_ref)
+        _assert_same(new, ref)
+    return repcw.suspend(new, mults.get("1", 0) + rep.shift)
 
 
 @pytest.mark.parametrize(
@@ -468,3 +466,53 @@ def test_check_boundary_rejects_a_broken_complex(edit, check):
     check(c)
     with pytest.raises(BoundaryError):
         check(_broken(c, edit))
+
+
+def _smashed_k4() -> BurnsideComplex:
+    return repcw.smash(repcw.sphere_complex("sigmaL+sigmaD", "K4"),
+                       repcw.sphere_complex("sigmaR+sigmaL", "K4"))
+
+
+def _single_term_edits(c: BurnsideComplex):
+    """Every complex that differs from c in one term of one entry: that
+    term's sign flipped, or that term deleted."""
+    for n in sorted(c.diff):
+        for key, entry in c.diff[n].items():
+            for k, (x, u) in enumerate(entry):
+                rest = entry[:k] + entry[k + 1:]
+                for edited in (tuple(sorted([(-x, u), *rest])), rest):
+                    diff = {m: dict(d) for m, d in c.diff.items()}
+                    if edited:
+                        diff[n][key] = edited
+                    else:
+                        del diff[n][key]
+                    yield BurnsideComplex(c.group_name, dict(c.cells), diff)
+
+
+def _passes(check, c: BurnsideComplex) -> bool:
+    try:
+        check(c)
+    except BoundaryError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("make", [_smashed_q8, _smashed_k4], ids=["Q8", "K4"])
+def test_check_boundary_per_orbit_agrees_with_the_per_point_copy(make):
+    c = make()
+    assert _passes(repcw.check_boundary, c) and _passes(check_boundary, c)
+    verdicts = [
+        (_passes(repcw.check_boundary, e), _passes(check_boundary, e))
+        for e in _single_term_edits(c)
+    ]
+    assert len(verdicts) == 2 * sum(len(e) for d in c.diff.values() for e in d.values())
+    assert all(kernel == reference for kernel, reference in verdicts)
+    assert not any(kernel for kernel, _ in verdicts)
+
+
+def test_check_boundary_rejects_an_entry_into_a_smaller_stabilizer():
+    # G/L -> G/e is no orbit map; with one boundary there is no d.d to
+    # catch it, so only the stabilizer test can
+    c = BurnsideComplex("Q8", {0: ("e",), 1: ("L",)}, {1: {(0, 0): ((1, "1"),)}})
+    with pytest.raises(BoundaryError):
+        repcw.check_boundary(c)
