@@ -462,21 +462,20 @@ def homology_mackey(
     c: BurnsideComplex, coeff: MackeyFunctor, n: int
 ) -> tuple[MackeyFunctor, str | None]:
     """Degree-n Mackey-functor-valued homology of a Burnside complex."""
-    return _named(MackeyHomology(coeff, primal=c).functor(n))
+    return _named(cached_engine(coeff, primal=c).functor(n))
 
 
 def cohomology_mackey(
     c: BurnsideComplex, coeff: MackeyFunctor, n: int
 ) -> tuple[MackeyFunctor, str | None]:
     """Degree-n cohomology; equals pi_{-n} of the function object."""
-    return _named(MackeyHomology(coeff, dual=c).functor(-n))
+    return _named(cached_engine(coeff, dual=c).functor(-n))
 
 
 def homology_table(
     c: BurnsideComplex, coeff: MackeyFunctor, degrees
 ) -> dict[int, tuple[MackeyFunctor, str | None]]:
-    eng = MackeyHomology(coeff, primal=c)
-    return {n: _named(eng.functor(n)) for n in degrees}
+    return {n: homology_mackey(c, coeff, n) for n in degrees}
 
 
 def _named(f: MackeyFunctor) -> tuple[MackeyFunctor, str | None]:
@@ -484,9 +483,36 @@ def _named(f: MackeyFunctor) -> tuple[MackeyFunctor, str | None]:
     return (f.with_name(nm) if nm else f, nm)
 
 
-# engines by group, rep and coefficient name and content, least recently used first
-_ENGINE_CACHE: dict[tuple, MackeyHomology] = {}
+def _engine_content(coeff, primal, dual, offset) -> tuple:
+    """Everything an engine computes from, complexes in the order it reads them."""
+    return (_content_key(coeff), offset) + tuple(
+        (c.group_name, tuple(c.cells.items()),
+         tuple((n, tuple(d.items())) for n, d in c.diff.items()))
+        for c in (primal, dual))
+
+
+# engines by the hash of their content, least recently used first
+_ENGINE_CACHE: dict[int, MackeyHomology] = {}
 _ENGINE_CACHE_SIZE = 64
+
+
+def cached_engine(coeff: MackeyFunctor, primal: BurnsideComplex | None = None,
+                  dual: BurnsideComplex | None = None, offset: int = 0) -> MackeyHomology:
+    """MackeyHomology(coeff, primal, dual, offset), one engine per content."""
+    point = point_complex(coeff.group_name)
+    primal, dual = (point if c is None else c for c in (primal, dual))
+    want = _engine_content(coeff, primal, dual, offset)
+    # the key is the content's hash, not the content (kilobytes per engine);
+    # a hit is confirmed on the full content, which also refuses an engine
+    # whose coefficients or complexes changed since (it reads them lazily)
+    key = hash(want)
+    eng = _ENGINE_CACHE.pop(key, None)
+    if eng is None or _engine_content(eng.coeff, eng.primal, eng.dual, eng.offset) != want:
+        eng = MackeyHomology(coeff, primal=primal, dual=dual, offset=offset)
+    _ENGINE_CACHE[key] = eng  # now the most recently used
+    if len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:
+        del _ENGINE_CACHE[next(iter(_ENGINE_CACHE))]
+    return eng
 
 
 def suspension_engine(
@@ -500,20 +526,8 @@ def suspension_engine(
     if isinstance(rep, str):
         rep = parse_rep(group_name, rep)
     pos, neg, offset = rep.split()
-    content = _content_key(coeff)
-    # the key holds the content's hash, not the content (kilobytes per
-    # engine); a hit is confirmed on the full content, which also refuses
-    # an engine whose own coefficients changed since (it reads them lazily)
-    key = (group_name, rep.mults, rep.shift, coeff.name, hash(content))
-    eng = _ENGINE_CACHE.pop(key, None)
-    if eng is None or _content_key(eng.coeff) != content:
-        primal = sphere_complex(pos) if pos.mults else None
-        dual = sphere_complex(neg) if neg.mults else None
-        eng = MackeyHomology(coeff, primal=primal, dual=dual, offset=offset)
-    _ENGINE_CACHE[key] = eng  # now the most recently used
-    if len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:
-        del _ENGINE_CACHE[next(iter(_ENGINE_CACHE))]
-    return eng
+    spheres = (sphere_complex(v) if v.mults else None for v in (pos, neg))
+    return cached_engine(coeff, *spheres, offset)
 
 
 def suspension_homotopy(

@@ -14,6 +14,7 @@ import sys
 import time
 
 from .bredon import (
+    cached_engine,
     cohomology_mackey,
     homology_mackey,
     identify,
@@ -134,6 +135,21 @@ def _print_graded(results, as_json: bool) -> None:
             print(f"  {n:>3}: {nm or '(unrecognized) ' + str(f)}")
 
 
+def _print_stats(eng) -> None:
+    """Cells per degree of the engine's complexes, then each level's chain
+    and reduced-core sizes, on stderr."""
+    for side, c in (("primal", eng.primal), ("dual", eng.dual)):
+        per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
+        print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
+              file=sys.stderr)
+    for h, (chain, core, top) in eng.level_sizes().items():
+        print(
+            f"level {h}: {chain} chain generators, {core} core generators, "
+            f"largest core entry {top}",
+            file=sys.stderr,
+        )
+
+
 def cmd_homology(args) -> int:
     gname = canonical_group_name(args.group)
     coeff = expression_functor(gname, args.coeff)
@@ -141,17 +157,7 @@ def cmd_homology(args) -> int:
     _print_graded(results, args.json)
     if args.stats:
         # the engine the computation just cached
-        eng = suspension_engine(gname, args.rep, coeff)
-        for side, c in (("primal", eng.primal), ("dual", eng.dual)):
-            per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
-            print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
-                  file=sys.stderr)
-        for h, (chain, core, top) in eng.level_sizes().items():
-            print(
-                f"level {h}: {chain} chain generators, {core} core generators, "
-                f"largest core entry {top}",
-                file=sys.stderr,
-            )
+        _print_stats(suspension_engine(gname, args.rep, coeff))
     return 0
 
 
@@ -163,6 +169,9 @@ def cmd_cohomology(args) -> int:
         n: cohomology_mackey(c, coeff, n) for n in _parse_degrees(args.degrees)
     }
     _print_graded(results, args.json)
+    if args.stats:
+        # the engine the computation just cached
+        _print_stats(cached_engine(coeff, dual=c))
     return 0
 
 
@@ -433,6 +442,14 @@ def cmd_verify(args) -> int:
     return 1 if any_fail else 0
 
 
+def _add_stats_flag(s: argparse.ArgumentParser) -> None:
+    s.add_argument(
+        "--stats", action="store_true",
+        help="print the cells per degree of the complexes and each level's "
+        "chain and reduced-core sizes to stderr",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mackey",
@@ -461,11 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--coeff", default="Z")
     s.add_argument("--degrees", default="0..8")
     s.add_argument("--json", action="store_true")
-    s.add_argument(
-        "--stats", action="store_true",
-        help="print the cells per degree of the complexes and each level's "
-        "chain and reduced-core sizes to stderr",
-    )
+    _add_stats_flag(s)
     s.set_defaults(func=cmd_homology)
 
     s = sub.add_parser("cohomology", help="cohomology of a sphere complex")
@@ -474,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--coeff", default="Z")
     s.add_argument("--degrees", default="0..8")
     s.add_argument("--json", action="store_true")
+    _add_stats_flag(s)
     s.set_defaults(func=cmd_cohomology)
 
     s = sub.add_parser("slices", help="slice list of an integer suspension")

@@ -33,6 +33,11 @@ class UnknownName(Exception):
     pass
 
 
+class IsomorphismSearchLimit(NotImplementedError):
+    """A level is beyond the exhaustive isomorphism search: free rank 2 or
+    more, or more than 300,000 candidate matrices."""
+
+
 @dataclass
 class MackeyFunctor:
     group_name: str
@@ -522,7 +527,8 @@ def _hom_columns(order: int, cod: FgAbelian) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=256)
 def _isos_between(a_orders: tuple[int, ...], b_orders: tuple[int, ...]) -> tuple[AbHom, ...]:
     """All isomorphisms between the two presentations.  Free rank at most 1
-    is supported.
+    and at most 300,000 candidate matrices are supported; beyond that it
+    raises IsomorphismSearchLimit.
 
     Keyed on the presentations, not on FgAbelian equality: equal groups
     with different generator orders give different matrices."""
@@ -532,13 +538,13 @@ def _isos_between(a_orders: tuple[int, ...], b_orders: tuple[int, ...]) -> tuple
     if a.is_trivial:
         return (AbHom.zero(a, b),)
     if a.rank > 1:
-        raise NotImplementedError("iso search needs free rank <= 1")
+        raise IsomorphismSearchLimit("iso search needs free rank <= 1")
     cols = [_hom_columns(o, b) for o in a.orders]
     size = 1
     for c in cols:
         size *= len(c)
     if size > 300_000:
-        raise NotImplementedError(
+        raise IsomorphismSearchLimit(
             "level too large for exhaustive isomorphism search; "
             "split off g summands first"
         )

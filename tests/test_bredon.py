@@ -17,6 +17,7 @@ from mackey import bredon
 from mackey.bredon import (
     AxiomFailure,
     MackeyHomology,
+    cached_engine,
     cohomology_mackey,
     homology_mackey,
     homology_table,
@@ -38,11 +39,13 @@ from mackey.repcw import (
     IRREDUCIBLES,
     cone_of_unit_sphere,
     parse_rep,
+    point_complex,
     reduce_complex,
     restrict_complex,
     small_h_unit_sphere,
     smash,
     sphere_complex,
+    suspend,
     unit_sphere_complex,
 )
 
@@ -302,9 +305,90 @@ def test_engine_cache_is_keyed_on_coefficient_content():
 
 def test_engine_cache_is_bounded():
     bredon._ENGINE_CACHE.clear()
-    for k in range(bredon._ENGINE_CACHE_SIZE + 5):
+    coeff = expression_functor("C2", "Z")
+    for k in range(1, bredon._ENGINE_CACHE_SIZE + 5):
+        # a point at offset k, and a suspended point at offset 0: the
+        # entry points share the cache and its bound
         suspension_engine("C2", str(k), expression_functor("C2", "Z"))
-    assert len(bredon._ENGINE_CACHE) == bredon._ENGINE_CACHE_SIZE
+        homology_mackey(suspend(point_complex("C2"), k), coeff, k)
+        assert len(bredon._ENGINE_CACHE) == min(2 * k, bredon._ENGINE_CACHE_SIZE)
+
+
+def _count_engines(monkeypatch):
+    """Start from an empty engine cache and record every engine built."""
+    built = []
+    init = MackeyHomology.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MackeyHomology, "__init__", counting_init)
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", {})
+    return built
+
+
+def _data(f):
+    """Level orders, res/tr and stored Weyl maps of a functor, as plain data."""
+
+    def maps(d):
+        return {k: (h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items()}
+
+    return ({s: lvl.orders for s, lvl in f.levels.items()},
+            maps(f.res), maps(f.tr), maps(f.weyl))
+
+
+def test_cohomology_degrees_share_one_engine(monkeypatch):
+    built = _count_engines(monkeypatch)
+    c = sphere_complex(parse_rep("Q8", "rhoQ"))
+    coeff = named("Q8", "Z")
+    got = {n: cohomology_mackey(c, coeff, n)[0] for n in range(1, 9)}
+    assert len(built) == 1
+    assert sum(not f.is_trivial() for f in got.values()) == 3  # 5, 7 and 8
+    for n, f in got.items():
+        assert _data(f) == _data(MackeyHomology(coeff, dual=c).functor(-n)), n
+
+
+def test_complexes_with_equal_content_share_an_engine(monkeypatch):
+    built = _count_engines(monkeypatch)
+    coeff = named("Q8", "Z")
+    # every call builds a new complex object with the same content
+    got = [homology_mackey(unit_sphere_complex("Q8", "H"), coeff, n)[0] for n in range(4)]
+    table = homology_table(unit_sphere_complex("Q8", "H"), coeff, range(4))
+    assert len(built) == 1
+    assert [_data(f) for f in got] == [_data(table[n][0]) for n in range(4)]
+
+
+def test_a_complex_changed_after_its_engine_was_built_is_refused(monkeypatch):
+    _count_engines(monkeypatch)
+    coeff = named("C4", "Z")
+    c = unit_sphere_complex("C4", "lambda")  # one boundary, g - 1
+    stale_engine = cached_engine(coeff, dual=c)
+    stale = [_data(cohomology_mackey(c, coeff, n)[0]) for n in (0, 1)]
+    # flip the sign of one term: g + 1 is still a complex, with other cohomology
+    (key, entry), = c.diff[1].items()
+    c.diff[1][key] = ((-entry[0][0], entry[0][1]),) + entry[1:]
+    assert cached_engine(coeff, dual=c) is not stale_engine
+    assert [_data(cohomology_mackey(c, coeff, n)[0]) for n in (0, 1)] != stale
+    # the stale engine's hash still matches the old content, but its complex
+    # has changed, so a new complex with the old content gets a new engine
+    old = unit_sphere_complex("C4", "lambda")
+    assert cached_engine(coeff, dual=old) is not stale_engine
+    assert [_data(cohomology_mackey(old, coeff, n)[0]) for n in (0, 1)] == stale
+
+
+def test_suspension_and_cohomology_of_a_sphere_stay_distinct_engines(monkeypatch):
+    # -rhoQ is computed on the dual S^{rhoQ-1} at offset -1, cohomology on
+    # the dual S^{rhoQ}: the engines differ, so each checks the other
+    built = _count_engines(monkeypatch)
+    coeff = named("Q8", "Z")
+    eng = suspension_engine("Q8", "-rhoQ", coeff)
+    c = sphere_complex(parse_rep("Q8", "rhoQ"))
+    for n in range(0, 9):
+        coh, _ = cohomology_mackey(c, coeff, n)
+        assert is_isomorphic(coh, eng.functor(-n)), n
+    assert len(built) == 2 and len(bredon._ENGINE_CACHE) == 2
+    assert cached_engine(coeff, dual=c) is not eng
 
 
 def test_dropped_engine_is_freed_without_the_cycle_collector():

@@ -158,3 +158,37 @@ def test_homology_prints_no_stats_by_default(capsys):
     code = main(["homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..1"])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cohomology_stats_go_to_stderr(capsys):
+    argv = ["cohomology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..8"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(argv + ["--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    lines = captured.err.splitlines()
+    # cohomology reads the sphere of rhoQ as the dual complex
+    sphere = sphere_complex("rhoQ", "Q8")
+    assert lines[0] == "primal cells per degree: 0:1 (1 in all)"
+    per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(sphere.cells.items()))
+    assert lines[1] == f"dual cells per degree: {per_degree} ({sphere.ncells()} in all)"
+    assert [ln.split(":")[0] for ln in lines[2:]] == [
+        f"level {h}" for h in ("e", "Z", "L", "D", "R", "Q8")
+    ]
+
+
+def test_isomorphism_search_limit_is_reported(capsys, monkeypatch):
+    from mackey.functors import expression_functor
+
+    # a catalog entry of free rank 2 sends recognition past the search's limit
+    monkeypatch.setattr(
+        "mackey.bredon.catalog", lambda g: {"Z+Z": expression_functor(g, "Z+Z")}
+    )
+    code = main(["homology", "--group", "c2", "--rep", "0", "--coeff", "Z+Z",
+                 "--degrees", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: IsomorphismSearchLimit: iso search needs free rank <= 1\n"
+    )

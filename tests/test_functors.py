@@ -13,6 +13,7 @@ from mackey.exactalg import AbHom, FgAbelian, NonComposable
 from mackey.functors import (
     MackeyFunctor,
     MackeyMorphism,
+    IsomorphismSearchLimit,
     Mismatch,
     MixedTorsion,
     UnknownName,
@@ -181,6 +182,18 @@ def test_catalog_entries_pairwise_distinct():
                 assert not is_isomorphic(
                     table[a], table[b]
                 ), f"{a} and {b} should differ"
+
+
+def test_isomorphism_search_limits_raise_a_typed_error():
+    assert issubclass(IsomorphismSearchLimit, NotImplementedError)
+    zz = expression_functor("C2", "Z+Z")  # free rank 2 at every level
+    with pytest.raises(IsomorphismSearchLimit, match="free rank"):
+        is_isomorphic(zz, zz)
+    # each generator of (2,)*5 has 2^5 images, so 32^5 candidates at the top
+    g5 = expression_functor("K4", "g^5")
+    assert g5.levels["K4"] == FgAbelian((2,) * 5)
+    with pytest.raises(IsomorphismSearchLimit, match="too large"):
+        is_isomorphic(g5, g5)
 
 
 def test_match_expression():
