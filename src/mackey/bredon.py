@@ -10,6 +10,14 @@ between levels are the contravariant/covariant images of the projections
 and translations of the G/H factor, so every structure map comes from one
 mechanism and base change makes them commute with the differentials.
 
+Assembly goes by cell pairs: a chain group is a list of blocks, one per
+(dual cell, primal cell) pair, each holding the pair's orbits.  The image
+of one orbit map on a whole block depends only on the cells' stabilizers,
+the level, the slot it moves, the target stabilizer and the translation,
+so it is built once per engine as sparse entries; boundaries and the
+res/tr/Weyl chain maps add integer multiples of these blocks at cell-pair
+corners.
+
 Homology in a fixed degree is then an honest Mackey functor; the engine
 computes it levelwise with the exact integer homology machinery, induces
 the structure maps on homology classes, and finally tries to recognize the
@@ -19,7 +27,6 @@ answer inside the named catalog (including sums with powers of ``g``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import catalog
@@ -96,71 +103,55 @@ def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
 
 @lru_cache(maxsize=None)
 def _orbit_table(group_name: str, stabs: tuple[str, str, str]):
-    """Orbits of G/A x G/B x G/C: returns (reps, point->index, stab name)."""
+    """Orbits of G/A x G/B x G/C: returns (reps, index, stab name), where
+    index sends each point pt to its orbit and the first u of G (in element
+    order) with u . rep = pt.
+
+    Every point has the one stabilizer A n B n C: the stabilizer of
+    (xA, yB, zC) is xAx^-1 n yBy^-1 n zCz^-1, and every subgroup of the
+    groups here is normal.  So all orbits of a triple carry the same
+    summand M(A n B n C), which the engine's cell-pair layout relies on.
+    """
     g = group(group_name)
     subs = [g.subgroup(s) for s in stabs]
     stab = g.subgroup(stabs[0])
     for s in subs[1:]:
         stab = g.intersect(stab, s)
 
-    def act(x, pt):
-        return tuple(g.coset(g.mul(x, p), subs[i]) for i, p in enumerate(pt))
-
     def key(pt):
         return tuple(g.elem_sort_key(p) for p in pt)
 
     points = list(itertools.product(*[g.cosets(s) for s in subs]))
-    index: dict[tuple[str, str, str], int] = {}
+    index: dict[tuple[str, str, str], tuple[int, str]] = {}
     reps: list[tuple[str, str, str]] = []
     for pt in sorted(points, key=key):
         if pt in index:
             continue
-        orbit = {act(x, pt) for x in g.elements}
-        idx = len(reps)
+        for u in g.elements:
+            moved = tuple(g.coset(g.mul(u, p), s) for p, s in zip(pt, subs))
+            index.setdefault(moved, (len(reps), u))
         reps.append(pt)
-        for q in orbit:
-            index[q] = idx
     return tuple(reps), index, stab.name
 
 
-@lru_cache(maxsize=None)
-def _locate(group_name: str, stabs: tuple[str, str, str], pt):
-    """Orbit index of pt and a translation u with u . rep = pt."""
-    g = group(group_name)
-    reps, index, _ = _orbit_table(group_name, stabs)
-    idx = index[pt]
-    rep = reps[idx]
-    subs = [g.subgroup(s) for s in stabs]
-    for u in g.elements:
-        if all(
-            g.coset(g.mul(u, rep[i]), subs[i]) == pt[i] for i in range(3)
-        ):
-            return idx, u
-    raise RuntimeError("translation not found")
+def _by_source(c: BurnsideComplex) -> dict[int, dict[int, list]]:
+    """Each degree's boundary terms (target cell, terms) by source cell."""
+    out: dict[int, dict[int, list]] = {}
+    for n, d in c.diff.items():
+        for (i, j), entry in d.items():
+            out.setdefault(n, {}).setdefault(j, []).append((i, entry))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the engine
 
 
-@dataclass(frozen=True)
-class _Summand:
-    p: int  # dual degree
-    di: int  # dual cell index
-    q: int  # primal degree
-    pi: int  # primal cell index
-    orbit: int  # orbit index in the triple product
-    stab: str  # stabilizer subgroup name
-    offset: int  # its first generator in the chain group of degree q - p
-
-
-def _add_block(acc: Entries, r0: int, c0: int, hom: AbHom, coeff: int) -> None:
-    """Add coeff * hom to sparse entries acc with its corner at (r0, c0)."""
-    for a, row in enumerate(hom.matrix, r0):
-        for b, x in enumerate(row, c0):
-            if x:
-                key = (a, b)
-                acc[key] = acc.get(key, 0) + coeff * x
+def _add_block(acc: Entries, r0: int, c0: int, block: tuple, coeff: int) -> None:
+    """Add coeff * block, sparse (row, col, x) entries, with its corner at (r0, c0)."""
+    for r, c, x in block:
+        key = (r0 + r, c0 + c)
+        acc[key] = acc.get(key, 0) + coeff * x
 
 
 def _reduced(acc: Entries, orders: tuple[int, ...]) -> Entries:
@@ -180,8 +171,14 @@ class MackeyHomology:
     ``primal`` contributes homologically (degree +q), ``dual``
     cohomologically (degree -p); either may be a point.  ``offset`` shifts
     reported degrees, implementing formal suspensions by trivial summands.
-    Boundaries and structure chain maps are sparse entries {(row, col):
-    value}, the format ReducedComplex reduces.
+
+    A level's chain group in degree t is a list of blocks, one per pair
+    (dual cell in degree p, primal cell in degree q = t + p), in the same
+    order at every level; the block of cells G/A, G/B at level H holds
+    M(A n B n H) once per orbit of G/A x G/B x G/H.  Boundaries and
+    structure chain maps are sparse entries {(row, col): value}, the format
+    ReducedComplex reduces, summed from memoised orbit-map blocks placed at
+    cell-pair corners.
     """
 
     def __init__(
@@ -205,110 +202,113 @@ class MackeyHomology:
         self.dual = dual
         self.offset = offset
         self.levels = [s.name for s in self.g.subgroups()]
-        self._summands: dict[str, dict[int, list[_Summand]]] = {}
-        # summand of each (p, di, q, pi, orbit), per level
-        self._index: dict[str, dict[tuple, _Summand]] = {}
+        # (p, dual cell, q, primal cell) per degree q - p, in chain order
+        self._pairs: dict[int, list[tuple[int, int, int, int]]] = {}
+        for p in sorted(dual.cells):
+            for q in sorted(primal.cells):
+                if dual.cells[p] and primal.cells[q]:
+                    self._pairs.setdefault(q - p, []).extend(itertools.product(
+                        (p,), range(len(dual.cells[p])), (q,), range(len(primal.cells[q]))))
+        self._diff_by_source = (_by_source(primal), _by_source(dual))
+        self._triple_orders: dict[tuple[str, str, str], tuple[int, ...]] = {}
+        self._blocks: dict[tuple, tuple] = {}
+        self._homs: dict[tuple, tuple] = {}  # orbit components by (kind, a, b, u)
+        # first generator of each cell pair's block, per level and degree
+        self._offsets: dict[str, dict[int, dict[tuple, int]]] = {}
         self._orders: dict[str, dict[int, tuple[int, ...]]] = {}
         self._complex: dict[str, ReducedComplex] = {}
         self._homology_cache: dict[tuple[str, int], HomologyClassData] = {}
         self._functor_cache: dict[int, MackeyFunctor] = {}
-        self._hom_cache: dict[tuple, AbHom] = {}
         self._level_map_cache: dict[tuple, dict[int, Entries]] = {}
         for h in self.levels:
             self._build_level(h)
 
     # -- chain-level assembly ------------------------------------------------
 
+    def _triple(self, pair: tuple[int, int, int, int], h: str) -> tuple[str, str, str]:
+        p, di, q, pi = pair
+        return (self.dual.cells[p][di], self.primal.cells[q][pi], h)
+
+    def _block_orders(self, triple: tuple[str, str, str]) -> tuple[int, ...]:
+        """Generator orders of a cell pair's block: M(stab) once per orbit."""
+        out = self._triple_orders.get(triple)
+        if out is None:
+            reps, _, stab = _orbit_table(self.group_name, triple)
+            out = self._triple_orders[triple] = self.coeff.levels[stab].orders * len(reps)
+        return out
+
     def _build_level(self, h: str) -> None:
-        summands: dict[int, list[_Summand]] = {}
-        index: dict[tuple, _Summand] = {}
-        orders: dict[int, list[int]] = {}
-        for p in sorted(self.dual.cells):
-            for q in sorted(self.primal.cells):
-                t = q - p
-                for di, ka in enumerate(self.dual.cells[p]):
-                    for pi, kb in enumerate(self.primal.cells[q]):
-                        reps, _, stab = _orbit_table(self.g.name, (ka, kb, h))
-                        for oi in range(len(reps)):
-                            gens = orders.setdefault(t, [])
-                            s = _Summand(p, di, q, pi, oi, stab, len(gens))
-                            gens.extend(self.coeff.levels[stab].orders)
-                            summands.setdefault(t, []).append(s)
-                            index[(p, di, q, pi, oi)] = s
-        self._summands[h] = summands
-        self._index[h] = index
-        self._orders[h] = {t: tuple(o) for t, o in orders.items()}
-        diffs = {t: self._boundary(h, t) for t in sorted(summands) if t - 1 in summands}
-        self._complex[h] = ReducedComplex(self._orders[h], diffs)
+        offsets = self._offsets[h] = {}
+        orders = self._orders[h] = {}
+        for t, pairs in self._pairs.items():
+            at, gens = {}, []
+            offsets[t] = at
+            for pair in pairs:
+                at[pair] = len(gens)
+                gens.extend(self._block_orders(self._triple(pair, h)))
+            orders[t] = tuple(gens)
+        diffs = {t: self._boundary(h, t) for t in sorted(orders) if t - 1 in orders}
+        self._complex[h] = ReducedComplex(orders, diffs)
 
     def _boundary(self, h: str, t: int) -> Entries:
-        g = self.g
-        index = self._index[h]
+        src_at, tgt_at = self._offsets[h][t], self._offsets[h][t - 1]
+        primal_src, dual_src = self._diff_by_source
         acc: Entries = {}
-        for s in self._summands[h][t]:
-            ka = self.dual.cells[s.p][s.di]
-            kb = self.primal.cells[s.q][s.pi]
-            reps, _, _ = _orbit_table(g.name, (ka, kb, h))
-            base = reps[s.orbit]
-            # primal direction: covariant, degree q -> q-1
-            for (ti_c, sj_c), entry in self.primal.diff.get(s.q, {}).items():
-                if sj_c != s.pi:
-                    continue
-                kb2 = self.primal.cells[s.q - 1][ti_c]
+        # primal direction: covariant, degree q -> q-1
+        for pair, c0 in src_at.items():
+            p, di, q, pi = pair
+            triple = self._triple(pair, h)
+            for ti, entry in primal_src.get(q, {}).get(pi, ()):
+                r0 = tgt_at[(p, di, q - 1, ti)]
+                kb2 = self.primal.cells[q - 1][ti]
                 for coeff, u in entry:
-                    pt = (
-                        base[0],
-                        g.coset(g.mul(base[1], u), g.subgroup(kb2)),
-                        base[2],
-                    )
-                    oi, w = _locate(g.name, (ka, kb2, h), pt)
-                    tgt = index[(s.p, s.di, s.q - 1, ti_c, oi)]
-                    _add_block(acc, tgt.offset, s.offset,
-                               self._covariant(s.stab, tgt.stab, w), coeff)
+                    _add_block(acc, r0, c0, self._block("cov", triple, 1, kb2, u), coeff)
         # dual direction: contravariant, dual degree p -> p+1, Koszul sign.
         # Components are indexed by target orbits: for a cell map
         # phi_u: (cell in degree p+1) -> (cell in degree p), apply M^* to
         # phi_u x id x id, whose components go from the orbit containing
         # the image of each (p+1)-side orbit to that orbit.
-        for s2 in self._summands[h][t - 1]:
-            kb = self.primal.cells[s2.q][s2.pi]
-            ka2 = self.dual.cells[s2.p][s2.di]
-            reps2, _, _ = _orbit_table(g.name, (ka2, kb, h))
-            base2 = reps2[s2.orbit]
-            sign = -1 if s2.q % 2 else 1
-            for (i_tgt, j_src), entry in self.dual.diff.get(s2.p, {}).items():
-                if j_src != s2.di:
-                    continue
-                ka = self.dual.cells[s2.p - 1][i_tgt]
+        for pair, r0 in tgt_at.items():
+            p, di, q, pi = pair
+            triple = self._triple(pair, h)
+            sign = -1 if q % 2 else 1
+            for ti, entry in dual_src.get(p, {}).get(di, ()):
+                c0 = src_at[(p - 1, ti, q, pi)]
+                ka = self.dual.cells[p - 1][ti]
                 for coeff, u in entry:
-                    pt = (
-                        g.coset(g.mul(base2[0], u), g.subgroup(ka)),
-                        base2[1],
-                        base2[2],
-                    )
-                    oi, w = _locate(g.name, (ka, kb, h), pt)
-                    src = index[(s2.p - 1, i_tgt, s2.q, s2.pi, oi)]
-                    _add_block(acc, s2.offset, src.offset,
-                               self._contravariant(s2.stab, src.stab, w), sign * coeff)
+                    _add_block(acc, r0, c0, self._block("con", triple, 0, ka, u), sign * coeff)
         return _reduced(acc, self._orders[h][t - 1])
 
-    def _covariant(self, a: str, b: str, u: str) -> AbHom:
-        """M_* of the orbit map x -> x.u from G/a into G/b."""
-        key = ("cov", a, b, u)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = self.coeff.tr_map(a, b).compose(
-                self.coeff.weyl_action(a, u)
-            )
-        return self._hom_cache[key]
-
-    def _contravariant(self, a: str, b: str, u: str) -> AbHom:
-        """M^* of the orbit map x -> x.u from G/a into G/b."""
-        key = ("con", a, b, u)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = self.coeff.weyl_action(
-                a, self.g.inv(u)
-            ).compose(self.coeff.res_map(a, b))
-        return self._hom_cache[key]
+    def _block(self, kind: str, triple: tuple[str, str, str], slot: int,
+               c: str, u: str) -> tuple:
+        """M_* (kind "cov") or M^* (kind "con") of the orbit map that sends
+        the slot coordinate x of G/A x G/B x G/H to x.u in G/c, on the blocks
+        of ``triple`` and of its image triple: sparse (row, col, x) entries,
+        every orbit's component at its offset.  The orbits of ``triple`` are
+        the columns of a covariant block and the rows of a contravariant one.
+        """
+        key = (kind, triple, slot, c, u)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
+        g, m = self.g, self.coeff
+        reps, _, a = _orbit_table(g.name, triple)
+        _, index, b = _orbit_table(g.name, triple[:slot] + (c,) + triple[slot + 1:])
+        wa, wb = len(m.levels[a].orders), len(m.levels[b].orders)
+        sub = g.subgroup(c)
+        out = []
+        for i, rep in enumerate(reps):
+            j, w = index[rep[:slot] + (g.coset(g.mul(rep[slot], u), sub),) + rep[slot + 1:]]
+            r0, c0 = (j * wb, i * wa) if kind == "cov" else (i * wa, j * wb)
+            hom = self._homs.get((kind, a, b, w))
+            if hom is None:
+                hom = self._homs[(kind, a, b, w)] = (
+                    m.tr_map(a, b).compose(m.weyl_action(a, w)) if kind == "cov"
+                    else m.weyl_action(a, g.inv(w)).compose(m.res_map(a, b))).matrix
+            out.extend((r, col, x) for r, row in enumerate(hom, r0)
+                       for col, x in enumerate(row, c0) if x)
+        block = self._blocks[key] = tuple(out)
+        return block
 
     # -- structure chain maps -----------------------------------------------
 
@@ -323,39 +323,17 @@ class MackeyHomology:
         cache_key = (h_from, h_to, kind, elem)
         if cache_key in self._level_map_cache:
             return self._level_map_cache[cache_key]
-        g = self.g
+        u = self.g.identity if elem is None else self.g.inv(elem)
+        # restriction's blocks are indexed by the h_to-side orbits
+        mode, h, c = ("con", h_to, h_from) if kind == "res" else ("cov", h_from, h_to)
         out: dict[int, Entries] = {}
-        for t, src in self._summands[h_from].items():
+        for t, pairs in self._pairs.items():
             acc: Entries = {}
-            if kind in ("tr", "weyl"):
-                # covariant along the projection or translation of G/h
-                for s in src:
-                    ka = self.dual.cells[s.p][s.di]
-                    kb = self.primal.cells[s.q][s.pi]
-                    reps, _, _ = _orbit_table(g.name, (ka, kb, h_from))
-                    base = reps[s.orbit]
-                    if kind == "tr":
-                        p3 = g.coset(base[2], g.subgroup(h_to))
-                    else:
-                        p3 = g.coset(g.mul(base[2], g.inv(elem)), g.subgroup(h_to))
-                    oi, w = _locate(g.name, (ka, kb, h_to), (base[0], base[1], p3))
-                    tgt = self._index[h_to][(s.p, s.di, s.q, s.pi, oi)]
-                    _add_block(acc, tgt.offset, s.offset,
-                               self._covariant(s.stab, tgt.stab, w), 1)
-            else:
-                # restriction is contravariant along G/h_to -> G/h_from, so
-                # components are indexed by the h_to-side orbits
-                for s2 in self._summands[h_to].get(t, []):
-                    ka = self.dual.cells[s2.p][s2.di]
-                    kb = self.primal.cells[s2.q][s2.pi]
-                    reps2, _, _ = _orbit_table(g.name, (ka, kb, h_to))
-                    base2 = reps2[s2.orbit]
-                    pt = (base2[0], base2[1], g.coset(base2[2], g.subgroup(h_from)))
-                    oi, w = _locate(g.name, (ka, kb, h_from), pt)
-                    s = self._index[h_from][(s2.p, s2.di, s2.q, s2.pi, oi)]
-                    _add_block(acc, s2.offset, s.offset,
-                               self._contravariant(s2.stab, s.stab, w), 1)
-            out[t] = _reduced(acc, self._orders[h_to].get(t, ()))
+            rows, cols = self._offsets[h_to][t], self._offsets[h_from][t]
+            for pair in pairs:
+                block = self._block(mode, self._triple(pair, h), 2, c, u)
+                _add_block(acc, rows[pair], cols[pair], block, 1)
+            out[t] = _reduced(acc, self._orders[h_to][t])
         self._level_map_cache[cache_key] = out
         return out
 
@@ -363,6 +341,11 @@ class MackeyHomology:
         """Per level: chain generators, core generators left by the
         reduction, and the largest absolute value of a core entry."""
         return {h: self._complex[h].sizes() for h in self.levels}
+
+    def assembly_sizes(self) -> tuple[dict[int, int], int]:
+        """Cell pairs per degree (the same at every level), and the distinct
+        orbit-map blocks built so far."""
+        return {t: len(ps) for t, ps in sorted(self._pairs.items())}, len(self._blocks)
 
     # -- homology -------------------------------------------------------------
 
@@ -399,26 +382,32 @@ class MackeyHomology:
             )
         weyl = {}
         for h in self.levels:
-            sub = g.subgroup(h)
             if levels[h].is_trivial:
                 continue
             # induce the generators only; other elements are their products
+            ident = AbHom.identity(levels[h])
             gen_maps = {}
             for e in g.generators:
-                wmaps = self._level_map(h, h, "weyl", e)
-                whom = wmaps.get(t)
+                whom = self._level_map(h, h, "weyl", e).get(t)
                 gen_maps[e] = (
                     induced_on_homology(whom, data[h], data[h])
                     if whom is not None
-                    else AbHom.identity(levels[h])
+                    else ident
                 )
-            ident = AbHom.identity(levels[h])
+            if all(m.equals(ident) for m in gen_maps.values()):
+                continue
+            # by word: the map of the word's prefix, then its last letter's
+            acts = {(): ident}
+            sub = g.subgroup(h)
             for e in g.elements:
-                acc = ident
-                for letter in g.word(e):
-                    acc = acc.compose(gen_maps[letter])
-                if e not in sub.elements and not acc.equals(ident):
-                    weyl[(h, e)] = acc
+                if e in sub.elements:
+                    continue
+                word = g.word(e)
+                for k in range(1, len(word) + 1):
+                    if word[:k] not in acts:
+                        acts[word[:k]] = acts[word[:k - 1]].compose(gen_maps[word[k - 1]])
+                if not acts[word].equals(ident):
+                    weyl[(h, e)] = acts[word]
         out = MackeyFunctor(
             self.group_name, levels, res, tr, weyl, self.coeff.is_zmodule
         )

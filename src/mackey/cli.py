@@ -136,8 +136,8 @@ def _print_graded(results, as_json: bool) -> None:
 
 
 def _print_stats(eng) -> None:
-    """Cells per degree of the engine's complexes, then each level's chain
-    and reduced-core sizes, on stderr."""
+    """Cells per degree of the engine's complexes, each level's chain and
+    reduced-core sizes, then its cell pairs and orbit-map blocks, on stderr."""
     for side, c in (("primal", eng.primal), ("dual", eng.dual)):
         per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
         print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
@@ -148,6 +148,11 @@ def _print_stats(eng) -> None:
             f"largest core entry {top}",
             file=sys.stderr,
         )
+    pairs, blocks = eng.assembly_sizes()
+    per_degree = " ".join(f"{t}:{k}" for t, k in pairs.items())
+    print(f"cell pairs per level: {sum(pairs.values())} (by degree {per_degree})",
+          file=sys.stderr)
+    print(f"distinct orbit-map blocks built: {blocks}", file=sys.stderr)
 
 
 def cmd_homology(args) -> int:
@@ -445,8 +450,9 @@ def cmd_verify(args) -> int:
 def _add_stats_flag(s: argparse.ArgumentParser) -> None:
     s.add_argument(
         "--stats", action="store_true",
-        help="print the cells per degree of the complexes and each level's "
-        "chain and reduced-core sizes to stderr",
+        help="print the cells per degree of the complexes, each level's "
+        "chain and reduced-core sizes, the cell pairs per level and the "
+        "orbit-map blocks built to stderr",
     )
 
 

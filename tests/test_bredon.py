@@ -7,7 +7,11 @@ named catalog.
 """
 
 import gc
+import itertools
+import sys
 import weakref
+from dataclasses import dataclass
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -25,16 +29,19 @@ from mackey.bredon import (
     suspension_homotopy,
 )
 from mackey.catalog import named
-from mackey.exactalg import AbHom, FgAbelian
+from mackey.exactalg import AbHom, FgAbelian, induced_on_homology
 from mackey.functors import (
+    MackeyFunctor,
     box_dual,
     check_axioms,
+    covering_pairs,
     expression_functor,
     is_isomorphic,
     match_expression,
     restrict_functor,
 )
 from mackey.golden import degree_table
+from mackey.grouplat import group
 from mackey.repcw import (
     IRREDUCIBLES,
     cone_of_unit_sphere,
@@ -328,14 +335,15 @@ def _count_engines(monkeypatch):
     return built
 
 
+def _maps(d):
+    """Maps by key, as plain data."""
+    return {k: (h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items()}
+
+
 def _data(f):
     """Level orders, res/tr and stored Weyl maps of a functor, as plain data."""
-
-    def maps(d):
-        return {k: (h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items()}
-
     return ({s: lvl.orders for s, lvl in f.levels.items()},
-            maps(f.res), maps(f.tr), maps(f.weyl))
+            _maps(f.res), _maps(f.tr), _maps(f.weyl))
 
 
 def test_cohomology_degrees_share_one_engine(monkeypatch):
@@ -464,3 +472,338 @@ def test_the_folded_sphere_keeps_level_e_small():
     eng = suspension_engine("Q8", "rhoK+2rhoQ", expression_functor("Q8", "Z"))
     chain, _, _ = eng.level_sizes()["e"]
     assert chain <= 223
+
+
+# ---------------------------------------------------------------------------
+# cell-pair blocks against a verbatim copy of the per-summand assembly: the
+# engine sums memoised orbit-map blocks at cell-pair corners, and every
+# boundary and structure chain map must equal the copy's entry for entry.
+
+
+@lru_cache(maxsize=None)
+def _old_orbit_table(group_name: str, stabs: tuple[str, str, str]):
+    """Orbits of G/A x G/B x G/C: returns (reps, point->index, stab name)."""
+    g = group(group_name)
+    subs = [g.subgroup(s) for s in stabs]
+    stab = g.subgroup(stabs[0])
+    for s in subs[1:]:
+        stab = g.intersect(stab, s)
+
+    def act(x, pt):
+        return tuple(g.coset(g.mul(x, p), subs[i]) for i, p in enumerate(pt))
+
+    def key(pt):
+        return tuple(g.elem_sort_key(p) for p in pt)
+
+    points = list(itertools.product(*[g.cosets(s) for s in subs]))
+    index: dict[tuple[str, str, str], int] = {}
+    reps: list[tuple[str, str, str]] = []
+    for pt in sorted(points, key=key):
+        if pt in index:
+            continue
+        orbit = {act(x, pt) for x in g.elements}
+        idx = len(reps)
+        reps.append(pt)
+        for q in orbit:
+            index[q] = idx
+    return tuple(reps), index, stab.name
+
+
+@lru_cache(maxsize=None)
+def _locate(group_name: str, stabs: tuple[str, str, str], pt):
+    """Orbit index of pt and a translation u with u . rep = pt."""
+    g = group(group_name)
+    reps, index, _ = _old_orbit_table(group_name, stabs)
+    idx = index[pt]
+    rep = reps[idx]
+    subs = [g.subgroup(s) for s in stabs]
+    for u in g.elements:
+        if all(
+            g.coset(g.mul(u, rep[i]), subs[i]) == pt[i] for i in range(3)
+        ):
+            return idx, u
+    raise RuntimeError("translation not found")
+
+
+@dataclass(frozen=True)
+class _Summand:
+    p: int  # dual degree
+    di: int  # dual cell index
+    q: int  # primal degree
+    pi: int  # primal cell index
+    orbit: int  # orbit index in the triple product
+    stab: str  # stabilizer subgroup name
+    offset: int  # its first generator in the chain group of degree q - p
+
+
+def _old_add_block(acc, r0: int, c0: int, hom: AbHom, coeff: int) -> None:
+    """Add coeff * hom to sparse entries acc with its corner at (r0, c0)."""
+    for a, row in enumerate(hom.matrix, r0):
+        for b, x in enumerate(row, c0):
+            if x:
+                key = (a, b)
+                acc[key] = acc.get(key, 0) + coeff * x
+
+
+class _PerSummand:
+    """The per-summand assembly the cell-pair blocks replaced."""
+
+    def __init__(self, eng: MackeyHomology):
+        self.g, self.coeff = eng.g, eng.coeff
+        self.primal, self.dual = eng.primal, eng.dual
+        self._summands, self._index, self._orders = {}, {}, {}
+        self._hom_cache, self._level_map_cache = {}, {}
+        for h in eng.levels:
+            self._build_level(h)
+
+    def _build_level(self, h: str) -> None:
+        summands: dict[int, list[_Summand]] = {}
+        index: dict[tuple, _Summand] = {}
+        orders: dict[int, list[int]] = {}
+        for p in sorted(self.dual.cells):
+            for q in sorted(self.primal.cells):
+                t = q - p
+                for di, ka in enumerate(self.dual.cells[p]):
+                    for pi, kb in enumerate(self.primal.cells[q]):
+                        reps, _, stab = _old_orbit_table(self.g.name, (ka, kb, h))
+                        for oi in range(len(reps)):
+                            gens = orders.setdefault(t, [])
+                            s = _Summand(p, di, q, pi, oi, stab, len(gens))
+                            gens.extend(self.coeff.levels[stab].orders)
+                            summands.setdefault(t, []).append(s)
+                            index[(p, di, q, pi, oi)] = s
+        self._summands[h] = summands
+        self._index[h] = index
+        self._orders[h] = {t: tuple(o) for t, o in orders.items()}
+
+    def _boundary(self, h: str, t: int):
+        g = self.g
+        index = self._index[h]
+        acc = {}
+        for s in self._summands[h][t]:
+            ka = self.dual.cells[s.p][s.di]
+            kb = self.primal.cells[s.q][s.pi]
+            reps, _, _ = _old_orbit_table(g.name, (ka, kb, h))
+            base = reps[s.orbit]
+            # primal direction: covariant, degree q -> q-1
+            for (ti_c, sj_c), entry in self.primal.diff.get(s.q, {}).items():
+                if sj_c != s.pi:
+                    continue
+                kb2 = self.primal.cells[s.q - 1][ti_c]
+                for coeff, u in entry:
+                    pt = (
+                        base[0],
+                        g.coset(g.mul(base[1], u), g.subgroup(kb2)),
+                        base[2],
+                    )
+                    oi, w = _locate(g.name, (ka, kb2, h), pt)
+                    tgt = index[(s.p, s.di, s.q - 1, ti_c, oi)]
+                    _old_add_block(acc, tgt.offset, s.offset,
+                                   self._covariant(s.stab, tgt.stab, w), coeff)
+        # dual direction: contravariant, dual degree p -> p+1, Koszul sign.
+        for s2 in self._summands[h][t - 1]:
+            kb = self.primal.cells[s2.q][s2.pi]
+            ka2 = self.dual.cells[s2.p][s2.di]
+            reps2, _, _ = _old_orbit_table(g.name, (ka2, kb, h))
+            base2 = reps2[s2.orbit]
+            sign = -1 if s2.q % 2 else 1
+            for (i_tgt, j_src), entry in self.dual.diff.get(s2.p, {}).items():
+                if j_src != s2.di:
+                    continue
+                ka = self.dual.cells[s2.p - 1][i_tgt]
+                for coeff, u in entry:
+                    pt = (
+                        g.coset(g.mul(base2[0], u), g.subgroup(ka)),
+                        base2[1],
+                        base2[2],
+                    )
+                    oi, w = _locate(g.name, (ka, kb, h), pt)
+                    src = index[(s2.p - 1, i_tgt, s2.q, s2.pi, oi)]
+                    _old_add_block(acc, s2.offset, src.offset,
+                                   self._contravariant(s2.stab, src.stab, w), sign * coeff)
+        return bredon._reduced(acc, self._orders[h][t - 1])
+
+    def _covariant(self, a: str, b: str, u: str) -> AbHom:
+        """M_* of the orbit map x -> x.u from G/a into G/b."""
+        key = ("cov", a, b, u)
+        if key not in self._hom_cache:
+            self._hom_cache[key] = self.coeff.tr_map(a, b).compose(
+                self.coeff.weyl_action(a, u)
+            )
+        return self._hom_cache[key]
+
+    def _contravariant(self, a: str, b: str, u: str) -> AbHom:
+        """M^* of the orbit map x -> x.u from G/a into G/b."""
+        key = ("con", a, b, u)
+        if key not in self._hom_cache:
+            self._hom_cache[key] = self.coeff.weyl_action(
+                a, self.g.inv(u)
+            ).compose(self.coeff.res_map(a, b))
+        return self._hom_cache[key]
+
+    def _level_map(self, h_from: str, h_to: str, kind: str, elem: str | None = None):
+        cache_key = (h_from, h_to, kind, elem)
+        if cache_key in self._level_map_cache:
+            return self._level_map_cache[cache_key]
+        g = self.g
+        out = {}
+        for t, src in self._summands[h_from].items():
+            acc = {}
+            if kind in ("tr", "weyl"):
+                # covariant along the projection or translation of G/h
+                for s in src:
+                    ka = self.dual.cells[s.p][s.di]
+                    kb = self.primal.cells[s.q][s.pi]
+                    reps, _, _ = _old_orbit_table(g.name, (ka, kb, h_from))
+                    base = reps[s.orbit]
+                    if kind == "tr":
+                        p3 = g.coset(base[2], g.subgroup(h_to))
+                    else:
+                        p3 = g.coset(g.mul(base[2], g.inv(elem)), g.subgroup(h_to))
+                    oi, w = _locate(g.name, (ka, kb, h_to), (base[0], base[1], p3))
+                    tgt = self._index[h_to][(s.p, s.di, s.q, s.pi, oi)]
+                    _old_add_block(acc, tgt.offset, s.offset,
+                                   self._covariant(s.stab, tgt.stab, w), 1)
+            else:
+                # restriction is contravariant along G/h_to -> G/h_from, so
+                # components are indexed by the h_to-side orbits
+                for s2 in self._summands[h_to].get(t, []):
+                    ka = self.dual.cells[s2.p][s2.di]
+                    kb = self.primal.cells[s2.q][s2.pi]
+                    reps2, _, _ = _old_orbit_table(g.name, (ka, kb, h_to))
+                    base2 = reps2[s2.orbit]
+                    pt = (base2[0], base2[1], g.coset(base2[2], g.subgroup(h_from)))
+                    oi, w = _locate(g.name, (ka, kb, h_from), pt)
+                    s = self._index[h_from][(s2.p, s2.di, s2.q, s2.pi, oi)]
+                    _old_add_block(acc, s2.offset, s.offset,
+                                   self._contravariant(s2.stab, s.stab, w), 1)
+            out[t] = bredon._reduced(acc, self._orders[h_to].get(t, ()))
+        self._level_map_cache[cache_key] = out
+        return out
+
+
+def _c4_rotation() -> MackeyFunctor:
+    """Z^2 with the generator of C4 acting by a quarter turn, at the bottom
+    level only (-1 has no fixed points): a Weyl action of order four."""
+    z2, zero = FgAbelian((0, 0)), FgAbelian(())
+    turns = {"g": ((0, -1), (1, 0)), "g2": ((-1, 0), (0, -1)), "g3": ((0, 1), (-1, 0))}
+    return MackeyFunctor(
+        "C4", {"e": z2, "C2": zero, "C4": zero},
+        {("e", "C2"): AbHom(zero, z2, ((), ())), ("C2", "C4"): AbHom(zero, zero, ())},
+        {("e", "C2"): AbHom(z2, zero, ()), ("C2", "C4"): AbHom(zero, zero, ())},
+        {("e", e): AbHom(z2, z2, m) for e, m in turns.items()},
+    )
+
+
+def _block_engines() -> list[MackeyHomology]:
+    """Engines of every shape: primal only, dual only, two-sided, over Q8,
+    K4 and C4, with coefficients whose Weyl actions are trivial, of order
+    two and of order four."""
+    def c4(rep):
+        return sphere_complex(parse_rep("C4", rep))
+
+    assert check_axioms(_c4_rotation()).ok
+    return [
+        suspension_engine("Q8", "rhoK+2rhoQ", named("Q8", "Z")),
+        cached_engine(named("Q8", "Z"), dual=sphere_complex(parse_rep("Q8", "2rhoQ"))),
+        suspension_engine("Q8", "rhoK-H", named("Q8", "Z(3,2)")),
+        suspension_engine("K4", "2rhoK", named("K4", "F")),
+        MackeyHomology(_c4_rotation(), primal=c4("lambda+sigma"), dual=c4("sigma")),
+    ]
+
+
+def test_cell_pair_blocks_equal_the_per_summand_assembly():
+    weyl_maps = 0
+    for eng in _block_engines():
+        ref = _PerSummand(eng)
+        g = eng.g
+        for h in eng.levels:
+            assert eng._orders[h] == ref._orders[h], h
+            for t in eng._orders[h]:
+                if t - 1 in eng._orders[h]:
+                    assert eng._boundary(h, t) == ref._boundary(h, t), (h, t)
+            for e in g.elements:
+                got = eng._level_map(h, h, "weyl", e)
+                assert got == ref._level_map(h, h, "weyl", e), (h, e)
+                weyl_maps += any(got.values())
+        for low, high in covering_pairs(g):
+            assert eng._level_map(high, low, "res") == ref._level_map(high, low, "res")
+            assert eng._level_map(low, high, "tr") == ref._level_map(low, high, "tr")
+    assert weyl_maps
+
+
+def test_memoised_weyl_action_equals_word_by_word_composition():
+    nontrivial = 0
+    for eng in _block_engines():
+        g = eng.g
+        for t in eng._orders["e"]:
+            n = t + eng.offset
+            f = eng.functor(n)
+            want = {}
+            # the composition the word memo replaced, letter by letter
+            for h in eng.levels:
+                sub = g.subgroup(h)
+                if f.levels[h].is_trivial:
+                    continue
+                data = eng.homology_raw(h, n)
+                ident = AbHom.identity(f.levels[h])
+                gen_maps = {}
+                for e in g.generators:
+                    whom = eng._level_map(h, h, "weyl", e).get(t)
+                    gen_maps[e] = (induced_on_homology(whom, data, data)
+                                   if whom is not None else ident)
+                for e in g.elements:
+                    acc = ident
+                    for letter in g.word(e):
+                        acc = acc.compose(gen_maps[letter])
+                    if e not in sub.elements and not acc.equals(ident):
+                        want[(h, e)] = acc
+            assert _maps(f.weyl) == _maps(want), n
+            nontrivial += len(want)
+    assert nontrivial
+
+
+def test_every_orbit_has_the_triples_one_stabilizer():
+    # the block layout gives every orbit of G/A x G/B x G/C the summand
+    # M(A n B n C); that needs each point's stabilizer to be A n B n C
+    orbits = 0
+    for name in ("T", "C2", "C4", "K4", "Q8"):
+        g = group(name)
+        subs = g.subgroups()
+        for triple in itertools.product(subs, repeat=3):
+            reps, index, stab = bredon._orbit_table(name, tuple(s.name for s in triple))
+
+            def act(u, pt):
+                return tuple(g.coset(g.mul(u, x), s) for x, s in zip(pt, triple))
+
+            for rep in reps:
+                fixing = {u for u in g.elements if act(u, rep) == rep}
+                assert fixing == g.subgroup(stab).elements, (name, triple, rep)
+            for pt, (i, u) in index.items():
+                # the first translation in element order, as the blocks read it
+                assert u == next(x for x in g.elements if act(x, reps[i]) == pt)
+            orbits += len(reps)
+    assert orbits == 1505
+
+
+def test_dropped_engine_and_its_block_caches_are_freed_without_the_cycle_collector():
+    coeff = named("Q8", "Z")
+    c = sphere_complex(parse_rep("Q8", "rhoQ"))
+    gc.collect()
+    gc.disable()
+    try:
+        eng = MackeyHomology(coeff, primal=c)
+        for n in range(5):
+            eng.functor(n)
+        # each cache held by the engine alone, as lone is by its one name
+        lone = {0: 0}
+        caches = (eng._blocks, eng._homs, eng._triple_orders, eng._offsets,
+                  eng._diff_by_source, lone)
+        assert all(caches)
+        counts = [sys.getrefcount(x) for x in caches]
+        assert counts == [counts[-1]] * len(counts)
+        ref = weakref.ref(eng)
+        del eng, caches
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from mackey.bredon import cached_engine, suspension_engine
+from mackey.catalog import named
 from mackey.cli import main
 from mackey.repcw import point_complex, sphere_complex
 
@@ -138,7 +140,8 @@ def test_homology_stats_go_to_stderr(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "4: B(3,0)" in captured.out and "level" not in captured.out
-    cell_lines, lines = captured.err.splitlines()[:2], captured.err.splitlines()[2:]
+    err = captured.err.splitlines()
+    cell_lines, lines, assembly = err[:2], err[2:8], err[8:]
     # the primal complex is the sphere of rhoQ, the dual one a point
     sphere = sphere_complex("rhoQ", "Q8")
     for line, side, c in zip(cell_lines, ("primal", "dual"), (sphere, point_complex("Q8"))):
@@ -152,6 +155,21 @@ def test_homology_stats_go_to_stderr(capsys):
     chain, core, top = (int(w) for w in re.findall(r"\d+", lines[0].split(":")[1]))
     assert core <= chain and top >= 0
     assert "chain generators" in lines[0] and "largest core entry" in lines[0]
+    # one cell pair per sphere cell, the dual complex being a point
+    eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
+    _check_assembly_lines(assembly, sphere, eng, 1)
+
+
+def _check_assembly_lines(lines, sphere, eng, sign):
+    """The cell-pair and block lines: a point paired with each sphere cell,
+    in degree n for a primal sphere (sign 1) and -n for a dual one (-1)."""
+    per_degree = " ".join(f"{sign * n}:{len(sphere.cells[n])}" for n in sorted(
+        sphere.cells, key=lambda n: sign * n))
+    assert lines == [
+        f"cell pairs per level: {sphere.ncells()} (by degree {per_degree})",
+        f"distinct orbit-map blocks built: {eng.assembly_sizes()[1]}",
+    ]
+    assert eng.assembly_sizes()[1] > 0
 
 
 def test_homology_prints_no_stats_by_default(capsys):
@@ -174,9 +192,11 @@ def test_cohomology_stats_go_to_stderr(capsys):
     assert lines[0] == "primal cells per degree: 0:1 (1 in all)"
     per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(sphere.cells.items()))
     assert lines[1] == f"dual cells per degree: {per_degree} ({sphere.ncells()} in all)"
-    assert [ln.split(":")[0] for ln in lines[2:]] == [
+    assert [ln.split(":")[0] for ln in lines[2:8]] == [
         f"level {h}" for h in ("e", "Z", "L", "D", "R", "Q8")
     ]
+    eng = cached_engine(named("Q8", "Z"), dual=sphere)  # the one the command cached
+    _check_assembly_lines(lines[8:], sphere, eng, -1)
 
 
 def test_isomorphism_search_limit_is_reported(capsys, monkeypatch):
