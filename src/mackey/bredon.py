@@ -37,7 +37,15 @@ from .exactalg import (
     ReducedComplex,
     induced_on_homology,
 )
-from .functors import MackeyFunctor, covering_pairs, is_isomorphic
+from .functors import (
+    RECOGNITION,
+    LruMemo,
+    MackeyFunctor,
+    content_key,
+    covering_pairs,
+    is_isomorphic,
+    strip_g_summands,
+)
 from .grouplat import Group, group
 from .repcw import (
     BurnsideComplex,
@@ -53,27 +61,8 @@ class AxiomFailure(Exception):
     pass
 
 
-# content keys of the validated coefficients, least recently used first
-_VALIDATED_COEFFS: dict[tuple, None] = {}
-_VALIDATED_COEFFS_SIZE = 64
-
-
-def _content_key(coeff: MackeyFunctor) -> tuple:
-    """Everything check_axioms reads, so equal keys get equal verdicts."""
-
-    def maps(d):
-        return tuple(sorted(
-            (k, h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items()
-        ))
-
-    return (
-        coeff.group_name,
-        coeff.is_zmodule,
-        tuple(sorted((s, lvl.orders) for s, lvl in coeff.levels.items())),
-        maps(coeff.res),
-        maps(coeff.tr),
-        maps(coeff.weyl),
-    )
+# content keys of the validated coefficients
+_VALIDATED_COEFFS = LruMemo(64)
 
 
 def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
@@ -82,19 +71,15 @@ def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
     functor mutated after validation is checked again."""
     from .functors import check_axioms
 
-    key = _content_key(coeff)
-    if key in _VALIDATED_COEFFS:
-        del _VALIDATED_COEFFS[key]
-    else:
+    def check():
         # Composites memoised before a change would outlive it: drop them so
         # the check and every engine built afterwards read the current maps.
         coeff.__dict__.pop("_map_memo", None)
         report = check_axioms(coeff)
         if not report.ok:
             raise AxiomFailure(str(report))
-    _VALIDATED_COEFFS[key] = None  # now the most recently used
-    if len(_VALIDATED_COEFFS) > _VALIDATED_COEFFS_SIZE:
-        del _VALIDATED_COEFFS[next(iter(_VALIDATED_COEFFS))]
+
+    _VALIDATED_COEFFS.recall(content_key(coeff), check)
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +405,22 @@ class MackeyHomology:
 
 
 def identify(m: MackeyFunctor) -> str | None:
-    """Best catalog name (possibly a sum with a power of g) for m."""
+    """Best catalog name (possibly a sum with a power of g) for m, once per
+    content of m while the group's catalog table is the same object."""
     if m.is_trivial():
         return "0"
-    from .functors import strip_g_summands
+    table = catalog(m.group_name)
+    name, _ = RECOGNITION.recall(("identify", content_key(m)),
+                                 lambda: (_identify(m, table), table),
+                                 lambda v: v[1] is table)
+    return name
 
+
+def _identify(m: MackeyFunctor, table: dict[str, MackeyFunctor]) -> str | None:
     k, red = strip_g_summands(m)
     gpart = "" if k == 0 else ("g" if k == 1 else f"g^{k}")
     if red.is_trivial():
         return gpart or None
-    table = catalog(m.group_name)
     names = sorted(table, key=lambda nm: (len(nm), nm))
     g = m.group()
     for nm in names:
@@ -474,15 +465,14 @@ def _named(f: MackeyFunctor) -> tuple[MackeyFunctor, str | None]:
 
 def _engine_content(coeff, primal, dual, offset) -> tuple:
     """Everything an engine computes from, complexes in the order it reads them."""
-    return (_content_key(coeff), offset) + tuple(
+    return (content_key(coeff), offset) + tuple(
         (c.group_name, tuple(c.cells.items()),
          tuple((n, tuple(d.items())) for n, d in c.diff.items()))
         for c in (primal, dual))
 
 
-# engines by the hash of their content, least recently used first
-_ENGINE_CACHE: dict[int, MackeyHomology] = {}
-_ENGINE_CACHE_SIZE = 64
+# engines by the hash of their content
+_ENGINE_CACHE = LruMemo(64)
 
 
 def cached_engine(coeff: MackeyFunctor, primal: BurnsideComplex | None = None,
@@ -494,14 +484,10 @@ def cached_engine(coeff: MackeyFunctor, primal: BurnsideComplex | None = None,
     # the key is the content's hash, not the content (kilobytes per engine);
     # a hit is confirmed on the full content, which also refuses an engine
     # whose coefficients or complexes changed since (it reads them lazily)
-    key = hash(want)
-    eng = _ENGINE_CACHE.pop(key, None)
-    if eng is None or _engine_content(eng.coeff, eng.primal, eng.dual, eng.offset) != want:
-        eng = MackeyHomology(coeff, primal=primal, dual=dual, offset=offset)
-    _ENGINE_CACHE[key] = eng  # now the most recently used
-    if len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:
-        del _ENGINE_CACHE[next(iter(_ENGINE_CACHE))]
-    return eng
+    return _ENGINE_CACHE.recall(
+        hash(want),
+        lambda: MackeyHomology(coeff, primal=primal, dual=dual, offset=offset),
+        lambda eng: _engine_content(eng.coeff, eng.primal, eng.dual, eng.offset) == want)
 
 
 def suspension_engine(

@@ -24,6 +24,7 @@ from .bredon import (
 from .catalog import named
 from .chart import golden_page, render_ascii, render_svg, validate_differentials
 from .functors import (
+    RECOGNITION,
     MackeyFunctor,
     check_axioms,
     covering_pairs,
@@ -137,7 +138,8 @@ def _print_graded(results, as_json: bool) -> None:
 
 def _print_stats(eng) -> None:
     """Cells per degree of the engine's complexes, each level's chain and
-    reduced-core sizes, then its cell pairs and orbit-map blocks, on stderr."""
+    reduced-core sizes, its cell pairs and orbit-map blocks, then the
+    recognition memo's hits, misses and entries so far, on stderr."""
     for side, c in (("primal", eng.primal), ("dual", eng.dual)):
         per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
         print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
@@ -153,6 +155,8 @@ def _print_stats(eng) -> None:
     print(f"cell pairs per level: {sum(pairs.values())} (by degree {per_degree})",
           file=sys.stderr)
     print(f"distinct orbit-map blocks built: {blocks}", file=sys.stderr)
+    print(f"recognition memo: {RECOGNITION.hits} hits, {RECOGNITION.misses} misses, "
+          f"{len(RECOGNITION)} entries", file=sys.stderr)
 
 
 def cmd_homology(args) -> int:

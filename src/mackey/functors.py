@@ -13,6 +13,7 @@ Only covering-pair maps are stored; maps along longer chains are composites
 from __future__ import annotations
 
 import itertools
+import marshal
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
@@ -171,6 +172,28 @@ def covering_pairs(g: Group) -> list[tuple[str, str]]:
         for c in g.covers(s):
             out.append((s.name, c.name))
     return out
+
+
+def content_key(m: MackeyFunctor) -> bytes:
+    """Everything the axiom check and recognition read of m: group,
+    is_zmodule, level orders and the res/tr/Weyl matrices (not the name).
+    Equal keys get equal verdicts.
+
+    The key is one bytes string in marshal format 0, which shares no
+    objects, so equal values encode to equal bytes: it is smaller than the
+    nested tuples it encodes, and its hash is cached."""
+
+    def maps(d):
+        return sorted((k, h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items())
+
+    return marshal.dumps((
+        m.group_name,
+        m.is_zmodule,
+        sorted((s, lvl.orders) for s, lvl in m.levels.items()),
+        maps(m.res),
+        maps(m.tr),
+        maps(m.weyl),
+    ), 0)
 
 
 def data_equal(a: MackeyFunctor, b: MackeyFunctor) -> bool:
@@ -503,6 +526,53 @@ def ses_check(i: MackeyMorphism, p: MackeyMorphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# recognition memo
+
+_MISSING = object()
+
+
+class LruMemo:
+    """Values by key, least recently used first, at most ``size`` of them,
+    with counts of hits and misses."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.hits = 0
+        self.misses = 0
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def recall(self, key, compute, confirm=None):
+        """The value stored under key if ``confirm(value)`` accepts it (or
+        no confirm is given); otherwise compute() is stored and returned.
+        An exception from compute is not stored, so it is raised again on
+        the next call."""
+        value = self._entries.pop(key, _MISSING)
+        if value is _MISSING or (confirm is not None and not confirm(value)):
+            self.misses += 1
+            value = compute()
+        else:
+            self.hits += 1
+        self._entries[key] = value  # now the most recently used
+        while len(self._entries) > self.size:
+            del self._entries[next(iter(self._entries))]
+        return value
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = 0
+
+
+# Results of strip_g_summands, is_isomorphic, bredon.identify and the
+# expected side of match_expression.  Keys are built from content_key tuples,
+# never from id() or a name, so equal functors share one result and a
+# mutated functor is a new key.
+RECOGNITION = LruMemo(1024)
+
+
+# ---------------------------------------------------------------------------
 # isomorphism testing
 
 
@@ -600,7 +670,9 @@ def _weyl_pairs(a: MackeyFunctor, b: MackeyFunctor, s: str, elements) -> set:
 
 
 def is_isomorphic(a: MackeyFunctor, b: MackeyFunctor) -> bool:
-    return find_isomorphism(a, b) is not None
+    """Whether find_isomorphism finds a map, once per pair of contents."""
+    return RECOGNITION.recall(("iso", content_key(a), content_key(b)),
+                              lambda: find_isomorphism(a, b) is not None)
 
 
 def find_isomorphism(a: MackeyFunctor, b: MackeyFunctor) -> dict[str, AbHom] | None:
@@ -716,7 +788,22 @@ def restrict_functor(m: MackeyFunctor, sub_name: str) -> MackeyFunctor:
 
 def strip_g_summands(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
     """Return (k, complement) with m isomorphic to complement + g^k and k
-    maximal."""
+    maximal; the complement is m itself when k = 0.  Computed once per
+    content of m."""
+
+    def compute():
+        k, red = _strip_g(m)
+        return (0, None, None) if k == 0 else (k, red, content_key(red))
+
+    # a complement handed out before may have been changed since
+    k, red, red_key = RECOGNITION.recall(
+        ("strip", content_key(m)), compute,
+        lambda v: v[0] == 0 or content_key(v[1]) == v[2])
+    return (0, m) if k == 0 else (k, red)
+
+
+def _strip_g(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
+    """strip_g_summands, computed."""
     from .exactalg import homology_at
 
     g = m.group()
@@ -853,19 +940,35 @@ def match_expression(m: MackeyFunctor, expr: str) -> bool:
     Powers of g are compared through the canonical g-splitting, so large
     elementary top levels never reach the exhaustive search.
     """
-    from .catalog import named
-
-    terms = parse_expression(expr)
-    g_count = sum(mult for nm, mult in terms if nm == "g")
-    base = zero_functor(m.group_name)
-    for nm, mult in terms:
-        if nm == "g":
-            continue
-        f = named(m.group_name, nm)
-        for _ in range(mult):
-            base = base.direct_sum(f)
+    g_count, k_b, red_b = _expected_split(m.group_name, parse_expression(expr))
     k_m, red_m = strip_g_summands(m)
-    k_b, red_b = strip_g_summands(base)
     if k_m != g_count + k_b:
         return False
     return is_isomorphic(red_m, red_b)
+
+
+def _expected_split(group_name: str, terms: list[tuple[str, int]]) -> tuple:
+    """(explicit powers of g, then strip_g_summands of the sum of the other
+    terms), once per group, terms and content of the catalog functors they
+    name."""
+    from .catalog import named
+
+    summands = [(named(group_name, nm), mult) for nm, mult in terms if nm != "g"]
+
+    def compute():
+        # a lone summand is the catalog functor itself, not a copy of it:
+        # 0 + f is data-equal to f
+        parts = [f for f, mult in summands for _ in range(mult)]
+        base = parts[0] if parts else zero_functor(group_name)
+        for f in parts[1:]:
+            base = base.direct_sum(f)
+        k, red = strip_g_summands(base)
+        g_count = sum(mult for nm, mult in terms if nm == "g")
+        return g_count, k, red, content_key(red)
+
+    key = ("expected", group_name, tuple(terms),
+           tuple(content_key(f) for f, _ in summands))
+    # the complement may be one strip_g_summands handed out and then changed
+    g_count, k, red, _ = RECOGNITION.recall(
+        key, compute, lambda v: content_key(v[2]) == v[3])
+    return g_count, k, red

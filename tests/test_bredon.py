@@ -31,6 +31,7 @@ from mackey.bredon import (
 from mackey.catalog import named
 from mackey.exactalg import AbHom, FgAbelian, induced_on_homology
 from mackey.functors import (
+    LruMemo,
     MackeyFunctor,
     box_dual,
     check_axioms,
@@ -313,12 +314,12 @@ def test_engine_cache_is_keyed_on_coefficient_content():
 def test_engine_cache_is_bounded():
     bredon._ENGINE_CACHE.clear()
     coeff = expression_functor("C2", "Z")
-    for k in range(1, bredon._ENGINE_CACHE_SIZE + 5):
+    for k in range(1, bredon._ENGINE_CACHE.size + 5):
         # a point at offset k, and a suspended point at offset 0: the
         # entry points share the cache and its bound
         suspension_engine("C2", str(k), expression_functor("C2", "Z"))
         homology_mackey(suspend(point_complex("C2"), k), coeff, k)
-        assert len(bredon._ENGINE_CACHE) == min(2 * k, bredon._ENGINE_CACHE_SIZE)
+        assert len(bredon._ENGINE_CACHE) == min(2 * k, bredon._ENGINE_CACHE.size)
 
 
 def _count_engines(monkeypatch):
@@ -331,7 +332,7 @@ def _count_engines(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MackeyHomology, "__init__", counting_init)
-    monkeypatch.setattr(bredon, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(bredon._ENGINE_CACHE.size))
     return built
 
 
@@ -426,8 +427,7 @@ def test_validated_coefficients_are_bounded_and_evicted_ones_checked_again(monke
         return check_axioms(coeff)
 
     monkeypatch.setattr("mackey.functors.check_axioms", counting_check)
-    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", {})
-    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS_SIZE", 2)
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo(2))
     z, zstar, f = (named("C2", nm) for nm in ("Z", "Z*", "F"))
     for coeff in (z, zstar, z, f):
         MackeyHomology(coeff)

@@ -8,6 +8,7 @@ import pytest
 from mackey.bredon import cached_engine, suspension_engine
 from mackey.catalog import named
 from mackey.cli import main
+from mackey.functors import RECOGNITION
 from mackey.repcw import point_complex, sphere_complex
 
 
@@ -137,11 +138,13 @@ def test_homology_stats_go_to_stderr(capsys):
         "homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4",
         "--stats",
     ])
+    memo = _memo_line()  # nothing has been recognised since the command printed it
     captured = capsys.readouterr()
     assert code == 0
     assert "4: B(3,0)" in captured.out and "level" not in captured.out
     err = captured.err.splitlines()
-    cell_lines, lines, assembly = err[:2], err[2:8], err[8:]
+    cell_lines, lines, assembly = err[:2], err[2:8], err[8:10]
+    assert err[10:] == [memo]
     # the primal complex is the sphere of rhoQ, the dual one a point
     sphere = sphere_complex("rhoQ", "Q8")
     for line, side, c in zip(cell_lines, ("primal", "dual"), (sphere, point_complex("Q8"))):
@@ -158,6 +161,11 @@ def test_homology_stats_go_to_stderr(capsys):
     # one cell pair per sphere cell, the dual complex being a point
     eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
     _check_assembly_lines(assembly, sphere, eng, 1)
+
+
+def _memo_line():
+    return (f"recognition memo: {RECOGNITION.hits} hits, "
+            f"{RECOGNITION.misses} misses, {len(RECOGNITION)} entries")
 
 
 def _check_assembly_lines(lines, sphere, eng, sign):
@@ -183,10 +191,16 @@ def test_cohomology_stats_go_to_stderr(capsys):
     assert main(argv) == 0
     plain = capsys.readouterr()
     assert plain.err == ""
+    hits, misses = RECOGNITION.hits, RECOGNITION.misses
     assert main(argv + ["--stats"]) == 0
+    memo = _memo_line()
     captured = capsys.readouterr()
     assert captured.out == plain.out
     lines = captured.err.splitlines()
+    # the same cells again: every nonzero one is recognised from the memo
+    assert RECOGNITION.misses == misses
+    assert RECOGNITION.hits - hits == len(plain.out.splitlines()) > 0
+    assert lines[10:] == [memo]
     # cohomology reads the sphere of rhoQ as the dual complex
     sphere = sphere_complex("rhoQ", "Q8")
     assert lines[0] == "primal cells per degree: 0:1 (1 in all)"
@@ -196,7 +210,7 @@ def test_cohomology_stats_go_to_stderr(capsys):
         f"level {h}" for h in ("e", "Z", "L", "D", "R", "Q8")
     ]
     eng = cached_engine(named("Q8", "Z"), dual=sphere)  # the one the command cached
-    _check_assembly_lines(lines[8:], sphere, eng, -1)
+    _check_assembly_lines(lines[8:10], sphere, eng, -1)
 
 
 def test_isomorphism_search_limit_is_reported(capsys, monkeypatch):

@@ -10,16 +10,21 @@ import pytest
 
 from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian, NonComposable
+from mackey.bredon import identify, suspension_homotopy
 from mackey.functors import (
+    RECOGNITION,
     MackeyFunctor,
     MackeyMorphism,
     IsomorphismSearchLimit,
     Mismatch,
     MixedTorsion,
     UnknownName,
+    _strip_g,
     box_dual,
     check_axioms,
+    content_key,
     covering_pairs,
+    data_equal,
     expression_functor,
     find_isomorphism,
     is_isomorphic,
@@ -28,6 +33,7 @@ from mackey.functors import (
     strip_g_summands,
     zero_functor,
 )
+from mackey.golden import degree_table
 from mackey.grouplat import group
 
 
@@ -399,6 +405,151 @@ def test_isomorphism_search_leaves_no_reference_cycles():
     try:
         assert is_isomorphic(z, z)
         assert not is_isomorphic(z, box_dual(z))
+        # is_isomorphic may answer from the recognition memo; search again
+        assert find_isomorphism(z, z) is not None
+        assert find_isomorphism(z, box_dual(z)) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the recognition memo
+
+
+def _check_memoised(m, others):
+    """strip_g_summands and is_isomorphic, asked twice (the second time from
+    the memo), agree with the computations they memoise."""
+    k, red = _strip_g(m)
+    for _ in range(2):
+        k2, red2 = strip_g_summands(m)
+        assert k2 == k and data_equal(red2, red)
+        if k == 0:
+            assert red2 is m
+        for other in others:
+            want = find_isomorphism(red, other) is not None
+            assert is_isomorphic(red, other) is want
+            assert is_isomorphic(red2, other) is want
+
+
+def test_memoised_recognition_agrees_on_catalog_pairs():
+    for gname in ALL_GROUPS:
+        table = catalog(gname)
+        for nm in sorted(table):
+            _check_memoised(table[nm], [table[x] for x in sorted(table)])
+
+
+def test_memoised_recognition_agrees_on_a_slice_grid_row():
+    key = "2rhoQ phi_Z(F)"
+    row = degree_table("slice_homotopy.txt")[key]
+    rep, coeff = key.split()
+    degrees = range(min(row), max(row) + 1)
+    got = suspension_homotopy("Q8", rep, expression_functor("Q8", coeff), degrees)
+    table = catalog("Q8")
+    for n in degrees:
+        f = got[n][0]
+        _check_memoised(f, [f] + [table[x] for x in sorted(table)])
+        assert match_expression(f, row.get(n, ""))
+    assert any(strip_g_summands(got[n][0])[0] for n in degrees)
+
+
+def test_memo_is_keyed_on_content_not_on_the_object_or_name():
+    z = named("Q8", "Z")
+    assert identify(z) == "Z" and strip_g_summands(z)[1] is z and is_isomorphic(z, z)
+    misses = RECOGNITION.misses
+    for same in (expression_functor("Q8", "Z"), z.with_name("renamed")):
+        assert same is not z and content_key(same) == content_key(z)
+        assert identify(same) == "Z"
+        assert strip_g_summands(same)[1] is same
+        assert is_isomorphic(same, z)
+    assert RECOGNITION.misses == misses
+
+
+def test_changed_res_matrix_changes_the_next_answer():
+    for gname in ("C2", "Q8"):
+        f = expression_functor(gname, "Z")
+        assert identify(f) == "Z" and match_expression(f, "Z")
+        pair = covering_pairs(group(gname))[0]
+        old = f.res[pair]
+        f.res[pair] = AbHom(old.dom, old.cod, ((2,),))
+        assert identify(f) != "Z"
+        assert not match_expression(f, "Z")
+        f.res[pair] = old
+        assert identify(f) == "Z" and match_expression(f, "Z")
+
+
+def _bump_res(m):
+    """Add 1 to the top left entry of m's first nonempty res matrix."""
+    for key, h in m.res.items():
+        if h.dom.ngens and h.cod.ngens:
+            rows = [list(r) for r in h.matrix]
+            rows[0][0] += 1
+            m.res[key] = AbHom(h.dom, h.cod, tuple(map(tuple, rows)))
+            return
+    raise AssertionError("no res entry to change")
+
+
+def test_mutated_complement_does_not_poison_later_lookups():
+    expr = "m + g^2"
+    k, want = _strip_g(expression_functor("Q8", expr))
+    assert k == 2 and not want.is_trivial()
+    for _ in range(2):
+        k1, red = strip_g_summands(expression_functor("Q8", expr))
+        assert k1 == 2 and data_equal(red, want)
+        _bump_res(red)
+        again = expression_functor("Q8", expr)
+        k2, red2 = strip_g_summands(again)
+        assert k2 == 2 and red2 is not red and data_equal(red2, want)
+        assert match_expression(again, expr)
+        assert identify(again) == "m+g^2"
+    # the expected side of match_expression: C2 B(1,0) is g plus a zero
+    # complement, which strip_g_summands hands out to anyone who asks
+    b10 = expression_functor("C2", "B(1,0)")
+    assert match_expression(b10, "B(1,0)")
+    k, red = strip_g_summands(expression_functor("C2", "B(1,0)"))
+    assert k == 1 and red.is_trivial()
+    red.levels["C2"] = FgAbelian((3,))
+    assert match_expression(b10, "B(1,0)")
+    assert match_expression(expression_functor("C2", "B(1,0)"), "B(1,0)")
+    # with k = 0 the caller's own functor comes back, and changing it makes
+    # a new content
+    z = expression_functor("K4", "m")
+    assert strip_g_summands(z)[1] is z
+    _bump_res(z)
+    assert not match_expression(z, "m")
+    assert match_expression(expression_functor("K4", "m"), "m")
+
+
+def test_search_limit_is_raised_on_every_call():
+    zz = expression_functor("C2", "Z+Z")
+    for _ in range(2):
+        with pytest.raises(IsomorphismSearchLimit, match="free rank"):
+            is_isomorphic(zz, zz)
+    for _ in range(2):
+        with pytest.raises(IsomorphismSearchLimit, match="free rank"):
+            match_expression(zz, "Z+Z")
+
+
+def test_memo_never_grows_past_its_bound(monkeypatch):
+    monkeypatch.setattr(RECOGNITION, "size", 5)
+    table = catalog("K4")
+    for nm in sorted(table):
+        strip_g_summands(table[nm])
+        assert len(RECOGNITION) <= 5
+        for other in sorted(table):
+            is_isomorphic(table[nm], table[other])
+            assert len(RECOGNITION) <= 5
+    assert len(RECOGNITION) == 5
+    # least recently used first out: the last pair asked is still there
+    hits = RECOGNITION.hits
+    is_isomorphic(table[nm], table[other])
+    assert RECOGNITION.hits == hits + 1
+
+
+def test_identify_answers_from_the_catalog_in_use(monkeypatch):
+    z = expression_functor("C2", "Z")
+    assert identify(z) == "Z"
+    monkeypatch.setattr("mackey.bredon.catalog", lambda g: {"other": named(g, "Z")})
+    assert identify(z) == "other"
+    monkeypatch.undo()
+    assert identify(z) == "Z"
