@@ -41,7 +41,6 @@ from .functors import (
     RECOGNITION,
     LruMemo,
     MackeyFunctor,
-    content_key,
     covering_pairs,
     is_isomorphic,
     strip_g_summands,
@@ -67,19 +66,15 @@ _VALIDATED_COEFFS = LruMemo(64)
 
 def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
     """Coefficient systems must satisfy the Mackey axioms; checked once per
-    content while that content is among the most recently validated, so a
-    functor mutated after validation is checked again."""
+    content while that content is among the most recently validated."""
     from .functors import check_axioms
 
     def check():
-        # Composites memoised before a change would outlive it: drop them so
-        # the check and every engine built afterwards read the current maps.
-        coeff.__dict__.pop("_map_memo", None)
         report = check_axioms(coeff)
         if not report.ok:
             raise AxiomFailure(str(report))
 
-    _VALIDATED_COEFFS.recall(content_key(coeff), check)
+    _VALIDATED_COEFFS.recall(coeff.content_key, check)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +401,14 @@ class MackeyHomology:
 
 def identify(m: MackeyFunctor) -> str | None:
     """Best catalog name (possibly a sum with a power of g) for m, once per
-    content of m while the group's catalog table is the same object."""
+    content of m."""
     if m.is_trivial():
         return "0"
+    return RECOGNITION.recall(("identify", m.content_key), lambda: _identify(m))
+
+
+def _identify(m: MackeyFunctor) -> str | None:
     table = catalog(m.group_name)
-    name, _ = RECOGNITION.recall(("identify", content_key(m)),
-                                 lambda: (_identify(m, table), table),
-                                 lambda v: v[1] is table)
-    return name
-
-
-def _identify(m: MackeyFunctor, table: dict[str, MackeyFunctor]) -> str | None:
     k, red = strip_g_summands(m)
     gpart = "" if k == 0 else ("g" if k == 1 else f"g^{k}")
     if red.is_trivial():
@@ -463,15 +455,7 @@ def _named(f: MackeyFunctor) -> tuple[MackeyFunctor, str | None]:
     return (f.with_name(nm) if nm else f, nm)
 
 
-def _engine_content(coeff, primal, dual, offset) -> tuple:
-    """Everything an engine computes from, complexes in the order it reads them."""
-    return (content_key(coeff), offset) + tuple(
-        (c.group_name, tuple(c.cells.items()),
-         tuple((n, tuple(d.items())) for n, d in c.diff.items()))
-        for c in (primal, dual))
-
-
-# engines by the hash of their content
+# engines by the content of their coefficients and complexes, and offset
 _ENGINE_CACHE = LruMemo(64)
 
 
@@ -480,14 +464,9 @@ def cached_engine(coeff: MackeyFunctor, primal: BurnsideComplex | None = None,
     """MackeyHomology(coeff, primal, dual, offset), one engine per content."""
     point = point_complex(coeff.group_name)
     primal, dual = (point if c is None else c for c in (primal, dual))
-    want = _engine_content(coeff, primal, dual, offset)
-    # the key is the content's hash, not the content (kilobytes per engine);
-    # a hit is confirmed on the full content, which also refuses an engine
-    # whose coefficients or complexes changed since (it reads them lazily)
     return _ENGINE_CACHE.recall(
-        hash(want),
-        lambda: MackeyHomology(coeff, primal=primal, dual=dual, offset=offset),
-        lambda eng: _engine_content(eng.coeff, eng.primal, eng.dual, eng.offset) == want)
+        (coeff.content_key, offset, primal.content_key, dual.content_key),
+        lambda: MackeyHomology(coeff, primal=primal, dual=dual, offset=offset))
 
 
 def suspension_engine(

@@ -23,6 +23,8 @@ included; the test suite enforces this.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .exactalg import AbHom, FgAbelian, identity, mat
 from .functors import MackeyFunctor, box_dual, covering_pairs, UnknownName
@@ -293,7 +295,8 @@ def _t_catalog() -> dict[str, MackeyFunctor]:
 
 
 @lru_cache(maxsize=None)
-def catalog(group_name: str) -> dict[str, MackeyFunctor]:
+def catalog(group_name: str) -> Mapping[str, MackeyFunctor]:
+    """The group's named functors, as a read-only table."""
     builders = {
         "T": _t_catalog,
         "C2": _c2_catalog,
@@ -305,7 +308,7 @@ def catalog(group_name: str) -> dict[str, MackeyFunctor]:
 
     name = canonical_group_name(group_name)
     table = builders[name]()
-    return {nm: f.with_name(nm) for nm, f in table.items()}
+    return MappingProxyType({nm: f.with_name(nm) for nm, f in table.items()})
 
 
 def canonical_name(raw: str) -> str:

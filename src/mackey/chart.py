@@ -52,9 +52,6 @@ class ChartPage:
     differentials: list[Differential]
     flags: dict[tuple[int, int, int], set[str]] = field(default_factory=dict)
 
-    def entry_names(self, x: int, y: int) -> list[str]:
-        return self.entries.get((x, y), [])
-
 
 def golden_chart(group_name: str, n: int) -> ChartData:
     from .golden import chart_table
@@ -98,10 +95,6 @@ def _ratio(before, after):
             return None
         out.append(b // a)
     return tuple(out)
-
-
-def _vec_mul(a, b):
-    return tuple(x * y for x, y in zip(a, b))
 
 
 @dataclass

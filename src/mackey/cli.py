@@ -35,7 +35,7 @@ from .functors import (
 )
 from .golden import degree_table, slice_table
 from .grouplat import canonical_group_name, group
-from .inflation import phi_inflate, psi_inflate, q_push
+from .inflation import phi_inflate, psi_inflate, q_push, quotient_onto
 from .repcw import parse_rep, sphere_complex
 from .slices import e2_page, r_tower, slice_list, slice_tower
 
@@ -103,22 +103,10 @@ def cmd_inflate(args) -> int:
     src = canonical_group_name(args.src)
     tgt = canonical_group_name(args.to)
     if args.kind == "push":
-        big = group(src)
-        qm = next(
-            big.quotient(n)
-            for n in big.subgroups()
-            if big.quotient(n).target == tgt and 1 < n.order < big.order
-        )
-        out = q_push(qm, named(src, args.name))
+        out = q_push(quotient_onto(src, tgt), named(src, args.name))
     else:
-        big = group(tgt)
-        qm = next(
-            big.quotient(n)
-            for n in big.subgroups()
-            if big.quotient(n).target == src and 1 < n.order < big.order
-        )
         f = psi_inflate if args.kind == "psi" else phi_inflate
-        out = f(qm, named(src, args.name))
+        out = f(quotient_onto(tgt, src), named(src, args.name))
     print_functor(out.with_name(identify(out) or ""), args.json)
     return 0
 
@@ -455,8 +443,9 @@ def _add_stats_flag(s: argparse.ArgumentParser) -> None:
     s.add_argument(
         "--stats", action="store_true",
         help="print the cells per degree of the complexes, each level's "
-        "chain and reduced-core sizes, the cell pairs per level and the "
-        "orbit-map blocks built to stderr",
+        "chain and reduced-core sizes, the cell pairs per level, the "
+        "orbit-map blocks built and the recognition memo's hits, misses "
+        "and entries to stderr",
     )
 
 

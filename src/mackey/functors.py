@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 import marshal
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
+from types import MappingProxyType
+from typing import Mapping
 
 from .exactalg import AbHom, FgAbelian, NonComposable, identity, _mat_mul_mod
 from .grouplat import Group, Subgroup, group
@@ -39,34 +41,56 @@ class IsomorphismSearchLimit(NotImplementedError):
     more, or more than 300,000 candidate matrices."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MackeyFunctor:
+    """A value: every field is read-only, and the maps are private
+    read-only copies of the dicts it was built from, so a functor handed
+    out by a cache or the catalog cannot change under its other holders."""
+
     group_name: str
-    levels: dict[str, FgAbelian]
-    res: dict[tuple[str, str], AbHom]  # (sub, cover) -> level(cover) -> level(sub)
-    tr: dict[tuple[str, str], AbHom]  # (sub, cover) -> level(sub) -> level(cover)
-    weyl: dict[tuple[str, str], AbHom] = field(default_factory=dict)
+    levels: Mapping[str, FgAbelian]
+    res: Mapping[tuple[str, str], AbHom]  # (sub, cover) -> level(cover) -> level(sub)
+    tr: Mapping[tuple[str, str], AbHom]  # (sub, cover) -> level(sub) -> level(cover)
+    weyl: Mapping[tuple[str, str], AbHom] = field(default_factory=dict)
     is_zmodule: bool = True
     name: str | None = None
 
     def __post_init__(self):
+        for f in ("levels", "res", "tr", "weyl"):
+            object.__setattr__(self, f, MappingProxyType(dict(getattr(self, f))))
+        object.__setattr__(self, "_map_memo", {})  # composites and identities
         g = self.group()
         for s in g.subgroups():
             if s.name not in self.levels:
                 raise ValueError(f"missing level {s.name}")
+
+    @cached_property
+    def content_key(self) -> bytes:
+        """Everything the axiom check and recognition read: group,
+        is_zmodule, level orders and the res/tr/Weyl matrices (not the
+        name).  Equal keys get equal verdicts.
+
+        The key is one bytes string in marshal format 0, which shares no
+        objects, so equal values encode to equal bytes: it is smaller than
+        the nested tuples it encodes, and its hash is cached."""
+
+        def maps(d):
+            return sorted((k, h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items())
+
+        return marshal.dumps((
+            self.group_name,
+            self.is_zmodule,
+            sorted((s, lvl.orders) for s, lvl in self.levels.items()),
+            maps(self.res),
+            maps(self.tr),
+            maps(self.weyl),
+        ), 0)
 
     def group(self) -> Group:
         return group(self.group_name)
 
     def level(self, sub: str) -> FgAbelian:
         return self.levels[sub]
-
-    def _memo(self) -> dict:
-        memo = self.__dict__.get("_map_memo")
-        if memo is None:
-            memo = {}
-            self.__dict__["_map_memo"] = memo
-        return memo
 
     def _chain(self, low: str, high: str) -> list[str]:
         g = self.group()
@@ -83,7 +107,7 @@ class MackeyFunctor:
 
     def res_map(self, low: str, high: str) -> AbHom:
         """Restriction level(high) -> level(low), composed along the lattice."""
-        memo = self._memo()
+        memo = self._map_memo
         key = ("res", low, high)
         if key not in memo:
             chain = self._chain(low, high)
@@ -94,7 +118,7 @@ class MackeyFunctor:
         return memo[key]
 
     def tr_map(self, low: str, high: str) -> AbHom:
-        memo = self._memo()
+        memo = self._map_memo
         key = ("tr", low, high)
         if key not in memo:
             chain = self._chain(low, high)
@@ -107,7 +131,7 @@ class MackeyFunctor:
     def weyl_action(self, sub: str, elem: str) -> AbHom:
         h = self.weyl.get((sub, elem))
         if h is None:
-            memo = self._memo()
+            memo = self._map_memo
             key = ("weyl_id", sub)
             h = memo.get(key)
             if h is None:
@@ -172,28 +196,6 @@ def covering_pairs(g: Group) -> list[tuple[str, str]]:
         for c in g.covers(s):
             out.append((s.name, c.name))
     return out
-
-
-def content_key(m: MackeyFunctor) -> bytes:
-    """Everything the axiom check and recognition read of m: group,
-    is_zmodule, level orders and the res/tr/Weyl matrices (not the name).
-    Equal keys get equal verdicts.
-
-    The key is one bytes string in marshal format 0, which shares no
-    objects, so equal values encode to equal bytes: it is smaller than the
-    nested tuples it encodes, and its hash is cached."""
-
-    def maps(d):
-        return sorted((k, h.dom.orders, h.cod.orders, h.matrix) for k, h in d.items())
-
-    return marshal.dumps((
-        m.group_name,
-        m.is_zmodule,
-        sorted((s, lvl.orders) for s, lvl in m.levels.items()),
-        maps(m.res),
-        maps(m.tr),
-        maps(m.weyl),
-    ), 0)
 
 
 def data_equal(a: MackeyFunctor, b: MackeyFunctor) -> bool:
@@ -455,10 +457,8 @@ def box_dual(m: MackeyFunctor) -> MackeyFunctor:
             w = m.weyl_action(s.name, e)
             if w.matrix != identity(w.dom.ngens):
                 weyl[(s.name, e)] = _dual_hom(m.weyl_action(s.name, g.inv(e)))
-    out = MackeyFunctor(m.group_name, levels, res, tr, weyl, m.is_zmodule)
-    if m.name:
-        out.name = m.name[:-1] if m.name.endswith("*") else m.name + "*"
-    return out
+    name = (m.name[:-1] if m.name.endswith("*") else m.name + "*") if m.name else None
+    return MackeyFunctor(m.group_name, levels, res, tr, weyl, m.is_zmodule, name)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +544,12 @@ class LruMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def recall(self, key, compute, confirm=None):
-        """The value stored under key if ``confirm(value)`` accepts it (or
-        no confirm is given); otherwise compute() is stored and returned.
-        An exception from compute is not stored, so it is raised again on
-        the next call."""
+    def recall(self, key, compute):
+        """The value stored under key; otherwise compute() is stored and
+        returned.  An exception from compute is not stored, so it is raised
+        again on the next call."""
         value = self._entries.pop(key, _MISSING)
-        if value is _MISSING or (confirm is not None and not confirm(value)):
+        if value is _MISSING:
             self.misses += 1
             value = compute()
         else:
@@ -566,9 +565,9 @@ class LruMemo:
 
 
 # Results of strip_g_summands, is_isomorphic, bredon.identify and the
-# expected side of match_expression.  Keys are built from content_key tuples,
-# never from id() or a name, so equal functors share one result and a
-# mutated functor is a new key.
+# expected side of match_expression.  Keys are built from content keys, never
+# from id() or a name, so equal functors share one result; functors are
+# values, so a stored result stays true of its key.
 RECOGNITION = LruMemo(1024)
 
 
@@ -671,7 +670,7 @@ def _weyl_pairs(a: MackeyFunctor, b: MackeyFunctor, s: str, elements) -> set:
 
 def is_isomorphic(a: MackeyFunctor, b: MackeyFunctor) -> bool:
     """Whether find_isomorphism finds a map, once per pair of contents."""
-    return RECOGNITION.recall(("iso", content_key(a), content_key(b)),
+    return RECOGNITION.recall(("iso", a.content_key, b.content_key),
                               lambda: find_isomorphism(a, b) is not None)
 
 
@@ -793,12 +792,9 @@ def strip_g_summands(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
 
     def compute():
         k, red = _strip_g(m)
-        return (0, None, None) if k == 0 else (k, red, content_key(red))
+        return (0, None) if k == 0 else (k, red)
 
-    # a complement handed out before may have been changed since
-    k, red, red_key = RECOGNITION.recall(
-        ("strip", content_key(m)), compute,
-        lambda v: v[0] == 0 or content_key(v[1]) == v[2])
+    k, red = RECOGNITION.recall(("strip", m.content_key), compute)
     return (0, m) if k == 0 else (k, red)
 
 
@@ -949,26 +945,19 @@ def match_expression(m: MackeyFunctor, expr: str) -> bool:
 
 def _expected_split(group_name: str, terms: list[tuple[str, int]]) -> tuple:
     """(explicit powers of g, then strip_g_summands of the sum of the other
-    terms), once per group, terms and content of the catalog functors they
-    name."""
+    terms), once per group and terms: the catalog they name is a fixed,
+    read-only table."""
     from .catalog import named
-
-    summands = [(named(group_name, nm), mult) for nm, mult in terms if nm != "g"]
 
     def compute():
         # a lone summand is the catalog functor itself, not a copy of it:
         # 0 + f is data-equal to f
-        parts = [f for f, mult in summands for _ in range(mult)]
+        parts = [named(group_name, nm) for nm, mult in terms if nm != "g"
+                 for _ in range(mult)]
         base = parts[0] if parts else zero_functor(group_name)
         for f in parts[1:]:
             base = base.direct_sum(f)
         k, red = strip_g_summands(base)
-        g_count = sum(mult for nm, mult in terms if nm == "g")
-        return g_count, k, red, content_key(red)
+        return sum(mult for nm, mult in terms if nm == "g"), k, red
 
-    key = ("expected", group_name, tuple(terms),
-           tuple(content_key(f) for f, _ in summands))
-    # the complement may be one strip_g_summands handed out and then changed
-    g_count, k, red, _ = RECOGNITION.recall(
-        key, compute, lambda v: content_key(v[2]) == v[3])
-    return g_count, k, red
+    return RECOGNITION.recall(("expected", group_name, tuple(terms)), compute)

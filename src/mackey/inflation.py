@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .exactalg import AbHom, FgAbelian
 from .functors import MackeyFunctor, covering_pairs, is_isomorphic
-from .grouplat import QuotientMap
+from .grouplat import QuotientMap, group
 
 
 class NotBottleneck(Exception):
@@ -33,6 +33,21 @@ class NotZModule(Exception):
 
 class BottomNotZero(Exception):
     pass
+
+
+class NoQuotient(Exception):
+    pass
+
+
+def quotient_onto(source: str, target: str) -> QuotientMap:
+    """The quotient map of source onto target by a nontrivial proper normal
+    subgroup; raises NoQuotient if there is none."""
+    big = group(source)
+    for n in big.subgroups():
+        if 1 < n.order < big.order and big.quotient(n).target == target:
+            return big.quotient(n)
+    raise NoQuotient(f"{source} has no quotient {target} by a nontrivial "
+                     "proper normal subgroup")
 
 
 def q_push(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:

@@ -25,9 +25,11 @@ level's homology or its induced structure maps.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .grouplat import Group, Subgroup, group, subgroup_iso, subgroup_image_under_iso
 
@@ -236,18 +238,34 @@ def parse_rep(group_name: str, text: str) -> VirtualRep:
 # complexes
 
 
-@dataclass
+@dataclass(frozen=True)
 class BurnsideComplex:
     """Chain complex of formal orbit sums.
 
     cells[n] lists stabilizer names of degree-n cells; diff[n] maps
     (target_index, source_index) to the orbit-map sum from cell
-    cells[n][source] into cells[n-1][target].
+    cells[n][source] into cells[n-1][target].  A value: ``cells``, ``diff``
+    and each degree of ``diff`` are private read-only copies of the dicts
+    it was built from.
     """
 
     group_name: str
-    cells: dict[int, tuple[str, ...]]
-    diff: dict[int, dict[tuple[int, int], OrbitSum]]
+    cells: Mapping[int, tuple[str, ...]]
+    diff: Mapping[int, Mapping[tuple[int, int], OrbitSum]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", MappingProxyType(
+            {n: tuple(cs) for n, cs in self.cells.items()}))
+        object.__setattr__(self, "diff", MappingProxyType(
+            {n: MappingProxyType(dict(d)) for n, d in self.diff.items()}))
+
+    @cached_property
+    def content_key(self) -> bytes:
+        """Group, cells and diff entries in the order an engine reads them,
+        as marshal format 0 bytes (see MackeyFunctor.content_key)."""
+        return marshal.dumps((
+            self.group_name, tuple(self.cells.items()),
+            tuple((n, tuple(d.items())) for n, d in self.diff.items())), 0)
 
     def group(self) -> Group:
         return group(self.group_name)
@@ -268,7 +286,7 @@ def suspend(c: BurnsideComplex, k: int) -> BurnsideComplex:
     if k == 0:
         return c
     cells = {n + k: cs for n, cs in c.cells.items()}
-    diff = {n + k: dict(d) for n, d in c.diff.items()}
+    diff = {n + k: d for n, d in c.diff.items()}
     return BurnsideComplex(c.group_name, cells, diff)
 
 
@@ -363,7 +381,7 @@ def cone_of_unit_sphere(c: BurnsideComplex) -> BurnsideComplex:
         (0, j): osum([(1, g.identity)]) for j in range(len(c.cells.get(0, ())))
     }
     for n, d in c.diff.items():
-        diff[n + 1] = dict(d)
+        diff[n + 1] = d
     out = BurnsideComplex(c.group_name, cells, diff)
     check_boundary(out)
     return out
@@ -641,7 +659,7 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
 # sphere complexes
 
 
-_SPHERE_CACHE: dict[tuple, BurnsideComplex] = {}
+_SPHERE_CACHE: dict[tuple, BurnsideComplex] = {}  # values, so safe to share
 
 
 def sphere_complex(rep: VirtualRep | str, group_name: str | None = None) -> BurnsideComplex:

@@ -10,7 +10,7 @@ import gc
 import itertools
 import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import pytest
@@ -45,6 +45,7 @@ from mackey.golden import degree_table
 from mackey.grouplat import group
 from mackey.repcw import (
     IRREDUCIBLES,
+    BurnsideComplex,
     cone_of_unit_sphere,
     parse_rep,
     point_complex,
@@ -267,30 +268,31 @@ def test_coefficients_changed_after_validation_are_checked_again():
     coeff = expression_functor("Q8", "Z")
     MackeyHomology(coeff)  # validates the constant functor
     key = sorted(coeff.res)[0]
-    coeff.res[key] = AbHom.zero(coeff.res[key].dom, coeff.res[key].cod)
-    assert not check_axioms(coeff).ok
+    zero = AbHom.zero(coeff.res[key].dom, coeff.res[key].cod)
+    changed = replace(coeff, res={**coeff.res, key: zero})
+    assert not check_axioms(changed).ok
     with pytest.raises(AxiomFailure):
-        MackeyHomology(coeff)
-
-
-def test_homology_follows_a_valid_change_of_validated_coefficients():
-    # constant Z over C2 (res 1, tr 2) turned into its dual (res 2, tr 1):
-    # both are valid, and the engine must compute with the new maps
-    coeff = expression_functor("C2", "Z")
-    assert is_isomorphic(MackeyHomology(coeff).functor(0), named("C2", "Z"))
-    z = FgAbelian((0,))
-    coeff.res[("e", "C2")] = AbHom(z, z, ((2,),))
-    coeff.tr[("e", "C2")] = AbHom(z, z, ((1,),))
-    dual = box_dual(named("C2", "Z"))
-    assert is_isomorphic(coeff, dual)
-    assert is_isomorphic(MackeyHomology(coeff).functor(0), dual)
+        MackeyHomology(changed)
+    MackeyHomology(coeff)
 
 
 def _make_dual(coeff):
-    """Turn constant Z over C2 (res 1, tr 2) into its dual (res 2, tr 1)."""
+    """Constant Z over C2 (res 1, tr 2) with the maps of its dual (res 2,
+    tr 1), as a new value."""
     z = FgAbelian((0,))
-    coeff.res[("e", "C2")] = AbHom(z, z, ((2,),))
-    coeff.tr[("e", "C2")] = AbHom(z, z, ((1,),))
+    return replace(coeff, res={("e", "C2"): AbHom(z, z, ((2,),))},
+                   tr={("e", "C2"): AbHom(z, z, ((1,),))})
+
+
+def test_homology_follows_a_valid_change_of_validated_coefficients():
+    # both are valid, and each engine must compute with its own maps
+    coeff = expression_functor("C2", "Z")
+    assert is_isomorphic(MackeyHomology(coeff).functor(0), named("C2", "Z"))
+    changed = _make_dual(coeff)
+    dual = box_dual(named("C2", "Z"))
+    assert is_isomorphic(changed, dual)
+    assert is_isomorphic(MackeyHomology(changed).functor(0), dual)
+    assert is_isomorphic(MackeyHomology(coeff).functor(0), named("C2", "Z"))
 
 
 def test_engine_cache_is_keyed_on_coefficient_content():
@@ -301,14 +303,15 @@ def test_engine_cache_is_keyed_on_coefficient_content():
     }
     assert len(engines) == 1 and len(bredon._ENGINE_CACHE) == 1
     eng = suspension_engine("C2", "sigma", expression_functor("C2", "Z"))
-    changed = expression_functor("C2", "Z")
-    _make_dual(changed)
-    assert suspension_engine("C2", "sigma", changed) is not eng
-    # an engine whose own coefficients changed is not handed out again
-    _make_dual(eng.coeff)
-    again = suspension_engine("C2", "sigma", expression_functor("C2", "Z"))
-    assert again is not eng
-    assert is_isomorphic(again.coeff, named("C2", "Z"))
+    other = suspension_engine("C2", "sigma", _make_dual(expression_functor("C2", "Z")))
+    assert other is not eng
+    # equal content, a new object: the engine of that content
+    assert suspension_engine("C2", "sigma", _make_dual(named("C2", "Z"))) is other
+    assert suspension_engine("C2", "sigma", named("C2", "Z")) is eng
+    # an engine's own coefficients refuse change
+    with pytest.raises(TypeError):
+        eng.coeff.res[("e", "C2")] = other.coeff.res[("e", "C2")]
+    assert is_isomorphic(eng.coeff, named("C2", "Z"))
 
 
 def test_engine_cache_is_bounded():
@@ -372,18 +375,21 @@ def test_a_complex_changed_after_its_engine_was_built_is_refused(monkeypatch):
     _count_engines(monkeypatch)
     coeff = named("C4", "Z")
     c = unit_sphere_complex("C4", "lambda")  # one boundary, g - 1
-    stale_engine = cached_engine(coeff, dual=c)
-    stale = [_data(cohomology_mackey(c, coeff, n)[0]) for n in (0, 1)]
-    # flip the sign of one term: g + 1 is still a complex, with other cohomology
+    engine = cached_engine(coeff, dual=c)
+    first = [_data(cohomology_mackey(c, coeff, n)[0]) for n in (0, 1)]
     (key, entry), = c.diff[1].items()
-    c.diff[1][key] = ((-entry[0][0], entry[0][1]),) + entry[1:]
-    assert cached_engine(coeff, dual=c) is not stale_engine
-    assert [_data(cohomology_mackey(c, coeff, n)[0]) for n in (0, 1)] != stale
-    # the stale engine's hash still matches the old content, but its complex
-    # has changed, so a new complex with the old content gets a new engine
-    old = unit_sphere_complex("C4", "lambda")
-    assert cached_engine(coeff, dual=old) is not stale_engine
-    assert [_data(cohomology_mackey(old, coeff, n)[0]) for n in (0, 1)] == stale
+    flipped = ((-entry[0][0], entry[0][1]),) + entry[1:]
+    with pytest.raises(TypeError):
+        c.diff[1][key] = flipped
+    # with the sign of one term flipped, g + 1 is still a complex, with
+    # other cohomology and an engine of its own
+    other = BurnsideComplex(c.group_name, c.cells, {1: {key: flipped}})
+    assert cached_engine(coeff, dual=other) is not engine
+    assert [_data(cohomology_mackey(other, coeff, n)[0]) for n in (0, 1)] != first
+    # equal content, a new object: the first engine and answers
+    again = unit_sphere_complex("C4", "lambda")
+    assert again is not c and cached_engine(coeff, dual=again) is engine
+    assert [_data(cohomology_mackey(again, coeff, n)[0]) for n in (0, 1)] == first
 
 
 def test_suspension_and_cohomology_of_a_sphere_stay_distinct_engines(monkeypatch):

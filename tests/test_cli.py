@@ -78,6 +78,17 @@ def test_inflate_command(capsys):
     assert out.startswith("Z(3,2)")
 
 
+@pytest.mark.parametrize("kind, src, tgt", [("push", "C2", "Q8"), ("psi", "Q8", "C2")])
+def test_inflate_without_a_quotient_names_both_groups(capsys, kind, src, tgt):
+    # the larger group is the pushed-from one for push, the target otherwise
+    code = main(["inflate", "--kind", kind, "--from", src, "--to", tgt, "--name", "Z"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: NoQuotient: C2 has no quotient Q8 by a nontrivial proper "
+        "normal subgroup\n"
+    )
+
+
 def test_chart_svg_output(tmp_path, capsys):
     out_file = tmp_path / "page.svg"
     code, out = run(

@@ -4,6 +4,7 @@ functor, duality, the seven short exact sequences, and isomorphism search.
 
 import gc
 import itertools
+from dataclasses import FrozenInstanceError, fields, replace
 from math import gcd
 
 import pytest
@@ -22,7 +23,6 @@ from mackey.functors import (
     _strip_g,
     box_dual,
     check_axioms,
-    content_key,
     covering_pairs,
     data_equal,
     expression_functor,
@@ -35,6 +35,7 @@ from mackey.functors import (
 )
 from mackey.golden import degree_table
 from mackey.grouplat import group
+from mackey.repcw import sphere_complex
 
 
 ALL_GROUPS = ("T", "C2", "C4", "K4", "Q8")
@@ -378,21 +379,23 @@ def test_returned_isomorphism_respects_the_weyl_action():
     assert _check_returned_iso(shear, trivial) is None
 
 
-def test_weyl_map_off_the_level_presentation_is_refused():
-    # (2, 2) and (2, 2, 1) present the same group, so the levels agree, but a
-    # Weyl map onto the second is not an endomorphism of the level
+def _c2_with_weyl_off_level():
+    """_c2_with_action_at_e(None) with a Weyl map at e onto (2, 2, 1): the
+    same group as the level (2, 2), in another presentation."""
     e, wide = FgAbelian((2, 2)), FgAbelian((2, 2, 1))
-    odd = _c2_with_action_at_e(None)
-    odd.weyl[("e", "s")] = AbHom(e, wide, ((0, 1), (1, 0), (0, 0)))
+    return replace(_c2_with_action_at_e(None),
+                   weyl={("e", "s"): AbHom(e, wide, ((0, 1), (1, 0), (0, 0)))})
+
+
+def test_weyl_map_off_the_level_presentation_is_refused():
+    # the levels agree, but a Weyl map onto the second presentation is not
+    # an endomorphism of the level
     with pytest.raises(NonComposable):
-        find_isomorphism(odd, _c2_with_action_at_e(None))
+        find_isomorphism(_c2_with_weyl_off_level(), _c2_with_action_at_e(None))
 
 
 def test_check_axioms_reports_a_weyl_map_off_its_level():
-    e, wide = FgAbelian((2, 2)), FgAbelian((2, 2, 1))
-    odd = _c2_with_action_at_e(None)
-    odd.weyl[("e", "s")] = AbHom(e, wide, ((0, 1), (1, 0), (0, 0)))
-    report = check_axioms(odd)
+    report = check_axioms(_c2_with_weyl_off_level())
     assert report.ok is False
     assert report.failures == ["weyl shape e,s"]
 
@@ -458,11 +461,16 @@ def test_memo_is_keyed_on_content_not_on_the_object_or_name():
     assert identify(z) == "Z" and strip_g_summands(z)[1] is z and is_isomorphic(z, z)
     misses = RECOGNITION.misses
     for same in (expression_functor("Q8", "Z"), z.with_name("renamed")):
-        assert same is not z and content_key(same) == content_key(z)
+        assert same is not z and same.content_key == z.content_key
         assert identify(same) == "Z"
         assert strip_g_summands(same)[1] is same
         assert is_isomorphic(same, z)
     assert RECOGNITION.misses == misses
+
+
+def _with_res(m, key, h):
+    """m with res[key] replaced by h, as a new value."""
+    return replace(m, res={**m.res, key: h})
 
 
 def test_changed_res_matrix_changes_the_next_answer():
@@ -471,21 +479,22 @@ def test_changed_res_matrix_changes_the_next_answer():
         assert identify(f) == "Z" and match_expression(f, "Z")
         pair = covering_pairs(group(gname))[0]
         old = f.res[pair]
-        f.res[pair] = AbHom(old.dom, old.cod, ((2,),))
-        assert identify(f) != "Z"
-        assert not match_expression(f, "Z")
-        f.res[pair] = old
+        changed = _with_res(f, pair, AbHom(old.dom, old.cod, ((2,),)))
+        assert identify(changed) != "Z"
+        assert not match_expression(changed, "Z")
+        back = _with_res(changed, pair, old)
+        assert back.content_key == f.content_key
+        assert identify(back) == "Z" and match_expression(back, "Z")
         assert identify(f) == "Z" and match_expression(f, "Z")
 
 
-def _bump_res(m):
-    """Add 1 to the top left entry of m's first nonempty res matrix."""
+def _bumped_res(m):
+    """m with 1 added to the top left entry of its first nonempty res matrix."""
     for key, h in m.res.items():
         if h.dom.ngens and h.cod.ngens:
             rows = [list(r) for r in h.matrix]
             rows[0][0] += 1
-            m.res[key] = AbHom(h.dom, h.cod, tuple(map(tuple, rows)))
-            return
+            return _with_res(m, key, AbHom(h.dom, h.cod, tuple(map(tuple, rows))))
     raise AssertionError("no res entry to change")
 
 
@@ -493,31 +502,73 @@ def test_mutated_complement_does_not_poison_later_lookups():
     expr = "m + g^2"
     k, want = _strip_g(expression_functor("Q8", expr))
     assert k == 2 and not want.is_trivial()
-    for _ in range(2):
-        k1, red = strip_g_summands(expression_functor("Q8", expr))
-        assert k1 == 2 and data_equal(red, want)
-        _bump_res(red)
-        again = expression_functor("Q8", expr)
-        k2, red2 = strip_g_summands(again)
-        assert k2 == 2 and red2 is not red and data_equal(red2, want)
-        assert match_expression(again, expr)
-        assert identify(again) == "m+g^2"
+    k1, red = strip_g_summands(expression_functor("Q8", expr))
+    assert k1 == 2 and data_equal(red, want)
+    # the memo hands the same complement to everyone who asks: it refuses
+    # changes, and a changed copy is another content with another answer
+    key, h = next(iter(red.res.items()))
+    with pytest.raises(TypeError):
+        red.res[key] = h
+    bumped = _bumped_res(red)
+    assert not data_equal(bumped, want) and not is_isomorphic(bumped, red)
+    again = expression_functor("Q8", expr)
+    k2, red2 = strip_g_summands(again)
+    assert k2 == 2 and red2 is red and data_equal(red2, want)
+    assert match_expression(again, expr)
+    assert identify(again) == "m+g^2"
     # the expected side of match_expression: C2 B(1,0) is g plus a zero
     # complement, which strip_g_summands hands out to anyone who asks
     b10 = expression_functor("C2", "B(1,0)")
     assert match_expression(b10, "B(1,0)")
     k, red = strip_g_summands(expression_functor("C2", "B(1,0)"))
     assert k == 1 and red.is_trivial()
-    red.levels["C2"] = FgAbelian((3,))
+    with pytest.raises(TypeError):
+        red.levels["C2"] = FgAbelian((3,))
+    three = replace(red, levels={**red.levels, "C2": FgAbelian((3,))})
+    assert not is_isomorphic(three, red)
     assert match_expression(b10, "B(1,0)")
     assert match_expression(expression_functor("C2", "B(1,0)"), "B(1,0)")
-    # with k = 0 the caller's own functor comes back, and changing it makes
-    # a new content
+    # with k = 0 the caller's own functor comes back; a changed copy of it
+    # is a new content
     z = expression_functor("K4", "m")
     assert strip_g_summands(z)[1] is z
-    _bump_res(z)
-    assert not match_expression(z, "m")
+    assert not match_expression(_bumped_res(z), "m")
+    assert match_expression(z, "m")
     assert match_expression(expression_functor("K4", "m"), "m")
+
+
+def test_values_from_named_catalog_and_sphere_complex_refuse_assignment():
+    table = catalog("C2")
+    z = named("C2", "Z")
+    with pytest.raises(TypeError):
+        table["Z"] = box_dual(z)
+    with pytest.raises(TypeError):
+        del table["Z"]
+    for f in (z, table["F"]):
+        for fld in fields(f):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, fld.name, getattr(f, fld.name))
+        for maps, key in ((f.levels, "e"), (f.res, ("e", "C2")),
+                          (f.tr, ("e", "C2")), (f.weyl, ("e", "s"))):
+            with pytest.raises(TypeError):
+                maps[key] = f.res[("e", "C2")]
+    c = sphere_complex("2sigma", "C2")
+    for fld in fields(c):
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, fld.name, getattr(c, fld.name))
+    with pytest.raises(TypeError):
+        c.cells[0] = ("e",)
+    with pytest.raises(TypeError):
+        c.diff[1] = {}
+    with pytest.raises(TypeError):
+        c.diff[1][(0, 0)] = ((1, "1"),)
+    assert named("C2", "Z") is z and catalog("C2")["Z"] is z
+    assert sphere_complex("2sigma", "C2") is c
+    # the maps are private copies: the dicts a value was built from may change
+    levels = dict(z.levels)
+    m = MackeyFunctor("C2", levels, z.res, z.tr)
+    levels["e"] = FgAbelian((2,))
+    assert m.content_key == z.content_key
 
 
 def test_search_limit_is_raised_on_every_call():
@@ -547,9 +598,13 @@ def test_memo_never_grows_past_its_bound(monkeypatch):
 
 
 def test_identify_answers_from_the_catalog_in_use(monkeypatch):
-    z = expression_functor("C2", "Z")
-    assert identify(z) == "Z"
+    # identify reads the catalog when it computes; the catalog is a fixed,
+    # read-only table, so an answer is memoised on the content alone
+    RECOGNITION.clear()
     monkeypatch.setattr("mackey.bredon.catalog", lambda g: {"other": named(g, "Z")})
-    assert identify(z) == "other"
+    assert identify(expression_functor("C2", "Z")) == "other"
     monkeypatch.undo()
-    assert identify(z) == "Z"
+    RECOGNITION.clear()
+    assert identify(expression_functor("C2", "Z")) == "Z"
+    misses = RECOGNITION.misses
+    assert identify(named("C2", "Z")) == "Z" and RECOGNITION.misses == misses
