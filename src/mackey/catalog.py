@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .exactalg import AbHom, FgAbelian, identity, mat
 from .functors import MackeyFunctor, box_dual, covering_pairs, UnknownName
-from .grouplat import group
+from .grouplat import canonical_group_name, group
 
 
 def _log2(n: int) -> int:
@@ -294,9 +294,14 @@ def _t_catalog() -> dict[str, MackeyFunctor]:
     return out
 
 
-@lru_cache(maxsize=None)
 def catalog(group_name: str) -> Mapping[str, MackeyFunctor]:
-    """The group's named functors, as a read-only table."""
+    """The group's named functors, as a read-only table, built once per
+    group however its name is spelled."""
+    return _catalog(canonical_group_name(group_name))
+
+
+@lru_cache(maxsize=None)
+def _catalog(name: str) -> Mapping[str, MackeyFunctor]:
     builders = {
         "T": _t_catalog,
         "C2": _c2_catalog,
@@ -304,9 +309,6 @@ def catalog(group_name: str) -> Mapping[str, MackeyFunctor]:
         "K4": _k4_catalog,
         "Q8": _q8_catalog,
     }
-    from .grouplat import canonical_group_name
-
-    name = canonical_group_name(group_name)
     table = builders[name]()
     return MappingProxyType({nm: f.with_name(nm) for nm, f in table.items()})
 

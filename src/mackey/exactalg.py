@@ -873,7 +873,13 @@ class ReducedComplex:
         return AbHom(self._reduced_group(n), self._reduced_group(n - 1), mat(m))
 
     def homology(self, n: int) -> HomologyClassData:
-        """H_n, with lift and project in the full degree-n chain coordinates."""
+        """H_n, with lift and project in the full degree-n chain coordinates.
+
+        A degree whose generators were all eliminated has H_n = 0: every
+        chain lifts from and projects to the empty core, so no differential
+        is built and no Smith form runs."""
+        if not any(self.alive.get(n, ())):
+            return replace(_EMPTY_CORE, orders=self.orders.get(n, ()), degree=n)
         d_in, d_out = self._reduced_diff(n + 1), self._reduced_diff(n)
         if d_in is None and d_out is None:
             d_out = AbHom.zero(self._reduced_group(n), FgAbelian(()))
@@ -885,6 +891,10 @@ class ReducedComplex:
             steps=tuple(st for st in self.steps if st[0] in (n, n + 1)),
             degree=n,
         )
+
+
+# the homology of a degree with no generators, on an empty core with no steps
+_EMPTY_CORE = homology_at(None, AbHom.zero(FgAbelian(()), FgAbelian(())))
 
 
 class _DegreeIndex:

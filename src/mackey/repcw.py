@@ -21,6 +21,13 @@ category after every smash so that complexes stay near their homology
 size.  Unit pivots are single orbit maps with coefficient +-1 between
 cells with equal stabilizer; eliminating them changes nothing about any
 level's homology or its induced structure maps.
+
+The prefix S^kV of an irreducible V in ``PERIODIC`` is not folded at all.
+S(V) is a free, connected, orientation-preserving G-sphere, so S(kV), the
+k-fold join of S(V), has the periodic free resolution as its cellular
+complex (Cartan-Eilenberg XII.7, Brown VI.9): ``periodic_sphere`` repeats
+the free cells of the reduced S^V k times and joins each period to the one
+below by the norm, the k-fold Yoneda splice of S(V)'s period.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from .functors import LruMemo
 from .grouplat import Group, Subgroup, group, subgroup_iso, subgroup_image_under_iso
 
 
@@ -659,7 +667,15 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
 # sphere complexes
 
 
-_SPHERE_CACHE: dict[tuple, BurnsideComplex] = {}  # values, so safe to share
+# Irreducibles V whose unit sphere is free, connected and orientation
+# preserving: the reduced S^V has one G/G cell in degree 0 and free cells in
+# degrees 1..dim V, one at each end, and S^kV is its periodic splice.
+PERIODIC = frozenset({("Q8", "H"), ("C4", "lambda")})
+
+# Spheres and the prefixes they were built from; values, so safe to share.
+# A perfbench workload builds 39 to 67 of them, `homotopy_grid.py --group q8
+# --max-k 8` 127, and a grid to k = 12 261, so the oldest few are evicted.
+_SPHERE_CACHE = LruMemo(256)
 
 
 def sphere_complex(rep: VirtualRep | str, group_name: str | None = None) -> BurnsideComplex:
@@ -674,9 +690,11 @@ def sphere_complex(rep: VirtualRep | str, group_name: str | None = None) -> Burn
 def _sphere(rep: VirtualRep) -> BurnsideComplex:
     """sphere_complex of a parsed rep; the spheres it is built from are
     cached too, so later spheres reuse them."""
-    key = (rep.group_name, rep.mults, rep.shift)
-    if key in _SPHERE_CACHE:
-        return _SPHERE_CACHE[key]
+    return _SPHERE_CACHE.recall(
+        (rep.group_name, rep.mults, rep.shift), lambda: _build_sphere(rep))
+
+
+def _build_sphere(rep: VirtualRep) -> BurnsideComplex:
     mults = rep.mult_dict()
     if any(m < 0 for m in mults.values()) or rep.shift < 0:
         raise NegativeMultiplicity(
@@ -686,11 +704,14 @@ def _sphere(rep: VirtualRep) -> BurnsideComplex:
     irrs = [irr for irr in IRREDUCIBLES[group(gname).name] if mults.get(irr)]
     if mults.get("1") or rep.shift:
         nontrivial = VirtualRep.make(gname, {irr: mults[irr] for irr in irrs})
-        out = suspend(_sphere(nontrivial), mults.get("1", 0) + rep.shift)
+        return suspend(_sphere(nontrivial), mults.get("1", 0) + rep.shift)
     elif not irrs:
-        out = point_complex(gname)
+        return point_complex(gname)
     elif mults == {irrs[0]: 1}:
-        out = reduce_complex(cone_of_unit_sphere(unit_sphere_complex(gname, irrs[0])))
+        return reduce_complex(cone_of_unit_sphere(unit_sphere_complex(gname, irrs[0])))
+    elif len(irrs) == 1 and (gname, irrs[0]) in PERIODIC:
+        unit = _sphere(VirtualRep.make(gname, {irrs[0]: 1}))
+        return periodic_sphere(unit, mults[irrs[0]])
     else:
         # smash one factor at a time, S^V = S^(V-f) ^ S^f, with the factors
         # ordered largest first (ties in IRREDUCIBLES order) and f the last:
@@ -699,8 +720,39 @@ def _sphere(rep: VirtualRep) -> BurnsideComplex:
         unit = {irr: _sphere(VirtualRep.make(gname, {irr: 1})) for irr in irrs}
         f = sorted(irrs, key=lambda irr: unit[irr].ncells(), reverse=True)[-1]
         prefix = VirtualRep.make(gname, {**mults, f: mults[f] - 1})
-        out = reduce_complex(smash(_sphere(prefix), unit[f]))
-    _SPHERE_CACHE[key] = out
+        return reduce_complex(smash(_sphere(prefix), unit[f]))
+
+
+def periodic_sphere(unit: BurnsideComplex, k: int) -> BurnsideComplex:
+    """S^kV from the reduced S^V of an irreducible V in PERIODIC.
+
+    The free cells of S^V, in degrees 1..d, are one period of a free
+    resolution of Z: they are repeated k times, each period with S^V's own
+    boundaries in its degrees 2..d, and the bottom cell of each period after
+    the first bounds the norm, the sum of all group elements, times the top
+    cell of the period below.  The norm composes to zero with the top cell's
+    boundary because S(V) preserves orientation, and with the boundaries
+    into the bottom cell because they augment to zero, as they do into the
+    G/G cell of S^V.  The first period is S^V itself."""
+    g = unit.group()
+    d = max(unit.cells)
+    free = g.bottom().name
+    if (unit.cells.get(0) != (g.top().name,) or len(unit.cells.get(1, ())) != 1
+            or len(unit.cells[d]) != 1
+            or any(s != free for n, cs in unit.cells.items() if n for s in cs)):
+        raise ValueError("not one G/G cell under one period of free cells")
+    norm = {(0, 0): osum((1, u) for u in g.elements)}
+    cells = {0: unit.cells[0]}
+    diff = {1: unit.diff[1]}
+    for p in range(k):
+        for n in range(1, d + 1):
+            cells[p * d + n] = unit.cells[n]
+            if p and n == 1:
+                diff[p * d + n] = norm
+            elif n > 1 and n in unit.diff:
+                diff[p * d + n] = unit.diff[n]
+    out = BurnsideComplex(unit.group_name, cells, diff)
+    check_boundary(out)
     return out
 
 

@@ -6,6 +6,7 @@ minors of the input.  That characterization involves no row reduction at
 all, so it cannot share a bug with the implementation under test.
 """
 
+import dataclasses
 import itertools
 import random
 from math import gcd
@@ -647,3 +648,55 @@ def test_a_unit_made_by_fill_in_keeps_its_place_in_entry_order():
     assert [st[:3] for st in rc.steps] == [(1, 0, 0), (1, 1, 1)]
     assert rc.homology(1).group == FgAbelian((0,))
     assert rc.homology(0).group.is_trivial
+
+
+def _homology_without_shortcut(rc: ReducedComplex, n: int):
+    """rc.homology(n) computed on the reduced differentials whether or not
+    degree n has any generator left."""
+    d_in, d_out = rc._reduced_diff(n + 1), rc._reduced_diff(n)
+    if d_in is None and d_out is None:
+        d_out = AbHom.zero(rc._reduced_group(n), FgAbelian(()))
+    return dataclasses.replace(
+        homology_at(d_in, d_out),
+        orders=rc.orders.get(n, ()),
+        alive=tuple(rc._alive_indices(n)),
+        steps=tuple(st for st in rc.steps if st[0] in (n, n + 1)),
+        degree=n,
+    )
+
+
+def _projected(h, v):
+    try:
+        return h.project(v)
+    except ValueError:  # not a cycle
+        return None
+
+
+def test_an_empty_core_degree_answers_like_the_full_computation(monkeypatch):
+    # Z --(1, 3)--> Z^2 --[[-3, 1], [0, 0]]--> Z + Z/4 --(0, 2)--> Z/4: both
+    # generators of degree 2 cancel, one against degree 3 and one against
+    # degree 1, so degrees 2 and 3 keep no core while H_1 = Z/2 and
+    # H_0 = Z/2 remain
+    orders = {0: (4,), 1: (0, 4), 2: (0, 0), 3: (0,)}
+    rc = ReducedComplex(orders, {
+        3: {(0, 0): 1, (1, 0): 3},
+        2: {(0, 0): -3, (0, 1): 1},
+        1: {(0, 1): 2},
+    })
+    assert {n for n in orders if not any(rc.alive[n])} == {2, 3}
+    full = {n: _homology_without_shortcut(rc, n) for n in range(-1, 5)}
+    homology = {n: rc.homology(n) for n in (0, 1)}
+    # the empty degrees build no reduced differential
+    monkeypatch.setattr(rc, "_reduced_diff", None)
+    homology.update({n: rc.homology(n) for n in (-1, 2, 3, 4)})
+    for n, h in homology.items():
+        ref = full[n]
+        assert h.group == ref.group
+        assert h.orders == ref.orders and h.degree == n
+        gens = identity(h.group.ngens) if h.group.ngens else [()]
+        for e in gens:
+            assert h.lift(e) == ref.lift(e)
+        for v in itertools.product((-1, 0, 1, 2), repeat=len(orders.get(n, ()))):
+            assert _projected(h, v) == _projected(ref, v)
+    assert [homology[n].group for n in range(4)] == [
+        FgAbelian((2,)), FgAbelian((2,)), FgAbelian(()), FgAbelian(())]

@@ -140,6 +140,12 @@ def test_box_dual_pairs():
         box_dual(MackeyFunctor("Q8", badlevels, res, tr, {}, False))
 
 
+def test_each_group_has_one_catalog_however_it_is_spelled():
+    assert named("q8", "Z") is named("Q8", "Z")
+    assert catalog("k") is catalog("k4") is catalog("K4")
+    assert catalog("trivial") is catalog("T")
+
+
 def test_box_dual_involution_on_catalog():
     for gname in ("C4", "K4", "Q8"):
         for nm, f in catalog(gname).items():

@@ -5,6 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mackey import repcw
+from mackey.bredon import homology_mackey
+from mackey.catalog import named
+from mackey.functors import LruMemo, is_isomorphic
+from mackey.grouplat import group
 from mackey.repcw import (
     GroupMismatch,
     NegativeMultiplicity,
@@ -103,7 +107,7 @@ def test_folded_spheres_stay_small(text, most):
 
 
 def test_a_sphere_is_one_smash_from_its_cached_prefix(monkeypatch):
-    monkeypatch.setattr(repcw, "_SPHERE_CACHE", {})
+    monkeypatch.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
     prefix = sphere_complex("2H+sigmaL", "Q8")
     smashed = []
     real_smash = repcw.smash
@@ -117,6 +121,89 @@ def test_a_sphere_is_one_smash_from_its_cached_prefix(monkeypatch):
     assert len(smashed) == 1
     c, d = smashed[0]
     assert c is prefix and d is sphere_complex("sigmaL", "Q8")
+
+
+def _built(monkeypatch, group_name: str, text: str, periodic=repcw.PERIODIC):
+    """sphere_complex(text) built afresh with the given periodic irreducibles
+    (none: every power of an irreducible folded one smash at a time), and
+    the number of smashes made."""
+    smashed = []
+    real_smash = repcw.smash
+
+    def counting_smash(c, d):
+        smashed.append((c, d))
+        return real_smash(c, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(repcw, "PERIODIC", periodic)
+        m.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
+        m.setattr(repcw, "smash", counting_smash)
+        return sphere_complex(text, group_name), len(smashed)
+
+
+@pytest.mark.parametrize("group_name, irr", sorted(repcw.PERIODIC))
+def test_each_periodic_irreducible_has_one_period_of_free_cells(group_name, irr):
+    g = group(group_name)
+    unit = unit_sphere_complex(group_name, irr)
+    d = repcw.IRR_DIM[irr]
+    # S(V) is free and connected
+    assert all(k == "e" for cs in unit.cells.values() for k in cs)
+    assert underlying_homology_ranks(unit)[0] == (1, ())
+    # the reduced S^V: one G/G cell, then free cells in degrees 1..d with
+    # one cell at each end
+    s = sphere_complex(irr, group_name)
+    assert s.cells[0] == (g.top().name,) and max(s.cells) == d
+    assert all(k == "e" for n in range(1, d + 1) for k in s.cells[n])
+    assert len(s.cells[1]) == len(s.cells[d]) == 1
+    # orientation preserving: the sum of the top cell's translates is a
+    # cycle, so every entry of its boundary augments to zero
+    assert all(sum(x for x, _ in e) == 0 for e in s.diff[d].values())
+
+
+@pytest.mark.parametrize("group_name, text", [
+    ("C4", "sigma"), ("C4", "lambda+sigma"), ("Q8", "H+sigmaL"), ("Q8", "0"),
+])
+def test_only_one_period_of_free_cells_is_spliced(group_name, text):
+    with pytest.raises(ValueError):
+        repcw.periodic_sphere(sphere_complex(text, group_name), 2)
+
+
+@pytest.mark.parametrize("group_name, irr, coeffs, ks", [
+    ("Q8", "H", ("Z", "Z*", "B(3,0)", "mg"), (2, 3, 4)),
+    ("C4", "lambda", ("Z", "Z*", "B(2,0)", "g"), (2, 3)),
+])
+def test_the_splice_agrees_with_the_fold(monkeypatch, group_name, irr, coeffs, ks):
+    for k in ks:
+        text = f"{k}{irr}"
+        spliced, smashes = _built(monkeypatch, group_name, text)
+        folded, folds = _built(monkeypatch, group_name, text, frozenset())
+        assert (smashes, folds) == (0, k - 1)
+        assert ({n: len(cs) for n, cs in spliced.cells.items()}
+                == {n: len(cs) for n, cs in folded.cells.items()})
+        assert spliced.ncells() == 1 + k * (sphere_complex(irr, group_name).ncells() - 1)
+        check_boundary(spliced)
+        dim = k * repcw.IRR_DIM[irr]
+        h = underlying_homology_ranks(spliced)
+        assert h[dim] == (1, ()) and all(v == (0, ()) for n, v in h.items() if n != dim)
+        for name in coeffs:
+            coeff = named(group_name, name)
+            for n in range(dim + 2):
+                a, _ = homology_mackey(spliced, coeff, n)
+                b, _ = homology_mackey(folded, coeff, n)
+                assert is_isomorphic(a, b), (text, name, n)
+
+
+def test_5rhoq_has_the_same_names_spliced_and_folded(monkeypatch):
+    z = named("Q8", "Z")
+    spliced, smashes = _built(monkeypatch, "Q8", "5rhoQ")
+    folded, folds = _built(monkeypatch, "Q8", "5rhoQ", frozenset())
+    # the 15 sign factors are folded either way, the five H only without
+    # the splice
+    assert (smashes, folds) == (15, 19)
+    names = [(homology_mackey(spliced, z, n)[1], homology_mackey(folded, z, n)[1])
+             for n in range(42)]
+    assert all(a == b and a is not None for a, b in names), names
+    assert names[40] == ("Z", "Z") and names[10][0] == "phi_LDR(F)+g^3"
 
 
 def test_sign_sphere_homology():

@@ -370,11 +370,26 @@ def _assert_same(new: BurnsideComplex, ref: BurnsideComplex) -> None:
     assert _ordered(repcw.expand_level_e(new)[1]) == _ordered(expand_level_e(ref)[1])
 
 
+def _fold_both_ways(new, ref, factors):
+    """Smash each (kernel, copy) factor onto new and ref and reduce,
+    comparing the kernel with the copies after every smash and reduction."""
+    for a, b in factors:
+        s_new, s_ref = repcw.smash(new, a), smash(ref, b)
+        _assert_same(s_new, s_ref)
+        new, ref = repcw.reduce_complex(s_new), reduce_complex(s_ref)
+        _assert_same(new, ref)
+    return new, ref
+
+
 def _sphere_both_ways(group_name: str, text: str) -> BurnsideComplex:
     """S^V built as sphere_complex builds it, once with the kernel and once
     with the copies, comparing every smash and every reduction: the reduced
     unit-sphere cones, largest first, smashed onto the product so far one
-    factor at a time."""
+    factor at a time.
+
+    sphere_complex splices S^kW for the largest factor W when W is
+    periodic and k > 1.  Its k - 1 folds are still made and compared here,
+    then both sides go on from the spliced S^kW, as sphere_complex does."""
     rep = parse_rep(group_name, text)
     mults = rep.mult_dict()
     factors = []
@@ -383,14 +398,18 @@ def _sphere_both_ways(group_name: str, text: str) -> BurnsideComplex:
             cone = cone_of_unit_sphere(unit_sphere_complex(rep.group_name, irr))
             a, b = repcw.reduce_complex(cone), reduce_complex(cone)
             _assert_same(a, b)
-            factors.extend([(a, b)] * mults[irr])
-    factors.sort(key=lambda ab: ab[0].ncells(), reverse=True)
-    (new, ref), *rest = factors
-    for a, b in rest:
-        s_new, s_ref = repcw.smash(new, a), smash(ref, b)
-        _assert_same(s_new, s_ref)
-        new, ref = repcw.reduce_complex(s_new), reduce_complex(s_ref)
-        _assert_same(new, ref)
+            factors.extend([(irr, a, b)] * mults[irr])
+    factors.sort(key=lambda f: f[1].ncells(), reverse=True)
+    irr = factors[0][0]
+    k = mults[irr] if (rep.group_name, irr) in repcw.PERIODIC else 1
+    (_, new, ref), *rest = factors
+    rest = [(a, b) for _, a, b in rest]
+    new, ref = _fold_both_ways(new, ref, rest[:k - 1])
+    if k > 1:
+        spliced = repcw.sphere_complex(f"{k}{irr}", group_name)
+        assert _ordered(spliced.cells) == _ordered(new.cells)
+        new = ref = spliced
+    new, _ = _fold_both_ways(new, ref, rest[k - 1:])
     return repcw.suspend(new, mults.get("1", 0) + rep.shift)
 
 
