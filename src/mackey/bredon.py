@@ -27,7 +27,6 @@ answer inside the named catalog (including sums with powers of ``g``).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .catalog import catalog
 from .exactalg import (
@@ -45,7 +44,7 @@ from .functors import (
     is_isomorphic,
     strip_g_summands,
 )
-from .grouplat import Group, group
+from .grouplat import Group, group, orbit_table
 from .repcw import (
     BurnsideComplex,
     GroupMismatch,
@@ -78,40 +77,7 @@ def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# orbits of triple products, concretely
-
-
-@lru_cache(maxsize=None)
-def _orbit_table(group_name: str, stabs: tuple[str, str, str]):
-    """Orbits of G/A x G/B x G/C: returns (reps, index, stab name), where
-    index sends each point pt to its orbit and the first u of G (in element
-    order) with u . rep = pt.
-
-    Every point has the one stabilizer A n B n C: the stabilizer of
-    (xA, yB, zC) is xAx^-1 n yBy^-1 n zCz^-1, and every subgroup of the
-    groups here is normal.  So all orbits of a triple carry the same
-    summand M(A n B n C), which the engine's cell-pair layout relies on.
-    """
-    g = group(group_name)
-    subs = [g.subgroup(s) for s in stabs]
-    stab = g.subgroup(stabs[0])
-    for s in subs[1:]:
-        stab = g.intersect(stab, s)
-
-    def key(pt):
-        return tuple(g.elem_sort_key(p) for p in pt)
-
-    points = list(itertools.product(*[g.cosets(s) for s in subs]))
-    index: dict[tuple[str, str, str], tuple[int, str]] = {}
-    reps: list[tuple[str, str, str]] = []
-    for pt in sorted(points, key=key):
-        if pt in index:
-            continue
-        for u in g.elements:
-            moved = tuple(g.coset(g.mul(u, p), s) for p, s in zip(pt, subs))
-            index.setdefault(moved, (len(reps), u))
-        reps.append(pt)
-    return tuple(reps), index, stab.name
+# cell boundaries by source
 
 
 def _by_source(c: BurnsideComplex) -> dict[int, dict[int, list]]:
@@ -210,10 +176,11 @@ class MackeyHomology:
         return (self.dual.cells[p][di], self.primal.cells[q][pi], h)
 
     def _block_orders(self, triple: tuple[str, str, str]) -> tuple[int, ...]:
-        """Generator orders of a cell pair's block: M(stab) once per orbit."""
+        """Generator orders of a cell pair's block: M(stab) once per orbit,
+        every orbit having the one stabilizer stab (grouplat.orbit_table)."""
         out = self._triple_orders.get(triple)
         if out is None:
-            reps, _, stab = _orbit_table(self.group_name, triple)
+            reps, _, stab = orbit_table(self.group_name, triple)
             out = self._triple_orders[triple] = self.coeff.levels[stab].orders * len(reps)
         return out
 
@@ -272,8 +239,8 @@ class MackeyHomology:
         if block is not None:
             return block
         g, m = self.g, self.coeff
-        reps, _, a = _orbit_table(g.name, triple)
-        _, index, b = _orbit_table(g.name, triple[:slot] + (c,) + triple[slot + 1:])
+        reps, _, a = orbit_table(g.name, triple)
+        _, index, b = orbit_table(g.name, triple[:slot] + (c,) + triple[slot + 1:])
         wa, wb = len(m.levels[a].orders), len(m.levels[b].orders)
         sub = g.subgroup(c)
         out = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -36,10 +35,6 @@ class NonComposable(Exception):
 
 class NotAComplex(Exception):
     """Composite of consecutive differentials is nonzero."""
-
-
-class NotChainMap(Exception):
-    """A map of complexes fails to commute with the differentials."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,33 +115,6 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     if len(a) != len(b):
         raise ValueError("row mismatch")
     return tuple(ra + rb for ra, rb in zip(a, b))
-
-
-def det(a: Matrix) -> int:
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n, c = shape(a)
-    if n != c:
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -312,32 +280,6 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 def snf_diagonal(m: Matrix) -> list[int]:
     s = snf_full(m, ())[0]
     return [s[i][i] for i in range(min(shape(s)))]
-
-
-def invert_unimodular(u: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n, c = shape(u)
-    if n != c:
-        raise ValueError("not square")
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(u)]
-    # fraction-free solve via rational elimination; result is integral
-    frac = [[Fraction(x) for x in row] for row in aug]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if frac[i][k] != 0)
-        frac[k], frac[piv] = frac[piv], frac[k]
-        inv = 1 / frac[k][k]
-        frac[k] = [x * inv for x in frac[k]]
-        for i in range(n):
-            if i != k and frac[i][k] != 0:
-                f = frac[i][k]
-                frac[i] = [x - f * y for x, y in zip(frac[i], frac[k])]
-    out = []
-    for row in frac:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in vals))
-    return tuple(out)
 
 
 def solve_exact(a: Matrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -1025,26 +967,3 @@ def induced_on_homology(
         cols.append(tgt.project([x % o if o else x for x, o in zip(w, orders)]))
     m = transpose(mat(cols)) if cols else zeros(tgt.group.ngens, 0)
     return AbHom(src.group, tgt.group, m)
-
-
-def check_chain_map(
-    f_by_degree: dict[int, AbHom],
-    src: ChainComplexAb,
-    tgt: ChainComplexAb,
-) -> None:
-    for n, f in f_by_degree.items():
-        below = f_by_degree.get(n - 1)
-        ds = src.diff.get(n)
-        dt = tgt.diff.get(n)
-        if ds is None and dt is None:
-            continue
-        lhs = dt.compose(f) if dt is not None else None
-        rhs = below.compose(ds) if (below is not None and ds is not None) else None
-        if lhs is None and rhs is None:
-            continue
-        if lhs is None or rhs is None:
-            probe = lhs if lhs is not None else rhs
-            if not probe.is_zero():
-                raise NotChainMap(f"square at degree {n} does not commute")
-        elif not lhs.equals(rhs):
-            raise NotChainMap(f"square at degree {n} does not commute")

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .exactalg import AbHom, FgAbelian, NonComposable, identity, _mat_mul_mod
-from .grouplat import Group, Subgroup, group
+from .grouplat import Group, Subgroup, group, orbit_table
 
 
 class Mismatch(Exception):
@@ -221,17 +221,10 @@ def data_equal(a: MackeyFunctor, b: MackeyFunctor) -> bool:
 
 
 def _double_cosets_within(g: Group, h: Subgroup, k1: Subgroup, k2: Subgroup):
-    """Representatives of K1 \\ H / K2 inside the subgroup h."""
-    remaining = sorted(h.elements, key=g.elem_sort_key)
-    reps = []
-    while remaining:
-        x = remaining[0]
-        coset = {
-            g.mul(g.mul(u, x), v) for u in k1.elements for v in k2.elements
-        }
-        reps.append(x)
-        remaining = [y for y in remaining if y not in coset]
-    return reps
+    """Representatives of K1 \\ H / K2 inside the subgroup h: the double
+    cosets K1\\G/K2 that lie in h, each by its least element."""
+    reps, _, _ = orbit_table(g.name, (k1.name, k2.name))
+    return [y for _, y in reps if y in h]
 
 
 @dataclass

@@ -16,6 +16,7 @@ of k).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -191,23 +192,13 @@ class Group:
         """Representatives of H\\G/K with stabilizers H n gKg^-1 (= H n K here).
 
         Representatives are the minimal element of each double coset in the
-        canonical element order, so all downstream bases are reproducible.
+        canonical element order, so all downstream bases are reproducible:
+        the second coordinates of the orbit representatives of G/H x G/K.
         """
         if h.parent != self.name or k.parent != self.name:
             raise ParentMismatch(f"{h} or {k} not a subgroup of {self.name}")
-        remaining = set(self.elements)
-        out = []
-        stab = self.intersect(h, k)
-        while remaining:
-            g = min(remaining, key=self.elem_sort_key)
-            coset = {
-                self.mul(self.mul(x, g), y)
-                for x in h.elements
-                for y in k.elements
-            }
-            remaining -= coset
-            out.append((g, stab))
-        return out
+        reps, _, stab = orbit_table(self.name, (h.name, k.name))
+        return [(y, self.subgroup(stab)) for _, y in reps]
 
     def is_bottleneck(self, n: Subgroup) -> bool:
         """True when every subgroup is comparable with n."""
@@ -365,6 +356,37 @@ def canonical_group_name(name: str) -> str:
 
 def subgroups(name: str) -> list[Subgroup]:
     return group(name).subgroups()
+
+
+@lru_cache(maxsize=None)
+def orbit_table(group_name: str, stabs: tuple[str, ...]):
+    """Orbits of G/A x G/B x ..., one factor per name in ``stabs``, under
+    left translation: returns (reps, index, stab name).  A point is a tuple
+    of coset representatives; reps holds the first point of each orbit in
+    element order, and index sends each point to its orbit and the first u
+    of G, in element order, with u . rep = point.
+
+    Every point has the one stabilizer A n B n ...: the stabilizer of
+    (xA, yB, ...) is xAx^-1 n yBy^-1 n ..., and every subgroup of the groups
+    here is normal.  The orbits of G/A x G/B are the double cosets A\\G/B,
+    with representatives (e, y) for y the least element of AyB.
+    """
+    g = group(group_name)
+    subs = [g.subgroup(s) for s in stabs]
+    stab = subs[0]
+    for s in subs[1:]:
+        stab = g.intersect(stab, s)
+    index: dict[tuple[str, ...], tuple[int, str]] = {}
+    reps: list[tuple[str, ...]] = []
+    # each g.cosets list is in element order, so their product is too
+    for pt in itertools.product(*[g.cosets(s) for s in subs]):
+        if pt in index:
+            continue
+        for u in g.elements:
+            moved = tuple(g.coset(g.mul(u, p), s) for p, s in zip(pt, subs))
+            index.setdefault(moved, (len(reps), u))
+        reps.append(pt)
+    return tuple(reps), index, stab.name
 
 
 def double_cosets(h: Subgroup, k: Subgroup) -> list[tuple[str, Subgroup]]:

@@ -39,7 +39,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .functors import LruMemo
-from .grouplat import Group, Subgroup, group, subgroup_iso, subgroup_image_under_iso
+from .grouplat import Group, group, orbit_table, subgroup_iso, subgroup_image_under_iso
 
 
 class TrivialRep(Exception):
@@ -400,35 +400,17 @@ def cone_of_unit_sphere(c: BurnsideComplex) -> BurnsideComplex:
 
 
 @lru_cache(maxsize=None)
-def product_reps(group_name: str, k1: str, k2: str) -> tuple[tuple[str, str], ...]:
-    """Orbit data for G/K1 x G/K2: (rep, stabilizer name) per double coset."""
-    g = group(group_name)
-    out = []
-    stab = g.intersect(g.subgroup(k1), g.subgroup(k2))
-    for rep, _ in g.double_cosets(g.subgroup(k1), g.subgroup(k2)):
-        out.append((rep, stab.name))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _product_table(group_name: str, k1: str, k2: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """[x][y] -> (orbit, u) with u.(e.K1, rep.K2) = (x.K1, y.K2), where rep
-    is the orbit's representative in product_reps; on element indices."""
+    """[x][y] -> (orbit, u) with u.rep = (x.K1, y.K2) for the orbit's
+    representative rep: grouplat.orbit_table of G/K1 x G/K2 on element
+    indices."""
     g = group(group_name)
     s1, s2 = g.subgroup(k1), g.subgroup(k2)
-    reps = product_reps(group_name, k1, k2)
-    index = _tables(group_name).index
-
-    def locate(p1: str, p2: str) -> tuple[int, int]:
-        for r, (rep, _) in enumerate(reps):
-            for x in s1.elements:
-                u = g.mul(p1, x)
-                if g.coset(g.mul(u, rep), s2) == p2:
-                    return r, index[u]
-        raise RuntimeError("point not found in any orbit")
-
+    _, index, _ = orbit_table(group_name, (k1, k2))
+    ix = _tables(group_name).index
+    at = {pt: (r, ix[u]) for pt, (r, u) in index.items()}
     return tuple(
-        tuple(locate(g.coset(x, s1), g.coset(y, s2)) for y in g.elements)
+        tuple(at[(g.coset(x, s1), g.coset(y, s2))] for y in g.elements)
         for x in g.elements
     )
 
@@ -466,7 +448,7 @@ def smash(c: BurnsideComplex, d: BurnsideComplex) -> BurnsideComplex:
     t = _tables(g.name)
     cells: dict[int, list[str]] = {}
     # (p, i, q, j) -> index of the first orbit of cell i x cell j; its
-    # orbits follow in the order of product_reps
+    # orbits follow in the order of orbit_table
     first: dict[tuple[int, int, int, int], int] = {}
     # per degree: (p, i, q, j, element index of the orbit's rep)
     meta: dict[int, list[tuple[int, int, int, int, int]]] = {}
@@ -478,7 +460,8 @@ def smash(c: BurnsideComplex, d: BurnsideComplex) -> BurnsideComplex:
                     out_cells = cells.setdefault(n, [])
                     out_meta = meta.setdefault(n, [])
                     first[(p, i, q, j)] = len(out_cells)
-                    for rep, stab in product_reps(g.name, k1, k2):
+                    reps, _, stab = orbit_table(g.name, (k1, k2))
+                    for _, rep in reps:
                         out_cells.append(stab)
                         out_meta.append((p, i, q, j, t.index[rep]))
     c_terms = {p: _terms_by_source(c, p, t) for p in c.diff}
@@ -517,6 +500,8 @@ def smash(c: BurnsideComplex, d: BurnsideComplex) -> BurnsideComplex:
     out = BurnsideComplex(
         c.group_name, {n: tuple(cs) for n, cs in cells.items()}, diff
     )
+    # checked here, not only after reduction: cancelling unit pivots can
+    # leave d.d = 0 on a product whose own d.d is not
     check_boundary(out)
     return out
 
@@ -757,22 +742,25 @@ def periodic_sphere(unit: BurnsideComplex, k: int) -> BurnsideComplex:
 
 
 def restrict_complex(c: BurnsideComplex, sub_name: str) -> BurnsideComplex:
-    """View a G-complex as a complex over (the abstract copy of) H <= G."""
+    """View a G-complex as a complex over (the abstract copy of) H <= G.
+
+    The H-orbits of G/K are the orbits of G/H x G/K, through the points
+    (e.H, x.K): the orbit of (e.H, x.K) is a cell of the restriction, and
+    orbit_table's u for that point, which fixes e.H and so lies in H, is
+    the translation from the cell's representative to x.K."""
     g = c.group()
-    h = g.subgroup(sub_name)
     target, iso = subgroup_iso(g.name, sub_name)
     cells: dict[int, list[str]] = {}
     meta: dict[int, list[tuple[int, str]]] = {}
-    index: dict[tuple[int, int, str], int] = {}
+    first: dict[tuple[int, int], int] = {}  # (n, cell) -> its first H-orbit
     for n in sorted(c.cells):
         cells[n] = []
         meta[n] = []
         for i, k in enumerate(c.cells[n]):
-            ksub = g.subgroup(k)
-            inner = g.intersect(h, ksub)
-            stab = subgroup_image_under_iso(g.name, sub_name, inner)
-            for rep, _ in g.double_cosets(h, ksub):
-                index[(n, i, rep)] = len(cells[n])
+            reps, _, inner = orbit_table(g.name, (sub_name, k))
+            stab = subgroup_image_under_iso(g.name, sub_name, g.subgroup(inner))
+            first[(n, i)] = len(cells[n])
+            for _, rep in reps:
                 cells[n].append(stab)
                 meta[n].append((i, rep))
     t = _tables(target)
@@ -785,19 +773,11 @@ def restrict_complex(c: BurnsideComplex, sub_name: str) -> BurnsideComplex:
         for si, (j, grep) in enumerate(meta[n]):
             acc: dict[int, dict[int, int]] = {}
             for ti_c, entry in by_source.get(j, ()):
-                ktgt = g.subgroup(c.cells[n - 1][ti_c])
+                ktgt = c.cells[n - 1][ti_c]
+                _, index, _ = orbit_table(g.name, (sub_name, ktgt))
                 for coeff, a in entry:
-                    ga = g.mul(grep, a)
-                    # H-orbit of (ga)Ktgt: find its representative
-                    trep = _h_orbit_rep(g, h, ktgt, ga)
-                    # h0 in H with h0 . trep . Ktgt = ga . Ktgt
-                    h0 = next(
-                        x
-                        for x in sorted(h.elements, key=g.elem_sort_key)
-                        if g.coset(g.mul(x, trep), ktgt) == g.coset(ga, ktgt)
-                    )
-                    ti = index[(n - 1, ti_c, trep)]
-                    _add_term(acc, ti, coeff, t.index[iso[h0]])
+                    r, h0 = index[(g.identity, g.coset(g.mul(grep, a), g.subgroup(ktgt)))]
+                    _add_term(acc, first[(n - 1, ti_c)] + r, coeff, t.index[iso[h0]])
             for ti, sums in acc.items():
                 entry = _osum_of(sums, t.names)
                 if entry:
@@ -807,15 +787,6 @@ def restrict_complex(c: BurnsideComplex, sub_name: str) -> BurnsideComplex:
     out = BurnsideComplex(target, {n: tuple(cs) for n, cs in cells.items()}, diff)
     check_boundary(out)
     return out
-
-
-def _h_orbit_rep(g: Group, h: Subgroup, k: Subgroup, x: str) -> str:
-    orbit = {g.mul(g.mul(u, x), v) for u in h.elements for v in k.elements}
-    best = min(orbit, key=g.elem_sort_key)
-    for rep, _ in g.double_cosets(h, k):
-        if rep in orbit:
-            return rep
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from mackey.functors import (
     restrict_functor,
 )
 from mackey.golden import degree_table
-from mackey.grouplat import group
+from mackey.grouplat import group, orbit_table
 from mackey.repcw import (
     IRREDUCIBLES,
     BurnsideComplex,
@@ -771,25 +771,27 @@ def test_memoised_weyl_action_equals_word_by_word_composition():
 
 def test_every_orbit_has_the_triples_one_stabilizer():
     # the block layout gives every orbit of G/A x G/B x G/C the summand
-    # M(A n B n C); that needs each point's stabilizer to be A n B n C
-    orbits = 0
+    # M(A n B n C), and smash gives every orbit of G/A x G/B the cell
+    # G/(A n B); that needs each point's stabilizer to be the intersection
+    orbits = {2: 0, 3: 0}
     for name in ("T", "C2", "C4", "K4", "Q8"):
         g = group(name)
         subs = g.subgroups()
-        for triple in itertools.product(subs, repeat=3):
-            reps, index, stab = bredon._orbit_table(name, tuple(s.name for s in triple))
+        for size in orbits:
+            for factors in itertools.product(subs, repeat=size):
+                reps, index, stab = orbit_table(name, tuple(s.name for s in factors))
 
-            def act(u, pt):
-                return tuple(g.coset(g.mul(u, x), s) for x, s in zip(pt, triple))
+                def act(u, pt):
+                    return tuple(g.coset(g.mul(u, x), s) for x, s in zip(pt, factors))
 
-            for rep in reps:
-                fixing = {u for u in g.elements if act(u, rep) == rep}
-                assert fixing == g.subgroup(stab).elements, (name, triple, rep)
-            for pt, (i, u) in index.items():
-                # the first translation in element order, as the blocks read it
-                assert u == next(x for x in g.elements if act(x, reps[i]) == pt)
-            orbits += len(reps)
-    assert orbits == 1505
+                for rep in reps:
+                    fixing = {u for u in g.elements if act(u, rep) == rep}
+                    assert fixing == g.subgroup(stab).elements, (name, factors, rep)
+                for pt, (i, u) in index.items():
+                    # the first translation in element order, as the blocks read it
+                    assert u == next(x for x in g.elements if act(x, reps[i]) == pt)
+                orbits[size] += len(reps)
+    assert orbits == {2: 125, 3: 1505}
 
 
 def test_dropped_engine_and_its_block_caches_are_freed_without_the_cycle_collector():

@@ -6,6 +6,7 @@ Double-coset assertions are frozen from a brute-force partition oracle
 
 import pytest
 
+from mackey.functors import _double_cosets_within
 from mackey.grouplat import (
     NotProperNontrivial,
     ParentMismatch,
@@ -18,9 +19,10 @@ from mackey.grouplat import (
 )
 
 
-def brute_double_cosets(g, h, k):
-    """Independent partition of G into double cosets H g K."""
-    remaining = list(g.elements)
+def brute_double_cosets(g, h, k, inside=None):
+    """Independent partition of G (or of the subgroup inside) into double
+    cosets H g K."""
+    remaining = [x for x in g.elements if inside is None or x in inside]
     classes = []
     while remaining:
         x = remaining[0]
@@ -86,7 +88,9 @@ def test_double_cosets_k4_l_d():
 
 
 def test_double_cosets_partition_count():
-    # sum over cosets of |H||K|/|H n K| recovers |G|
+    # sum over cosets of |H||K|/|H n K| recovers |G|, and the
+    # representatives are the least elements of the brute-force classes,
+    # in G and, for K1, K2 <= H, in H
     for name in ("C4", "K4", "Q8"):
         g = group(name)
         for h in g.subgroups():
@@ -96,6 +100,13 @@ def test_double_cosets_partition_count():
                     h.order * k.order // g.intersect(h, k).order for _ in dcs
                 )
                 assert total == g.order
+                assert [x for x, _ in dcs] == [c[0] for c in brute_double_cosets(g, h, k)]
+            inside = [s for s in g.subgroups() if s <= h]
+            for k1 in inside:
+                for k2 in inside:
+                    assert _double_cosets_within(g, h, k1, k2) == [
+                        c[0] for c in brute_double_cosets(g, k1, k2, h)
+                    ], (name, h.name, k1.name, k2.name)
 
 
 def test_parent_mismatch():

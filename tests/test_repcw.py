@@ -1,5 +1,10 @@
 """Representation parsing, sphere complexes, smash products, reduction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +126,73 @@ def test_a_sphere_is_one_smash_from_its_cached_prefix(monkeypatch):
     assert len(smashed) == 1
     c, d = smashed[0]
     assert c is prefix and d is sphere_complex("sigmaL", "Q8")
+
+
+def test_each_public_constructor_checks_its_complex_once(monkeypatch):
+    checked = []
+    real_check = repcw.check_boundary
+
+    def counting_check(c):
+        checked.append(c)
+        real_check(c)
+
+    monkeypatch.setattr(repcw, "check_boundary", counting_check)
+    monkeypatch.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
+    h = unit_sphere_complex("Q8", "H")
+    cone = cone_of_unit_sphere(h)
+    s_h, s_l = sphere_complex("H", "Q8"), sphere_complex("sigmaL", "Q8")
+    constructors = {
+        "unit_sphere_complex": lambda: unit_sphere_complex("Q8", "H"),
+        "small_h_unit_sphere": small_h_unit_sphere,
+        "cone_of_unit_sphere": lambda: cone_of_unit_sphere(h),
+        "reduce_complex": lambda: reduce_complex(cone),
+        "smash": lambda: smash(s_h, s_l),
+        "periodic_sphere": lambda: repcw.periodic_sphere(s_h, 2),
+        "restrict_complex": lambda: restrict_complex(s_h, "L"),
+        # the prefix spheres are cached: one splice
+        "sphere_complex": lambda: sphere_complex("3H", "Q8"),
+    }
+    for name, make in constructors.items():
+        checked.clear()
+        out = make()
+        assert len(checked) == 1 and checked[0] is out, name
+    # a fold step checks the smash of its cached prefix and factor, then
+    # the reduced sphere, and a cached sphere is not checked again
+    checked.clear()
+    out = sphere_complex("H+sigmaL", "Q8")
+    assert len(checked) == 2 and checked[1] is out
+    assert checked[0].ncells() > out.ncells()
+    checked.clear()
+    sphere_complex("H+sigmaL", "Q8")
+    assert not checked
+
+
+_CONTENT_DIGESTS = """
+import hashlib
+from mackey import repcw
+for group_name, text, sub in [
+    ("Q8", "rhoQ", "L"), ("Q8", "2rhoQ", "Z"), ("Q8", "rhoK", "D"),
+    ("Q8", "rhoK+2rhoQ", "R"), ("C4", "rho", "C2"), ("K4", "2rhoK", "L"),
+]:
+    c = repcw.sphere_complex(text, group_name)
+    for x in (c, repcw.restrict_complex(c, sub)):
+        print(group_name, text, x.group_name, hashlib.sha256(x.content_key).hexdigest())
+"""
+
+
+def test_complexes_do_not_depend_on_the_string_hash_seed():
+    src = str(Path(repcw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _CONTENT_DIGESTS], capture_output=True, text=True,
+            check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1", "2")
+    ]
+    assert len(runs[0].splitlines()) == 12
+    assert runs[0] == runs[1] == runs[2]
 
 
 def _built(monkeypatch, group_name: str, text: str, periodic=repcw.PERIODIC):

@@ -12,16 +12,14 @@ from functools import lru_cache
 import pytest
 
 from mackey import repcw
-from mackey.grouplat import Group, group, subgroup_image_under_iso, subgroup_iso
+from mackey.grouplat import Group, Subgroup, group, subgroup_image_under_iso, subgroup_iso
 from mackey.repcw import (
     BoundaryError,
     BurnsideComplex,
     GroupMismatch,
     OrbitSum,
-    _h_orbit_rep,
     cone_of_unit_sphere,
     parse_rep,
-    product_reps,
     unit_sphere_complex,
 )
 
@@ -51,16 +49,43 @@ def osum_compose(g: Group, first: OrbitSum, then: OrbitSum) -> OrbitSum:
     )
 
 
+def double_coset_reps(g: Group, h: Subgroup, k: Subgroup) -> list[str]:
+    """The minimal element of each double coset HgK, in element order."""
+    remaining = set(g.elements)
+    out = []
+    while remaining:
+        x = min(remaining, key=g.elem_sort_key)
+        remaining -= {g.mul(g.mul(a, x), b) for a in h.elements for b in k.elements}
+        out.append(x)
+    return out
+
+
+@lru_cache(maxsize=None)
+def product_reps(group_name: str, k1: str, k2: str) -> tuple[tuple[str, str], ...]:
+    """Orbit data for G/K1 x G/K2: (rep, stabilizer name) per double coset."""
+    g = group(group_name)
+    s1, s2 = g.subgroup(k1), g.subgroup(k2)
+    stab = g.intersect(s1, s2)
+    return tuple((rep, stab.name) for rep in double_coset_reps(g, s1, s2))
+
+
+def _h_orbit_rep(g: Group, h: Subgroup, k: Subgroup, x: str) -> str:
+    orbit = {g.mul(g.mul(u, x), v) for u in h.elements for v in k.elements}
+    return next(rep for rep in double_coset_reps(g, h, k) if rep in orbit)
+
+
 @lru_cache(maxsize=None)
 def locate_in_product(
     group_name: str, k1: str, k2: str, p1: str, p2: str
 ) -> tuple[str, str]:
-    """Find (rep, u) with u.(eK1, rep.K2) = (p1.K1, p2.K2)."""
+    """Find (rep, u) with u.(eK1, rep.K2) = (p1.K1, p2.K2), u the first
+    such element in element order."""
     g = group(group_name)
     s1, s2 = g.subgroup(k1), g.subgroup(k2)
-    for rep, _ in product_reps(group_name, k1, k2):
-        for x in s1.elements:
-            u = g.mul(p1, x)
+    for u in g.elements:
+        if g.coset(u, s1) != g.coset(p1, s1):
+            continue
+        for rep, _ in product_reps(group_name, k1, k2):
             if g.coset(g.mul(u, rep), s2) == g.coset(p2, s2):
                 return rep, u
     raise RuntimeError("point not found in any orbit")
@@ -268,7 +293,7 @@ def restrict_complex(c: BurnsideComplex, sub_name: str) -> BurnsideComplex:
             ksub = g.subgroup(k)
             inner = g.intersect(h, ksub)
             stab = subgroup_image_under_iso(g.name, sub_name, inner)
-            for rep, _ in g.double_cosets(h, ksub):
+            for rep in double_coset_reps(g, h, ksub):
                 index[(n, i, rep)] = len(cells[n])
                 cells[n].append(stab)
                 meta[n].append((i, rep))
@@ -485,6 +510,17 @@ def test_check_boundary_rejects_a_broken_complex(edit, check):
     check(c)
     with pytest.raises(BoundaryError):
         check(_broken(c, edit))
+
+
+@pytest.mark.parametrize("edit", [_flip_first_sign, _delete_first_term])
+def test_a_fold_step_rejects_each_planted_error(edit):
+    # a prefix with d.d != 0 smashed with S^sigma and reduced, as
+    # sphere_complex folds: smash's own check rejects it, where the reduced
+    # product alone would pass check_boundary
+    broken = _broken(_smashed_q8(), edit)
+    sign = repcw.sphere_complex("sigmaL", "Q8")
+    with pytest.raises(BoundaryError):
+        repcw.reduce_complex(repcw.smash(broken, sign))
 
 
 def _smashed_k4() -> BurnsideComplex:
