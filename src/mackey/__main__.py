@@ -1,0 +1,9 @@
+"""``python -m mackey``: the ``mackey`` command line without installing the
+package."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -165,7 +165,8 @@ class MackeyHomology:
         self._complex: dict[str, ReducedComplex] = {}
         self._homology_cache: dict[tuple[str, int], HomologyClassData] = {}
         self._functor_cache: dict[int, MackeyFunctor] = {}
-        self._level_map_cache: dict[tuple, dict[int, Entries]] = {}
+        # per-degree structure chain maps built so far, by kind
+        self._maps_built = {"res": 0, "tr": 0, "weyl": 0}
         for h in self.levels:
             self._build_level(h)
 
@@ -259,40 +260,47 @@ class MackeyHomology:
 
     # -- structure chain maps -----------------------------------------------
 
-    def _level_map(self, h_from: str, h_to: str, kind: str, elem: str | None = None):
-        """Chain map between level complexes induced on the G/H factor, as
-        sparse entries per degree.
+    def _level_map(self, h_from: str, h_to: str, kind: str, elem: str | None,
+                   t: int) -> Entries:
+        """Chain map between level complexes induced on the G/H factor, in
+        degree t, as sparse entries.
 
         kind "res": contravariant along G/h_to -> G/h_from (h_to <= h_from);
         kind "tr": covariant along G/h_from -> G/h_to (h_from <= h_to);
         kind "weyl": covariant along right translation of G/h by elem.
         """
-        cache_key = (h_from, h_to, kind, elem)
-        if cache_key in self._level_map_cache:
-            return self._level_map_cache[cache_key]
+        self._maps_built[kind] += 1
         u = self.g.identity if elem is None else self.g.inv(elem)
         # restriction's blocks are indexed by the h_to-side orbits
         mode, h, c = ("con", h_to, h_from) if kind == "res" else ("cov", h_from, h_to)
-        out: dict[int, Entries] = {}
-        for t, pairs in self._pairs.items():
-            acc: Entries = {}
-            rows, cols = self._offsets[h_to][t], self._offsets[h_from][t]
-            for pair in pairs:
-                block = self._block(mode, self._triple(pair, h), 2, c, u)
-                _add_block(acc, rows[pair], cols[pair], block, 1)
-            out[t] = _reduced(acc, self._orders[h_to][t])
-        self._level_map_cache[cache_key] = out
-        return out
+        acc: Entries = {}
+        rows, cols = self._offsets[h_to][t], self._offsets[h_from][t]
+        for pair in self._pairs[t]:
+            block = self._block(mode, self._triple(pair, h), 2, c, u)
+            _add_block(acc, rows[pair], cols[pair], block, 1)
+        return _reduced(acc, self._orders[h_to][t])
+
+    def _induced(self, h_from: str, h_to: str, kind: str, elem: str | None,
+                 t: int, data: dict[str, HomologyClassData]) -> AbHom:
+        """The map on degree-t homology of one structure chain map.  A
+        source with no homology generator maps by zero, so its chain map is
+        never built; every other one is built, applied and projected."""
+        src, tgt = data[h_from], data[h_to]
+        if src.group.is_trivial:
+            return AbHom.zero(src.group, tgt.group)
+        return induced_on_homology(self._level_map(h_from, h_to, kind, elem, t), src, tgt)
 
     def level_sizes(self) -> dict[str, tuple[int, int, int]]:
         """Per level: chain generators, core generators left by the
         reduction, and the largest absolute value of a core entry."""
         return {h: self._complex[h].sizes() for h in self.levels}
 
-    def assembly_sizes(self) -> tuple[dict[int, int], int]:
-        """Cell pairs per degree (the same at every level), and the distinct
-        orbit-map blocks built so far."""
-        return {t: len(ps) for t, ps in sorted(self._pairs.items())}, len(self._blocks)
+    def assembly_sizes(self) -> tuple[dict[int, int], int, dict[str, int]]:
+        """Cell pairs per degree (the same at every level), the distinct
+        orbit-map blocks built so far, and the per-degree res, tr and Weyl
+        chain maps built so far."""
+        return ({t: len(ps) for t, ps in sorted(self._pairs.items())}, len(self._blocks),
+                dict(self._maps_built))
 
     # -- homology -------------------------------------------------------------
 
@@ -310,37 +318,17 @@ class MackeyHomology:
         g = self.g
         data = {h: self.homology_raw(h, n) for h in self.levels}
         levels = {h: data[h].group for h in self.levels}
-        res = {}
-        tr = {}
+        res, tr = {}, {}
         for low, high in covering_pairs(g):
-            rmaps = self._level_map(high, low, "res")
-            tmaps = self._level_map(low, high, "tr")
-            rhom = rmaps.get(t)
-            thom = tmaps.get(t)
-            res[(low, high)] = (
-                induced_on_homology(rhom, data[high], data[low])
-                if rhom is not None
-                else AbHom.zero(levels[high], levels[low])
-            )
-            tr[(low, high)] = (
-                induced_on_homology(thom, data[low], data[high])
-                if thom is not None
-                else AbHom.zero(levels[low], levels[high])
-            )
+            res[(low, high)] = self._induced(high, low, "res", None, t, data)
+            tr[(low, high)] = self._induced(low, high, "tr", None, t, data)
         weyl = {}
         for h in self.levels:
             if levels[h].is_trivial:
                 continue
             # induce the generators only; other elements are their products
             ident = AbHom.identity(levels[h])
-            gen_maps = {}
-            for e in g.generators:
-                whom = self._level_map(h, h, "weyl", e).get(t)
-                gen_maps[e] = (
-                    induced_on_homology(whom, data[h], data[h])
-                    if whom is not None
-                    else ident
-                )
+            gen_maps = {e: self._induced(h, h, "weyl", e, t, data) for e in g.generators}
             if all(m.equals(ident) for m in gen_maps.values()):
                 continue
             # by word: the map of the word's prefix, then its last letter's

@@ -85,12 +85,20 @@ def print_functor(m: MackeyFunctor, as_json: bool) -> None:
         print(f"  weyl {sub},{elem}: {h.matrix}")
 
 
+class BadDegrees(ValueError):
+    """A --degrees value that is neither n nor a..b with a <= b."""
+
+
 def _parse_degrees(text: str) -> range:
-    if ".." in text:
-        a, b = text.split("..")
-        return range(int(a), int(b) + 1)
-    d = int(text)
-    return range(d, d + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        a = int(lo)
+        b = int(hi) if dots else a
+    except ValueError:
+        raise BadDegrees(f"--degrees {text!r}: expected n or a..b") from None
+    if a > b:
+        raise BadDegrees(f"--degrees {text!r}: the range is empty, {a} > {b}")
+    return range(a, b + 1)
 
 
 def cmd_show(args) -> int:
@@ -126,8 +134,9 @@ def _print_graded(results, as_json: bool) -> None:
 
 def _print_stats(eng) -> None:
     """Cells per degree of the engine's complexes, each level's chain and
-    reduced-core sizes, its cell pairs and orbit-map blocks, then the
-    recognition memo's hits, misses and entries so far, on stderr."""
+    reduced-core sizes, its cell pairs, orbit-map blocks and per-degree
+    res/tr/Weyl chain maps, then the recognition memo's hits, misses and
+    entries so far, on stderr."""
     for side, c in (("primal", eng.primal), ("dual", eng.dual)):
         per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
         print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
@@ -138,19 +147,22 @@ def _print_stats(eng) -> None:
             f"largest core entry {top}",
             file=sys.stderr,
         )
-    pairs, blocks = eng.assembly_sizes()
+    pairs, blocks, maps = eng.assembly_sizes()
     per_degree = " ".join(f"{t}:{k}" for t, k in pairs.items())
     print(f"cell pairs per level: {sum(pairs.values())} (by degree {per_degree})",
           file=sys.stderr)
     print(f"distinct orbit-map blocks built: {blocks}", file=sys.stderr)
+    print(f"per-degree structure chain maps built: res {maps['res']}, tr {maps['tr']}, "
+          f"Weyl {maps['weyl']}", file=sys.stderr)
     print(f"recognition memo: {RECOGNITION.hits} hits, {RECOGNITION.misses} misses, "
           f"{len(RECOGNITION)} entries", file=sys.stderr)
 
 
 def cmd_homology(args) -> int:
     gname = canonical_group_name(args.group)
+    degrees = _parse_degrees(args.degrees)
     coeff = expression_functor(gname, args.coeff)
-    results = suspension_homotopy(gname, args.rep, coeff, _parse_degrees(args.degrees))
+    results = suspension_homotopy(gname, args.rep, coeff, degrees)
     _print_graded(results, args.json)
     if args.stats:
         # the engine the computation just cached
@@ -160,11 +172,10 @@ def cmd_homology(args) -> int:
 
 def cmd_cohomology(args) -> int:
     gname = canonical_group_name(args.group)
+    degrees = _parse_degrees(args.degrees)
     coeff = expression_functor(gname, args.coeff)
     c = sphere_complex(parse_rep(gname, args.rep))
-    results = {
-        n: cohomology_mackey(c, coeff, n) for n in _parse_degrees(args.degrees)
-    }
+    results = {n: cohomology_mackey(c, coeff, n) for n in degrees}
     _print_graded(results, args.json)
     if args.stats:
         # the engine the computation just cached
@@ -444,8 +455,8 @@ def _add_stats_flag(s: argparse.ArgumentParser) -> None:
         "--stats", action="store_true",
         help="print the cells per degree of the complexes, each level's "
         "chain and reduced-core sizes, the cell pairs per level, the "
-        "orbit-map blocks built and the recognition memo's hits, misses "
-        "and entries to stderr",
+        "orbit-map blocks and per-degree res/tr/Weyl chain maps built, and "
+        "the recognition memo's hits, misses and entries to stderr",
     )
 
 

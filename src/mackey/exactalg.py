@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -589,6 +590,14 @@ class HomologyClassData:
             v[idx] = x
         return tuple(_lift_steps(self.steps, self.degree, self.orders, v))
 
+    @cached_property
+    def generator_lifts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each homology generator lifted to a chain vector, as its nonzero
+        (index, value) entries; lifted once, for every map out of this group."""
+        n = self.group.ngens
+        lifts = (self.lift(tuple(int(i == k) for i in range(n))) for k in range(n))
+        return tuple(tuple((j, x) for j, x in enumerate(v) if x) for v in lifts)
+
     def project(self, chain_vec: Sequence[int]) -> tuple[int, ...]:
         v = _project_steps(self.steps, self.degree, self.orders, chain_vec)
         w = _solve(self._basis_snf, [v[idx] for idx in self.alive])
@@ -952,18 +961,25 @@ def induced_on_homology(
     """Map induced on homology by a chain-level map in one degree.
 
     ``f`` is the sparse matrix of a map from the source chain group to the
-    target chain group.  It must be compatible with the differentials (the
-    caller checks chain-map-ness across degrees; here we only need cycles to
-    land on cycles, which is verified by the projection step).
+    target chain group.  Each source generator's lift is sent through ``f``
+    and projected into the target, including when the target homology is 0,
+    and the projection raises ValueError("vector is not a cycle") when an
+    image is not a cycle (as far as the target's core sees: its elimination
+    steps are applied first).  Chain-map-ness across degrees is the
+    caller's to ensure.  A source with no generators gives the zero map and
+    checks nothing, which is why ``MackeyHomology`` builds no chain map for
+    it.
     """
     orders = tgt.orders
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), x in f.items():
+        by_col.setdefault(j, []).append((i, x))
     cols = []
-    for k in range(src.group.ngens):
-        v = src.lift(tuple(1 if i == k else 0 for i in range(src.group.ngens)))
+    for v in src.generator_lifts:
         w = [0] * len(orders)
-        for (i, j), x in f.items():
-            if v[j]:
-                w[i] += x * v[j]
+        for j, y in v:
+            for i, x in by_col.get(j, ()):
+                w[i] += x * y
         cols.append(tgt.project([x % o if o else x for x, o in zip(w, orders)]))
     m = transpose(mat(cols)) if cols else zeros(tgt.group.ngens, 0)
     return AbHom(src.group, tgt.group, m)

@@ -729,13 +729,18 @@ def test_cell_pair_blocks_equal_the_per_summand_assembly():
                 if t - 1 in eng._orders[h]:
                     assert eng._boundary(h, t) == ref._boundary(h, t), (h, t)
             for e in g.elements:
-                got = eng._level_map(h, h, "weyl", e)
+                got = _every_degree(eng, h, h, "weyl", e)
                 assert got == ref._level_map(h, h, "weyl", e), (h, e)
                 weyl_maps += any(got.values())
         for low, high in covering_pairs(g):
-            assert eng._level_map(high, low, "res") == ref._level_map(high, low, "res")
-            assert eng._level_map(low, high, "tr") == ref._level_map(low, high, "tr")
+            assert _every_degree(eng, high, low, "res") == ref._level_map(high, low, "res")
+            assert _every_degree(eng, low, high, "tr") == ref._level_map(low, high, "tr")
     assert weyl_maps
+
+
+def _every_degree(eng, h_from, h_to, kind, elem=None):
+    """The engine's per-degree chain maps of one kind, in every degree."""
+    return {t: eng._level_map(h_from, h_to, kind, elem, t) for t in eng._pairs}
 
 
 def test_memoised_weyl_action_equals_word_by_word_composition():
@@ -755,9 +760,8 @@ def test_memoised_weyl_action_equals_word_by_word_composition():
                 ident = AbHom.identity(f.levels[h])
                 gen_maps = {}
                 for e in g.generators:
-                    whom = eng._level_map(h, h, "weyl", e).get(t)
-                    gen_maps[e] = (induced_on_homology(whom, data, data)
-                                   if whom is not None else ident)
+                    whom = eng._level_map(h, h, "weyl", e, t)
+                    gen_maps[e] = induced_on_homology(whom, data, data)
                 for e in g.elements:
                     acc = ident
                     for letter in g.word(e):
@@ -767,6 +771,61 @@ def test_memoised_weyl_action_equals_word_by_word_composition():
             assert _maps(f.weyl) == _maps(want), n
             nontrivial += len(want)
     assert nontrivial
+
+
+def test_a_source_without_homology_builds_no_chain_map():
+    zero_sources = 0
+    for cached in _block_engines():
+        eng = MackeyHomology(cached.coeff, primal=cached.primal, dual=cached.dual,
+                             offset=cached.offset)
+        g = eng.g
+        for t in eng._pairs:
+            n = t + eng.offset
+            before = eng.assembly_sizes()[2]
+            f = eng.functor(n)
+            after = eng.assembly_sizes()[2]
+            data = {h: eng.homology_raw(h, n) for h in eng.levels}
+            # the full build: every res, tr and Weyl chain map of the degree
+            # is built and induced, whatever its source
+            want = dict.fromkeys(before, 0)
+            maps = [("res", high, low, None, f.res[(low, high)])
+                    for low, high in covering_pairs(g)]
+            maps += [("tr", low, high, None, f.tr[(low, high)])
+                     for low, high in covering_pairs(g)]
+            maps += [("weyl", h, h, e, f.weyl.get((h, e), AbHom.identity(f.levels[h])))
+                     for h in eng.levels for e in g.generators]
+            for kind, a, b, elem, got in maps:
+                full = induced_on_homology(eng._level_map(a, b, kind, elem, t), data[a], data[b])
+                assert got == full, (n, kind, a, b, elem)
+                if data[a].group.is_trivial:
+                    zero_sources += 1
+                else:
+                    want[kind] += 1
+            assert {k: after[k] - before[k] for k in want} == want, n
+    assert zero_sources
+
+
+def test_a_map_that_is_not_a_chain_map_into_zero_homology_is_refused(monkeypatch):
+    # over C4, S^(lambda+sigma) with Z: in degree 1 the level C2 has homology
+    # and the level C4 has none, but C4's core keeps a generator whose
+    # boundary is not zero
+    eng = MackeyHomology(named("C4", "Z"), primal=sphere_complex(parse_rep("C4", "lambda+sigma")))
+    src, tgt = eng.homology_raw("C2", 1), eng.homology_raw("C4", 1)
+    assert not src.group.is_trivial and tgt.group.is_trivial
+    core = eng._complex["C4"]
+    j = next(j for _, j in core.d[1] if core.alive[1][j])
+    c, _ = src.generator_lifts[0][0]
+    real = eng._level_map
+
+    def level_map(h_from, h_to, kind, elem, t):
+        # the transfer C2 -> C4 sends the first generator's lift to a non-cycle
+        if (h_from, h_to, kind) == ("C2", "C4", "tr"):
+            return {(j, c): 1}
+        return real(h_from, h_to, kind, elem, t)
+
+    monkeypatch.setattr(eng, "_level_map", level_map)
+    with pytest.raises(ValueError, match="vector is not a cycle"):
+        eng.functor(1)
 
 
 def test_every_orbit_has_the_triples_one_stabilizer():

@@ -1,14 +1,19 @@
 """Command-line interface tests."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from mackey import bredon
 from mackey.bredon import cached_engine, suspension_engine
 from mackey.catalog import named
 from mackey.cli import main
-from mackey.functors import RECOGNITION
+from mackey.functors import RECOGNITION, LruMemo, covering_pairs
 from mackey.repcw import point_complex, sphere_complex
 
 
@@ -154,8 +159,8 @@ def test_homology_stats_go_to_stderr(capsys):
     assert code == 0
     assert "4: B(3,0)" in captured.out and "level" not in captured.out
     err = captured.err.splitlines()
-    cell_lines, lines, assembly = err[:2], err[2:8], err[8:10]
-    assert err[10:] == [memo]
+    cell_lines, lines, assembly = err[:2], err[2:8], err[8:11]
+    assert err[11:] == [memo]
     # the primal complex is the sphere of rhoQ, the dual one a point
     sphere = sphere_complex("rhoQ", "Q8")
     for line, side, c in zip(cell_lines, ("primal", "dual"), (sphere, point_complex("Q8"))):
@@ -180,15 +185,19 @@ def _memo_line():
 
 
 def _check_assembly_lines(lines, sphere, eng, sign):
-    """The cell-pair and block lines: a point paired with each sphere cell,
-    in degree n for a primal sphere (sign 1) and -n for a dual one (-1)."""
+    """The cell-pair, block and chain-map lines: a point paired with each
+    sphere cell, in degree n for a primal sphere (sign 1) and -n for a dual
+    one (-1)."""
     per_degree = " ".join(f"{sign * n}:{len(sphere.cells[n])}" for n in sorted(
         sphere.cells, key=lambda n: sign * n))
+    _, blocks, maps = eng.assembly_sizes()
     assert lines == [
         f"cell pairs per level: {sphere.ncells()} (by degree {per_degree})",
-        f"distinct orbit-map blocks built: {eng.assembly_sizes()[1]}",
+        f"distinct orbit-map blocks built: {blocks}",
+        f"per-degree structure chain maps built: res {maps['res']}, tr {maps['tr']}, "
+        f"Weyl {maps['weyl']}",
     ]
-    assert eng.assembly_sizes()[1] > 0
+    assert blocks > 0 and all(maps.values())
 
 
 def test_homology_prints_no_stats_by_default(capsys):
@@ -211,7 +220,7 @@ def test_cohomology_stats_go_to_stderr(capsys):
     # the same cells again: every nonzero one is recognised from the memo
     assert RECOGNITION.misses == misses
     assert RECOGNITION.hits - hits == len(plain.out.splitlines()) > 0
-    assert lines[10:] == [memo]
+    assert lines[11:] == [memo]
     # cohomology reads the sphere of rhoQ as the dual complex
     sphere = sphere_complex("rhoQ", "Q8")
     assert lines[0] == "primal cells per degree: 0:1 (1 in all)"
@@ -221,7 +230,69 @@ def test_cohomology_stats_go_to_stderr(capsys):
         f"level {h}" for h in ("e", "Z", "L", "D", "R", "Q8")
     ]
     eng = cached_engine(named("Q8", "Z"), dual=sphere)  # the one the command cached
-    _check_assembly_lines(lines[8:10], sphere, eng, -1)
+    _check_assembly_lines(lines[8:11], sphere, eng, -1)
+
+
+def test_stats_count_one_chain_map_per_nonzero_source(capsys, monkeypatch):
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(64))  # a fresh engine
+    assert main(["homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4",
+                 "--stats"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
+    g = eng.g
+    want = {"res": 0, "tr": 0, "weyl": 0}
+    for n in range(5):
+        f = eng.functor(n)
+        nonzero = {h for h, lv in f.levels.items() if not lv.is_trivial}
+        for low, high in covering_pairs(g):
+            want["res"] += high in nonzero
+            want["tr"] += low in nonzero
+        want["weyl"] += len(g.generators) * len(nonzero)
+    assert eng.assembly_sizes()[2] == want
+    assert (f"per-degree structure chain maps built: res {want['res']}, "
+            f"tr {want['tr']}, Weyl {want['weyl']}") in err
+    # a map for every level and degree would be many more
+    every = 5 * (2 * len(covering_pairs(g)) + len(g.generators) * len(eng.levels))
+    assert 0 < sum(want.values()) < every / 2
+
+
+@pytest.mark.parametrize("command", ["homology", "cohomology"])
+@pytest.mark.parametrize("degrees, why", [
+    ("5..2", "the range is empty, 5 > 2"),
+    ("x", "expected n or a..b"),
+    ("1..x", "expected n or a..b"),
+    ("1..2..3", "expected n or a..b"),
+    ("", "expected n or a..b"),
+])
+def test_bad_degrees_exit_one_naming_the_option(capsys, command, degrees, why):
+    code = main([command, "--group", "q8", "--rep", "rhoQ", "--degrees", degrees])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: BadDegrees: --degrees {degrees!r}: {why}\n"
+
+
+@pytest.mark.parametrize("degrees, want", [
+    ("3", [3]), ("-2..1", [-2, -1, 0, 1]), ("4..4", [4]), ("-3", [-3]),
+])
+def test_degrees_are_one_degree_or_an_inclusive_range(degrees, want):
+    from mackey.cli import _parse_degrees
+
+    assert list(_parse_degrees(degrees)) == want
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-m", "mackey", "show", "--group", "q8", "--name", "B(3,0)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("B(3,0) over Q8")
+    bad = subprocess.run([sys.executable, "-m", "mackey", "homology", "--group", "q8",
+                          "--rep", "rhoQ", "--degrees", "5..2"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == 1 and "--degrees" in bad.stderr
 
 
 def test_isomorphism_search_limit_is_reported(capsys, monkeypatch):
