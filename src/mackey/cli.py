@@ -13,6 +13,7 @@ import json
 import sys
 import time
 
+from . import bredon
 from .bredon import (
     cached_engine,
     cohomology_mackey,
@@ -24,6 +25,7 @@ from .bredon import (
 from .catalog import named
 from .chart import golden_page, render_ascii, render_svg, validate_differentials
 from .functors import (
+    EXPRESSIONS,
     RECOGNITION,
     MackeyFunctor,
     check_axioms,
@@ -135,8 +137,9 @@ def _print_graded(results, as_json: bool) -> None:
 def _print_stats(eng) -> None:
     """Cells per degree of the engine's complexes, each level's chain and
     reduced-core sizes, its cell pairs, orbit-map blocks and per-degree
-    res/tr/Weyl chain maps, then the recognition memo's hits, misses and
-    entries so far, on stderr."""
+    res/tr/Weyl chain maps, then the hits, misses and entries so far of the
+    recognition memo and of the coefficient memos (expressions built,
+    coefficients validated), on stderr."""
     for side, c in (("primal", eng.primal), ("dual", eng.dual)):
         per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
         print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
@@ -154,8 +157,13 @@ def _print_stats(eng) -> None:
     print(f"distinct orbit-map blocks built: {blocks}", file=sys.stderr)
     print(f"per-degree structure chain maps built: res {maps['res']}, tr {maps['tr']}, "
           f"Weyl {maps['weyl']}", file=sys.stderr)
-    print(f"recognition memo: {RECOGNITION.hits} hits, {RECOGNITION.misses} misses, "
-          f"{len(RECOGNITION)} entries", file=sys.stderr)
+    print(f"recognition memo: {_memo_counts(RECOGNITION)}", file=sys.stderr)
+    print(f"coefficient memos: expressions {_memo_counts(EXPRESSIONS)}; "
+          f"validated {_memo_counts(bredon._VALIDATED_COEFFS)}", file=sys.stderr)
+
+
+def _memo_counts(memo) -> str:
+    return f"{memo.hits} hits, {memo.misses} misses, {len(memo)} entries"
 
 
 def cmd_homology(args) -> int:
@@ -456,7 +464,8 @@ def _add_stats_flag(s: argparse.ArgumentParser) -> None:
         help="print the cells per degree of the complexes, each level's "
         "chain and reduced-core sizes, the cell pairs per level, the "
         "orbit-map blocks and per-degree res/tr/Weyl chain maps built, and "
-        "the recognition memo's hits, misses and entries to stderr",
+        "the hits, misses and entries of the recognition memo and of the "
+        "coefficient memos to stderr",
     )
 
 

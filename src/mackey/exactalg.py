@@ -394,13 +394,18 @@ class FgAbelian:
     def ngens(self) -> int:
         return len(self.orders)
 
+    @cached_property
+    def normal_form(self) -> tuple[int, tuple[int, ...]]:
+        """(rank, invariant factors), computed on first use and kept."""
+        return _normalize_orders(self.orders)
+
     @property
     def rank(self) -> int:
-        return _normalize_orders(self.orders)[0]
+        return self.normal_form[0]
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        return _normalize_orders(self.orders)[1]
+        return self.normal_form[1]
 
     @property
     def is_trivial(self) -> bool:
@@ -440,13 +445,13 @@ class FgAbelian:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FgAbelian):
             return NotImplemented
-        return _normalize_orders(self.orders) == _normalize_orders(other.orders)
+        return self.normal_form == other.normal_form
 
     def __hash__(self):
-        return hash(_normalize_orders(self.orders))
+        return hash(self.normal_form)
 
     def __str__(self) -> str:
-        rank, factors = _normalize_orders(self.orders)
+        rank, factors = self.normal_form
         parts = ["Z"] * rank + [f"Z/{d}" for d in factors]
         return " + ".join(parts) if parts else "0"
 

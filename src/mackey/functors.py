@@ -15,13 +15,21 @@ from __future__ import annotations
 import itertools
 import marshal
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactalg import AbHom, FgAbelian, NonComposable, identity, _mat_mul_mod
-from .grouplat import Group, Subgroup, group, orbit_table
+from .exactalg import (
+    AbHom,
+    FgAbelian,
+    NonComposable,
+    _mat_mul_mod,
+    _reduce_matrix,
+    identity,
+    mat_add,
+)
+from .grouplat import Group, Subgroup, canonical_group_name, group, orbit_table
 
 
 class Mismatch(Exception):
@@ -243,6 +251,24 @@ class AxiomReport:
 
 
 def check_axioms(m: MackeyFunctor) -> AxiomReport:
+    """Check the Mackey axioms: maps present and of the right shape, path
+    independence of composite res and tr, the Weyl action, equivariance of
+    res and tr, the double coset formula inside every subgroup, and the
+    cohomological condition when ``m.is_zmodule``.
+
+    The action and equivariance clauses are checked for each generator s
+    in ``Group.generators`` only, which proves them for every element, by
+    induction on a word in the generators:
+
+    - W(1) = 1 is the clause "trivial on own subgroup" at 1, so
+      W(x.1) = W(x)W(1) for every x;
+    - if W(x.y) = W(x)W(y) for every x, then for a generator s,
+      W(x.ys) = W(x.y)W(s) = W(x)W(y)W(s) = W(x)W(ys), the first and last
+      steps being the generator clause at x.y and at y;
+    - res and tr commute with W(1) = 1, and if they commute with W(y) at
+      both of their levels, they commute with W(ys) = W(y)W(s).
+
+    Q8 takes 289 checks this way, not the 661 of every pair of elements."""
     g = m.group()
     failures = []
     checked = []
@@ -312,14 +338,14 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
             )
         for x in g.elements:
             wx = m.weyl_action(s.name, x)
-            for y in g.elements:
+            for y in g.generators:
                 wxy = m.weyl_action(s.name, g.mul(x, y))
                 comp = wx.compose(m.weyl_action(s.name, y))
                 expect(wxy.equals(comp), f"weyl action {s.name}: {x}*{y}")
 
     # equivariance of res and tr
     for low, high in pairs:
-        for e in g.elements:
+        for e in g.generators:
             wl = m.weyl_action(low, e)
             wh = m.weyl_action(high, e)
             r = m.res[(low, high)]
@@ -333,25 +359,21 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
                 f"tr equivariance {low}<{high},{e}",
             )
 
-    # double coset formula inside every subgroup
+    # double coset formula inside every subgroup; the right-hand side is
+    # summed as integer matrices and reduced mod level(k1) once
     for h in g.subgroups():
         inside = [s for s in g.subgroups() if s.elements <= h.elements]
         for k1 in inside:
             for k2 in inside:
                 if k1.name == h.name and k2.name == h.name:
                     continue
-                meet = g.intersect(k1, k2)
+                meet = g.intersect(k1, k2).name
                 lhs = m.res_map(k1.name, h.name).compose(m.tr_map(k2.name, h.name))
-                rhs = AbHom.zero(m.levels[k2.name], m.levels[k1.name])
-                for rep in _double_cosets_within(g, h, k1, k2):
-                    term = m.tr_map(meet.name, k1.name).compose(
-                        m.weyl_action(meet.name, rep).compose(
-                            m.res_map(meet.name, k2.name)
-                        )
-                    )
-                    rhs = rhs + term
+                up, down = m.tr_map(meet, k1.name), m.res_map(meet, k2.name)
+                terms = [up.compose(m.weyl_action(meet, rep).compose(down)).matrix
+                         for rep in _double_cosets_within(g, h, k1, k2)]
                 expect(
-                    lhs.equals(rhs),
+                    lhs.matrix == _reduce_matrix(reduce(mat_add, terms), lhs.cod),
                     f"double coset {k1.name}\\{h.name}/{k2.name}",
                 )
 
@@ -519,7 +541,7 @@ def ses_check(i: MackeyMorphism, p: MackeyMorphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# recognition memo
+# memos
 
 _MISSING = object()
 
@@ -562,6 +584,9 @@ class LruMemo:
 # from id() or a name, so equal functors share one result; functors are
 # values, so a stored result stays true of its key.
 RECOGNITION = LruMemo(1024)
+
+# Values of expression_functor by (canonical group name, expression text).
+EXPRESSIONS = LruMemo(256)
 
 
 # ---------------------------------------------------------------------------
@@ -913,14 +938,21 @@ def parse_expression(expr: str) -> list[tuple[str, int]]:
 
 
 def expression_functor(group_name: str, expr: str) -> MackeyFunctor:
+    """The direct sum named by expr, built once per canonical group name
+    and expression text and then handed out as the one frozen value."""
     from .catalog import named
 
-    total = zero_functor(group_name)
-    for nm, mult in parse_expression(expr):
-        f = named(group_name, nm)
-        for _ in range(mult):
-            total = total.direct_sum(f)
-    return total
+    gname = canonical_group_name(group_name)
+
+    def build():
+        total = zero_functor(gname)
+        for nm, mult in parse_expression(expr):
+            f = named(gname, nm)
+            for _ in range(mult):
+                total = total.direct_sum(f)
+        return total
+
+    return EXPRESSIONS.recall((gname, expr), build)
 
 
 def match_expression(m: MackeyFunctor, expr: str) -> bool:

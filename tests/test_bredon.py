@@ -276,6 +276,20 @@ def test_coefficients_changed_after_validation_are_checked_again():
     MackeyHomology(coeff)
 
 
+def test_invalid_coefficients_raise_on_every_engine(monkeypatch):
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo(64))
+    # a Weyl map at Z that is not an action: W(j) = -1 but W(i) = 1
+    z = expression_functor("Q8", "Z")
+    lvl = z.levels["Z"]
+    bad = replace(z, weyl={("Z", "j"): AbHom(lvl, lvl, ((-1,),))})
+    for _ in range(2):  # a failed validation is not stored
+        with pytest.raises(AxiomFailure, match="weyl action Z"):
+            MackeyHomology(bad)
+    assert len(bredon._VALIDATED_COEFFS) == 0
+    MackeyHomology(z)
+    assert len(bredon._VALIDATED_COEFFS) == 1
+
+
 def _make_dual(coeff):
     """Constant Z over C2 (res 1, tr 2) with the maps of its dual (res 2,
     tr 1), as a new value."""

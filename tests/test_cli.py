@@ -13,7 +13,7 @@ from mackey import bredon
 from mackey.bredon import cached_engine, suspension_engine
 from mackey.catalog import named
 from mackey.cli import main
-from mackey.functors import RECOGNITION, LruMemo, covering_pairs
+from mackey.functors import EXPRESSIONS, RECOGNITION, LruMemo, covering_pairs
 from mackey.repcw import point_complex, sphere_complex
 
 
@@ -154,13 +154,13 @@ def test_homology_stats_go_to_stderr(capsys):
         "homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4",
         "--stats",
     ])
-    memo = _memo_line()  # nothing has been recognised since the command printed it
+    memo = _memo_lines()  # nothing has been recognised since the command printed it
     captured = capsys.readouterr()
     assert code == 0
     assert "4: B(3,0)" in captured.out and "level" not in captured.out
     err = captured.err.splitlines()
     cell_lines, lines, assembly = err[:2], err[2:8], err[8:11]
-    assert err[11:] == [memo]
+    assert err[11:] == memo
     # the primal complex is the sphere of rhoQ, the dual one a point
     sphere = sphere_complex("rhoQ", "Q8")
     for line, side, c in zip(cell_lines, ("primal", "dual"), (sphere, point_complex("Q8"))):
@@ -179,9 +179,17 @@ def test_homology_stats_go_to_stderr(capsys):
     _check_assembly_lines(assembly, sphere, eng, 1)
 
 
-def _memo_line():
-    return (f"recognition memo: {RECOGNITION.hits} hits, "
-            f"{RECOGNITION.misses} misses, {len(RECOGNITION)} entries")
+def _memo_lines():
+    """The recognition memo line and the coefficient memos line."""
+    validated = bredon._VALIDATED_COEFFS
+    return [
+        f"recognition memo: {RECOGNITION.hits} hits, "
+        f"{RECOGNITION.misses} misses, {len(RECOGNITION)} entries",
+        f"coefficient memos: expressions {EXPRESSIONS.hits} hits, "
+        f"{EXPRESSIONS.misses} misses, {len(EXPRESSIONS)} entries; "
+        f"validated {validated.hits} hits, {validated.misses} misses, "
+        f"{len(validated)} entries",
+    ]
 
 
 def _check_assembly_lines(lines, sphere, eng, sign):
@@ -213,14 +221,14 @@ def test_cohomology_stats_go_to_stderr(capsys):
     assert plain.err == ""
     hits, misses = RECOGNITION.hits, RECOGNITION.misses
     assert main(argv + ["--stats"]) == 0
-    memo = _memo_line()
+    memo = _memo_lines()
     captured = capsys.readouterr()
     assert captured.out == plain.out
     lines = captured.err.splitlines()
     # the same cells again: every nonzero one is recognised from the memo
     assert RECOGNITION.misses == misses
     assert RECOGNITION.hits - hits == len(plain.out.splitlines()) > 0
-    assert lines[11:] == [memo]
+    assert lines[11:] == memo
     # cohomology reads the sphere of rhoQ as the dual complex
     sphere = sphere_complex("rhoQ", "Q8")
     assert lines[0] == "primal cells per degree: 0:1 (1 in all)"
@@ -231,6 +239,24 @@ def test_cohomology_stats_go_to_stderr(capsys):
     ]
     eng = cached_engine(named("Q8", "Z"), dual=sphere)  # the one the command cached
     _check_assembly_lines(lines[8:11], sphere, eng, -1)
+
+
+def test_stats_count_the_coefficient_memos(capsys, monkeypatch):
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(64))  # a fresh engine
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo(64))
+    argv = ["cohomology", "--group", "q8", "--rep", "rhoQ", "--coeff", "mg+g^2",
+            "--degrees", "0..4", "--stats"]
+    assert main(argv) == 0
+    first = capsys.readouterr().err.splitlines()
+    assert first[-2:] == _memo_lines()
+    hits, misses = EXPRESSIONS.hits, EXPRESSIONS.misses
+    assert main(argv) == 0
+    second = capsys.readouterr().err.splitlines()
+    assert second[-2:] == _memo_lines()
+    # the sum is built once and its engine validated it once: the second
+    # command finds both the expression and the engine
+    assert (EXPRESSIONS.hits, EXPRESSIONS.misses) == (hits + 1, misses)
+    assert second[-1].endswith("; validated 0 hits, 1 misses, 1 entries")
 
 
 def test_stats_count_one_chain_map_per_nonzero_source(capsys, monkeypatch):

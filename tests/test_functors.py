@@ -4,6 +4,7 @@ functor, duality, the seven short exact sequences, and isomorphism search.
 
 import gc
 import itertools
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 from math import gcd
 
@@ -13,13 +14,19 @@ from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian, NonComposable
 from mackey.bredon import identify, suspension_homotopy
 from mackey.functors import (
+    EXPRESSIONS,
     RECOGNITION,
+    AxiomReport,
     MackeyFunctor,
     MackeyMorphism,
     IsomorphismSearchLimit,
     Mismatch,
     MixedTorsion,
     UnknownName,
+    _all_chains,
+    _compose_res,
+    _compose_tr,
+    _double_cosets_within,
     _strip_g,
     box_dual,
     check_axioms,
@@ -614,3 +621,209 @@ def test_identify_answers_from_the_catalog_in_use(monkeypatch):
     assert identify(expression_functor("C2", "Z")) == "Z"
     misses = RECOGNITION.misses
     assert identify(named("C2", "Z")) == "Z" and RECOGNITION.misses == misses
+
+
+# ---------------------------------------------------------------------------
+# oracle: the axiom check on every pair of group elements
+
+
+def check_axioms_all_pairs(m: MackeyFunctor) -> AxiomReport:
+    """check_axioms with its action and equivariance clauses on all of G:
+    W(x.y) = W(x)W(y) for every x and y, equivariance at every element,
+    and each double coset sum formed through AbHom addition."""
+    g = m.group()
+    failures = []
+    checked = []
+
+    def expect(cond: bool, label: str):
+        checked.append(label)
+        if not cond:
+            failures.append(label)
+
+    pairs = covering_pairs(g)
+    for low, high in pairs:
+        r = m.res.get((low, high))
+        t = m.tr.get((low, high))
+        expect(r is not None and t is not None, f"maps present {low}<{high}")
+        if r is None or t is None:
+            continue
+        expect(
+            r.dom.orders == m.levels[high].orders
+            and r.cod.orders == m.levels[low].orders,
+            f"res shape {low}<{high}",
+        )
+        expect(
+            t.dom.orders == m.levels[low].orders
+            and t.cod.orders == m.levels[high].orders,
+            f"tr shape {low}<{high}",
+        )
+    if failures:
+        return AxiomReport(failures, checked)
+
+    for s in g.subgroups():
+        for t in g.subgroups():
+            if not (s.elements < t.elements):
+                continue
+            paths = _all_chains(g, s, t)
+            if len(paths) < 2:
+                continue
+            res_maps = [_compose_res(m, p) for p in paths]
+            tr_maps = [_compose_tr(m, p) for p in paths]
+            expect(
+                all(h.equals(res_maps[0]) for h in res_maps[1:]),
+                f"res path independence {s.name}<{t.name}",
+            )
+            expect(
+                all(h.equals(tr_maps[0]) for h in tr_maps[1:]),
+                f"tr path independence {s.name}<{t.name}",
+            )
+
+    known = len(failures)
+    for s in g.subgroups():
+        lvl = m.levels[s.name]
+        for e in g.elements:
+            w = m.weyl_action(s.name, e)
+            expect(
+                w.dom.orders == lvl.orders and w.cod.orders == lvl.orders,
+                f"weyl shape {s.name},{e}",
+            )
+    if len(failures) > known:
+        return AxiomReport(failures, checked)
+    for s in g.subgroups():
+        ident = AbHom.identity(m.levels[s.name])
+        for x in s.elements:
+            expect(
+                m.weyl_action(s.name, x).equals(ident),
+                f"weyl trivial on own subgroup {s.name},{x}",
+            )
+        for x in g.elements:
+            wx = m.weyl_action(s.name, x)
+            for y in g.elements:
+                wxy = m.weyl_action(s.name, g.mul(x, y))
+                comp = wx.compose(m.weyl_action(s.name, y))
+                expect(wxy.equals(comp), f"weyl action {s.name}: {x}*{y}")
+
+    for low, high in pairs:
+        for e in g.elements:
+            wl = m.weyl_action(low, e)
+            wh = m.weyl_action(high, e)
+            r = m.res[(low, high)]
+            t = m.tr[(low, high)]
+            expect(
+                r.compose(wh).equals(wl.compose(r)),
+                f"res equivariance {low}<{high},{e}",
+            )
+            expect(
+                t.compose(wl).equals(wh.compose(t)),
+                f"tr equivariance {low}<{high},{e}",
+            )
+
+    for h in g.subgroups():
+        inside = [s for s in g.subgroups() if s.elements <= h.elements]
+        for k1 in inside:
+            for k2 in inside:
+                if k1.name == h.name and k2.name == h.name:
+                    continue
+                meet = g.intersect(k1, k2)
+                lhs = m.res_map(k1.name, h.name).compose(m.tr_map(k2.name, h.name))
+                rhs = AbHom.zero(m.levels[k2.name], m.levels[k1.name])
+                for rep in _double_cosets_within(g, h, k1, k2):
+                    term = m.tr_map(meet.name, k1.name).compose(
+                        m.weyl_action(meet.name, rep).compose(
+                            m.res_map(meet.name, k2.name)
+                        )
+                    )
+                    rhs = rhs + term
+                expect(
+                    lhs.equals(rhs),
+                    f"double coset {k1.name}\\{h.name}/{k2.name}",
+                )
+
+    if m.is_zmodule:
+        for low, high in pairs:
+            index = g.subgroup(high).order // g.subgroup(low).order
+            lhs = m.tr[(low, high)].compose(m.res[(low, high)])
+            expect(
+                lhs.equals(AbHom.scalar(m.levels[high], index)),
+                f"cohomological {low}<{high}",
+            )
+
+    return AxiomReport(failures, checked)
+
+
+def _single_entry_edits(m: MackeyFunctor, rng: random.Random, count: int):
+    """Up to count functors, each m with one entry of one res, tr or Weyl
+    matrix changed to another value that keeps the map a homomorphism."""
+    g = m.group()
+    slots = ([("res", k, h) for k, h in m.res.items()]
+             + [("tr", k, h) for k, h in m.tr.items()]
+             + [("weyl", (s.name, e), m.weyl_action(s.name, e))
+                for s in g.subgroups() for e in g.elements])
+    slots = [slot for slot in slots if slot[2].dom.ngens and slot[2].cod.ngens]
+    out = []
+    for _ in range(4 * count):
+        if len(out) == count or not slots:
+            break
+        kind, key, h = rng.choice(slots)
+        i, j = rng.randrange(h.cod.ngens), rng.randrange(h.dom.ngens)
+        c, o, x = h.cod.orders[i], h.dom.orders[j], h.matrix[i][j]
+        if c:  # o * value must vanish mod c
+            values = [v for v in range(0, c, c // gcd(c, o)) if v != x]
+        else:  # a free target takes no image of a torsion generator
+            values = [] if o else [x + d for d in (-2, -1, 1, 2)]
+        if not values:
+            continue
+        rows = [list(r) for r in h.matrix]
+        rows[i][j] = rng.choice(values)
+        edited = AbHom(h.dom, h.cod, tuple(map(tuple, rows)))
+        out.append(replace(m, **{kind: {**getattr(m, kind), key: edited}}))
+    return out
+
+
+@pytest.mark.parametrize("gname", ALL_GROUPS)
+def test_generator_axiom_check_agrees_with_the_all_pairs_oracle(gname):
+    rng = random.Random(f"axioms {gname}")
+    verdicts = []
+    for nm, f in sorted(catalog(gname).items()):
+        assert check_axioms(f).ok and check_axioms_all_pairs(f).ok, nm
+        for edited in _single_entry_edits(f, rng, 6):
+            ok = check_axioms(edited).ok
+            assert ok == check_axioms_all_pairs(edited).ok, (nm, edited)
+            verdicts.append(ok)
+    # every unedited functor passes both checks, and edits make them fail
+    assert False in verdicts
+
+
+def test_generator_axiom_check_counts_fewer_checks():
+    for gname, n_all, n_gen in (("C2", 26, 20), ("Q8", 661, 289)):
+        z = named(gname, "Z")
+        assert len(check_axioms_all_pairs(z).checked) == n_all
+        assert len(check_axioms(z).checked) == n_gen
+
+
+def test_weyl_map_that_is_no_action_fails_on_generators():
+    # W(j) = -1 on the level Z of the constant functor; i acts trivially,
+    # so W(i.j) = W(k) = 1 differs from W(i)W(j) = -1
+    z = named("Q8", "Z")
+    lvl = z.levels["Z"]
+    bad = replace(z, weyl={("Z", "j"): AbHom(lvl, lvl, ((-1,),))})
+    for check in (check_axioms, check_axioms_all_pairs):
+        report = check(bad)
+        assert not report.ok
+        assert any(f.startswith("weyl action Z:") for f in report.failures)
+
+
+def test_expression_functor_is_built_once_per_canonical_group_name():
+    z = expression_functor("Q8", "Z")
+    hits, misses = EXPRESSIONS.hits, EXPRESSIONS.misses
+    for spelling in ("Q8", "q8", "q"):
+        assert expression_functor(spelling, "Z") is z
+    assert (EXPRESSIONS.hits, EXPRESSIONS.misses) == (hits + 3, misses)
+    assert z.group_name == "Q8" and is_isomorphic(z, named("Q8", "Z"))
+    # another text of the same sum is another entry, with an equal value
+    other = expression_functor("q8", "Z ")
+    assert other is not z and other.content_key == z.content_key
+    with pytest.raises(UnknownName):
+        expression_functor("q8", "nonsense")
+    with pytest.raises(UnknownName):  # a failed build is not stored
+        expression_functor("q8", "nonsense")
