@@ -27,6 +27,7 @@ answer inside the named catalog (including sums with powers of ``g``).
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .catalog import catalog
 from .exactalg import (
@@ -111,6 +112,24 @@ def _reduced(acc: Entries, orders: tuple[int, ...]) -> Entries:
     return out
 
 
+class _Level:
+    """One level's data, shared by every engine alike at the level (the same
+    complexes, and coefficients that agree below it); it refers to no engine."""
+
+    def __init__(self):
+        # per degree: the first generator of each cell pair's block, generator
+        # orders and homology; induced maps by (source, target, kind, elem, t)
+        self.offsets, self.orders, self.homology, self.maps = {}, {}, {}, {}
+        self.complex: ReducedComplex | None = None
+
+
+# levels by (primal, dual, level, coefficient content below the level), each
+# while some engine holds it
+_LEVELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# levels built and reused, and induced structure maps reused, so far
+LEVEL_SHARING = {"built": 0, "reused": 0, "maps reused": 0}
+
+
 class MackeyHomology:
     """A two-sided Bredon complex with coefficients, evaluated at all levels.
 
@@ -124,7 +143,8 @@ class MackeyHomology:
     M(A n B n H) once per orbit of G/A x G/B x G/H.  Boundaries and
     structure chain maps are sparse entries {(row, col): value}, the format
     ReducedComplex reduces, summed from memoised orbit-map blocks placed at
-    cell-pair corners.
+    cell-pair corners.  A level, with its homology and induced maps, is
+    shared by every live engine alike at that level (_LEVELS).
     """
 
     def __init__(
@@ -159,16 +179,15 @@ class MackeyHomology:
         self._triple_orders: dict[tuple[str, str, str], tuple[int, ...]] = {}
         self._blocks: dict[tuple, tuple] = {}
         self._homs: dict[tuple, tuple] = {}  # orbit components by (kind, a, b, u)
-        # first generator of each cell pair's block, per level and degree
-        self._offsets: dict[str, dict[int, dict[tuple, int]]] = {}
-        self._orders: dict[str, dict[int, tuple[int, ...]]] = {}
-        self._complex: dict[str, ReducedComplex] = {}
-        self._homology_cache: dict[tuple[str, int], HomologyClassData] = {}
+        self._levels: dict[str, _Level] = {}
         self._functor_cache: dict[int, MackeyFunctor] = {}
         # per-degree structure chain maps built so far, by kind
         self._maps_built = {"res": 0, "tr": 0, "weyl": 0}
         for h in self.levels:
-            self._build_level(h)
+            key = (primal.content_key, dual.content_key, h, coeff.content_key_below(h))
+            level = _LEVELS.get(key)
+            LEVEL_SHARING["built" if level is None else "reused"] += 1
+            self._levels[h] = _LEVELS[key] = self._build_level(h) if level is None else level
 
     # -- chain-level assembly ------------------------------------------------
 
@@ -185,21 +204,21 @@ class MackeyHomology:
             out = self._triple_orders[triple] = self.coeff.levels[stab].orders * len(reps)
         return out
 
-    def _build_level(self, h: str) -> None:
-        offsets = self._offsets[h] = {}
-        orders = self._orders[h] = {}
+    def _build_level(self, h: str) -> _Level:
+        level = self._levels[h] = _Level()
         for t, pairs in self._pairs.items():
             at, gens = {}, []
-            offsets[t] = at
+            level.offsets[t] = at
             for pair in pairs:
                 at[pair] = len(gens)
                 gens.extend(self._block_orders(self._triple(pair, h)))
-            orders[t] = tuple(gens)
-        diffs = {t: self._boundary(h, t) for t in sorted(orders) if t - 1 in orders}
-        self._complex[h] = ReducedComplex(orders, diffs)
+            level.orders[t] = tuple(gens)
+        diffs = {t: self._boundary(h, t) for t in sorted(level.orders) if t - 1 in level.orders}
+        level.complex = ReducedComplex(level.orders, diffs)
+        return level
 
     def _boundary(self, h: str, t: int) -> Entries:
-        src_at, tgt_at = self._offsets[h][t], self._offsets[h][t - 1]
+        src_at, tgt_at = self._levels[h].offsets[t], self._levels[h].offsets[t - 1]
         primal_src, dual_src = self._diff_by_source
         acc: Entries = {}
         # primal direction: covariant, degree q -> q-1
@@ -225,7 +244,7 @@ class MackeyHomology:
                 ka = self.dual.cells[p - 1][ti]
                 for coeff, u in entry:
                     _add_block(acc, r0, c0, self._block("con", triple, 0, ka, u), sign * coeff)
-        return _reduced(acc, self._orders[h][t - 1])
+        return _reduced(acc, self._levels[h].orders[t - 1])
 
     def _block(self, kind: str, triple: tuple[str, str, str], slot: int,
                c: str, u: str) -> tuple:
@@ -274,26 +293,37 @@ class MackeyHomology:
         # restriction's blocks are indexed by the h_to-side orbits
         mode, h, c = ("con", h_to, h_from) if kind == "res" else ("cov", h_from, h_to)
         acc: Entries = {}
-        rows, cols = self._offsets[h_to][t], self._offsets[h_from][t]
+        rows, cols = self._levels[h_to].offsets[t], self._levels[h_from].offsets[t]
         for pair in self._pairs[t]:
             block = self._block(mode, self._triple(pair, h), 2, c, u)
             _add_block(acc, rows[pair], cols[pair], block, 1)
-        return _reduced(acc, self._orders[h_to][t])
+        return _reduced(acc, self._levels[h_to].orders[t])
 
     def _induced(self, h_from: str, h_to: str, kind: str, elem: str | None,
                  t: int, data: dict[str, HomologyClassData]) -> AbHom:
         """The map on degree-t homology of one structure chain map.  A
         source with no homology generator maps by zero, so its chain map is
-        never built; every other one is built, applied and projected."""
+        never built; every other one is built, applied and projected once
+        per content of its higher level, whose key fixes both levels."""
         src, tgt = data[h_from], data[h_to]
         if src.group.is_trivial:
             return AbHom.zero(src.group, tgt.group)
-        return induced_on_homology(self._level_map(h_from, h_to, kind, elem, t), src, tgt)
+        maps = self._levels[h_to if kind == "tr" else h_from].maps
+        key = (h_from, h_to, kind, elem, t)
+        LEVEL_SHARING["maps reused"] += key in maps
+        if key not in maps:
+            maps[key] = induced_on_homology(self._level_map(*key), src, tgt)
+        return maps[key]
+
+    @property
+    def _complex(self) -> dict[str, ReducedComplex]:
+        """Each level's reduced complex."""
+        return {h: level.complex for h, level in self._levels.items()}
 
     def level_sizes(self) -> dict[str, tuple[int, int, int]]:
         """Per level: chain generators, core generators left by the
         reduction, and the largest absolute value of a core entry."""
-        return {h: self._complex[h].sizes() for h in self.levels}
+        return {h: c.sizes() for h, c in self._complex.items()}
 
     def assembly_sizes(self) -> tuple[dict[int, int], int, dict[str, int]]:
         """Cell pairs per degree (the same at every level), the distinct
@@ -305,10 +335,10 @@ class MackeyHomology:
     # -- homology -------------------------------------------------------------
 
     def homology_raw(self, h: str, n: int) -> HomologyClassData:
-        key = (h, n - self.offset)
-        if key not in self._homology_cache:
-            self._homology_cache[key] = self._complex[h].homology(n - self.offset)
-        return self._homology_cache[key]
+        level, t = self._levels[h], n - self.offset
+        if t not in level.homology:
+            level.homology[t] = level.complex.homology(t)
+        return level.homology[t]
 
     def functor(self, n: int) -> MackeyFunctor:
         """The degree-n homology as a Mackey functor (raw, unnamed)."""

@@ -137,9 +137,10 @@ def _print_graded(results, as_json: bool) -> None:
 def _print_stats(eng) -> None:
     """Cells per degree of the engine's complexes, each level's chain and
     reduced-core sizes, its cell pairs, orbit-map blocks and per-degree
-    res/tr/Weyl chain maps, then the hits, misses and entries so far of the
-    recognition memo and of the coefficient memos (expressions built,
-    coefficients validated), on stderr."""
+    res/tr/Weyl chain maps, then the levels built, reused and live and the
+    induced maps reused, and the hits, misses and entries of the recognition
+    memo and of the coefficient memos (expressions built, coefficients
+    validated), all so far, on stderr."""
     for side, c in (("primal", eng.primal), ("dual", eng.dual)):
         per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
         print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
@@ -157,6 +158,10 @@ def _print_stats(eng) -> None:
     print(f"distinct orbit-map blocks built: {blocks}", file=sys.stderr)
     print(f"per-degree structure chain maps built: res {maps['res']}, tr {maps['tr']}, "
           f"Weyl {maps['weyl']}", file=sys.stderr)
+    shared = bredon.LEVEL_SHARING
+    print(f"level sharing: {shared['built']} levels built, {shared['reused']} reused, "
+          f"{shared['maps reused']} structure maps reused, {len(bredon._LEVELS)} live",
+          file=sys.stderr)
     print(f"recognition memo: {_memo_counts(RECOGNITION)}", file=sys.stderr)
     print(f"coefficient memos: expressions {_memo_counts(EXPRESSIONS)}; "
           f"validated {_memo_counts(bredon._VALIDATED_COEFFS)}", file=sys.stderr)

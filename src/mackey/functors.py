@@ -64,9 +64,10 @@ class MackeyFunctor:
     name: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "group_name", canonical_group_name(self.group_name))
         for f in ("levels", "res", "tr", "weyl"):
             object.__setattr__(self, f, MappingProxyType(dict(getattr(self, f))))
-        object.__setattr__(self, "_map_memo", {})  # composites and identities
+        object.__setattr__(self, "_map_memo", {})  # composites, identities, keys below
         g = self.group()
         for s in g.subgroups():
             if s.name not in self.levels:
@@ -93,6 +94,20 @@ class MackeyFunctor:
             maps(self.tr),
             maps(self.weyl),
         ), 0)
+
+    def content_key_below(self, h: str) -> bytes:
+        """content_key's part at the subgroups in a conjugate of h: all that
+        a level-h Bredon complex reads of its coefficients."""
+        key = ("below", h)
+        if key not in self._map_memo:
+            g, top = self.group(), self.group().subgroup(h).elements
+            below = {s.name for s in g.subgroups() if any(
+                {g.mul(g.mul(x, y), g.inv(x)) for y in s.elements} <= top for x in g.elements)}
+            self._map_memo[key] = marshal.dumps((
+                sorted((s, lvl.orders) for s, lvl in self.levels.items() if s in below),
+                *(sorted((k, m.matrix) for k, m in d.items() if k[i] in below)
+                  for d, i in ((self.res, 1), (self.tr, 1), (self.weyl, 0)))), 0)
+        return self._map_memo[key]
 
     def group(self) -> Group:
         return group(self.group_name)

@@ -8,6 +8,7 @@ named catalog.
 
 import gc
 import itertools
+import random
 import sys
 import weakref
 from dataclasses import dataclass, replace
@@ -28,7 +29,7 @@ from mackey.bredon import (
     suspension_engine,
     suspension_homotopy,
 )
-from mackey.catalog import named
+from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian, induced_on_homology
 from mackey.functors import (
     LruMemo,
@@ -40,12 +41,14 @@ from mackey.functors import (
     is_isomorphic,
     match_expression,
     restrict_functor,
+    zero_functor,
 )
 from mackey.golden import degree_table
 from mackey.grouplat import group, orbit_table
 from mackey.repcw import (
     IRREDUCIBLES,
     BurnsideComplex,
+    VirtualRep,
     cone_of_unit_sphere,
     parse_rep,
     point_complex,
@@ -55,6 +58,7 @@ from mackey.repcw import (
     smash,
     sphere_complex,
     suspend,
+    underlying_homology_ranks,
     unit_sphere_complex,
 )
 
@@ -738,9 +742,9 @@ def test_cell_pair_blocks_equal_the_per_summand_assembly():
         ref = _PerSummand(eng)
         g = eng.g
         for h in eng.levels:
-            assert eng._orders[h] == ref._orders[h], h
-            for t in eng._orders[h]:
-                if t - 1 in eng._orders[h]:
+            assert eng._levels[h].orders == ref._orders[h], h
+            for t in eng._levels[h].orders:
+                if t - 1 in eng._levels[h].orders:
                     assert eng._boundary(h, t) == ref._boundary(h, t), (h, t)
             for e in g.elements:
                 got = _every_degree(eng, h, h, "weyl", e)
@@ -761,7 +765,7 @@ def test_memoised_weyl_action_equals_word_by_word_composition():
     nontrivial = 0
     for eng in _block_engines():
         g = eng.g
-        for t in eng._orders["e"]:
+        for t in eng._levels["e"].orders:
             n = t + eng.offset
             f = eng.functor(n)
             want = {}
@@ -787,9 +791,11 @@ def test_memoised_weyl_action_equals_word_by_word_composition():
     assert nontrivial
 
 
-def test_a_source_without_homology_builds_no_chain_map():
+def test_a_source_without_homology_builds_no_chain_map(monkeypatch):
     zero_sources = 0
     for cached in _block_engines():
+        # an engine with levels of its own, which has induced no map yet
+        monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
         eng = MackeyHomology(cached.coeff, primal=cached.primal, dual=cached.dual,
                              offset=cached.offset)
         g = eng.g
@@ -878,7 +884,7 @@ def test_dropped_engine_and_its_block_caches_are_freed_without_the_cycle_collect
             eng.functor(n)
         # each cache held by the engine alone, as lone is by its one name
         lone = {0: 0}
-        caches = (eng._blocks, eng._homs, eng._triple_orders, eng._offsets,
+        caches = (eng._blocks, eng._homs, eng._triple_orders, eng._levels,
                   eng._diff_by_source, lone)
         assert all(caches)
         counts = [sys.getrefcount(x) for x in caches]
@@ -888,3 +894,113 @@ def test_dropped_engine_and_its_block_caches_are_freed_without_the_cycle_collect
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# levels shared between engines
+
+
+def _level_data(eng, h):
+    """A level's layout, reduced complex and boundaries, as plain data; the
+    boundaries are assembled again by the engine from its own coefficients."""
+    lv = eng._levels[h]
+    c = lv.complex
+    bounds = {t: eng._boundary(h, t) for t in lv.orders if t - 1 in lv.orders}
+    return lv.offsets, lv.orders, bounds, c.d, c.alive, c.steps
+
+
+@pytest.mark.parametrize("group_name, rep", [
+    ("Q8", "rhoQ"), ("Q8", "2rhoQ"), ("Q8", "rhoK+rhoQ"), ("K4", "rhoK"),
+])
+def test_every_shared_level_equals_a_freshly_assembled_one(monkeypatch, group_name, rep):
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
+    c = sphere_complex(parse_rep(group_name, rep))
+    table = catalog(group_name)
+    engines = {nm: MackeyHomology(table[nm], primal=c) for nm in sorted(table)}
+    degrees = sorted(c.cells)
+    shared = 0
+    for nm, eng in engines.items():
+        mine = [h for h in eng.levels
+                if any(other._levels[h] is eng._levels[h] for other in engines.values()
+                       if other is not eng)]
+        if not mine:
+            continue
+        shared += len(mine)
+        # the same coefficients, every level assembled by this engine alone
+        monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
+        fresh = MackeyHomology(table[nm], primal=c)
+        for h in mine:
+            assert fresh._levels[h] is not eng._levels[h]
+            assert _level_data(eng, h) == _level_data(fresh, h), (nm, h)
+        # homology and structure maps, some of them induced by other engines
+        for n in degrees:
+            assert _data(eng.functor(n)) == _data(fresh.functor(n)), (nm, n)
+    assert shared
+
+
+def test_a_group_spelled_in_lower_case_is_the_same_group():
+    z = named("Q8", "Z")
+    copy = MackeyFunctor("q8", z.levels, z.res, z.tr, z.weyl, z.is_zmodule)
+    assert copy.group_name == zero_functor("q8").group_name == "Q8"
+    assert copy.content_key == z.content_key
+    assert bredon.identify(copy) == "Z"
+    assert match_expression(copy, "Z") and is_isomorphic(copy, z)
+    # one engine, and the levels of an engine built apart are shared too
+    assert suspension_engine("q8", "rhoQ", copy) is suspension_engine("Q8", "rhoQ", z)
+    c = sphere_complex(parse_rep("Q8", "2rhoQ"))
+    ours, theirs = MackeyHomology(copy, primal=c), MackeyHomology(z, primal=c)
+    assert all(ours._levels[h] is theirs._levels[h] for h in ours.levels)
+
+
+def _data_at(m, s):
+    """What a functor holds at the subgroup s: its level, the res and tr of
+    each covering pair below s, and the Weyl action on it."""
+    g = m.group()
+    return (m.levels[s].orders,
+            [(m.res[k].matrix, m.tr[k].matrix) for k in covering_pairs(g) if k[1] == s],
+            [m.weyl_action(s, e).matrix for e in g.elements])
+
+
+@pytest.mark.parametrize("group_name, rep", [
+    ("C2", "1+sigma"), ("C4", "1+sigma+lambda"), ("K4", "rhoK"), ("Q8", "rhoQ"),
+])
+def test_coefficients_that_differ_at_one_subgroup_share_the_levels_without_it(
+        monkeypatch, group_name, rep):
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
+    c = sphere_complex(parse_rep(group_name, rep))
+    g, table = group(group_name), catalog(group_name)
+    engines = {nm: MackeyHomology(f, primal=c) for nm, f in table.items()}
+    pairs = 0
+    for a, b in itertools.combinations(sorted(table), 2):
+        differ = [s for s in g.subgroups()
+                  if _data_at(table[a], s.name) != _data_at(table[b], s.name)]
+        if len(differ) != 1:
+            continue
+        s, = differ
+        pairs += 1
+        shared = {h.name for h in g.subgroups()
+                  if engines[a]._levels[h.name] is engines[b]._levels[h.name]}
+        assert shared == {h.name for h in g.subgroups() if not s <= h}, (a, b, s.name)
+    assert pairs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_shared_underlying_level_matches_the_underlying_homology(seed):
+    # level e reads the coefficients at e alone, where Z and Z* agree: their
+    # engines share it, and its homology is that of Hom(dual, primal) over
+    # the integers, by the Kunneth formula from each complex's own homology
+    rnd = random.Random(seed)
+    gname = rnd.choice(["C4", "K4", "Q8"])
+    rep = VirtualRep.make(gname, {irr: rnd.randint(-1, 1)
+                                  for irr in ("1",) + IRREDUCIBLES[gname]})
+    z, zstar = (suspension_engine(gname, rep, named(gname, nm)) for nm in ("Z", "Z*"))
+    assert z._levels["e"] is zstar._levels["e"]
+    assert z._levels[gname] is not zstar._levels[gname]
+    primal, dual = (underlying_homology_ranks(x) for x in (z.primal, z.dual))
+    assert all(tors == () for _, tors in [*primal.values(), *dual.values()])
+    for t in range(min(z._pairs) - 1, max(z._pairs) + 2):
+        rank = sum(primal.get(p + t, (0,))[0] * r for p, (r, _) in dual.items())
+        want = FgAbelian((0,) * rank)
+        assert z.homology_raw("e", t + z.offset).group == want, (str(rep), t)
+    # the sphere of the virtual representation: Z in its dimension alone
+    assert z.homology_raw("e", rep.dim).group == FgAbelian((0,))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -154,13 +155,14 @@ def test_homology_stats_go_to_stderr(capsys):
         "homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4",
         "--stats",
     ])
-    memo = _memo_lines()  # nothing has been recognised since the command printed it
+    sharing, memo = _sharing_line(), _memo_lines()  # unchanged since the command printed them
     captured = capsys.readouterr()
     assert code == 0
     assert "4: B(3,0)" in captured.out and "level" not in captured.out
     err = captured.err.splitlines()
     cell_lines, lines, assembly = err[:2], err[2:8], err[8:11]
-    assert err[11:] == memo
+    assert err[11] == sharing
+    assert err[12:] == memo
     # the primal complex is the sphere of rhoQ, the dual one a point
     sphere = sphere_complex("rhoQ", "Q8")
     for line, side, c in zip(cell_lines, ("primal", "dual"), (sphere, point_complex("Q8"))):
@@ -177,6 +179,12 @@ def test_homology_stats_go_to_stderr(capsys):
     # one cell pair per sphere cell, the dual complex being a point
     eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
     _check_assembly_lines(assembly, sphere, eng, 1)
+
+
+def _sharing_line():
+    counts = bredon.LEVEL_SHARING
+    return (f"level sharing: {counts['built']} levels built, {counts['reused']} reused, "
+            f"{counts['maps reused']} structure maps reused, {len(bredon._LEVELS)} live")
 
 
 def _memo_lines():
@@ -221,14 +229,15 @@ def test_cohomology_stats_go_to_stderr(capsys):
     assert plain.err == ""
     hits, misses = RECOGNITION.hits, RECOGNITION.misses
     assert main(argv + ["--stats"]) == 0
-    memo = _memo_lines()
+    sharing, memo = _sharing_line(), _memo_lines()
     captured = capsys.readouterr()
     assert captured.out == plain.out
     lines = captured.err.splitlines()
     # the same cells again: every nonzero one is recognised from the memo
     assert RECOGNITION.misses == misses
     assert RECOGNITION.hits - hits == len(plain.out.splitlines()) > 0
-    assert lines[11:] == memo
+    assert lines[11] == sharing
+    assert lines[12:] == memo
     # cohomology reads the sphere of rhoQ as the dual complex
     sphere = sphere_complex("rhoQ", "Q8")
     assert lines[0] == "primal cells per degree: 0:1 (1 in all)"
@@ -261,6 +270,7 @@ def test_stats_count_the_coefficient_memos(capsys, monkeypatch):
 
 def test_stats_count_one_chain_map_per_nonzero_source(capsys, monkeypatch):
     monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(64))  # a fresh engine
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())  # fresh levels
     assert main(["homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4",
                  "--stats"]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -280,6 +290,36 @@ def test_stats_count_one_chain_map_per_nonzero_source(capsys, monkeypatch):
     # a map for every level and degree would be many more
     every = 5 * (2 * len(covering_pairs(g)) + len(g.generators) * len(eng.levels))
     assert 0 < sum(want.values()) < every / 2
+
+
+def test_stats_count_the_levels_two_coefficients_share(capsys, monkeypatch):
+    # Z and Z(3,2) agree at every subgroup but Q8: the second engine builds
+    # only its top level and reuses the maps the first induced out of the others
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(64))
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(bredon, "LEVEL_SHARING", dict.fromkeys(bredon.LEVEL_SHARING, 0))
+    argv = ["homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4", "--stats"]
+    assert main(argv + ["--coeff", "Z"]) == 0
+    first = capsys.readouterr().err.splitlines()
+    assert ("level sharing: 6 levels built, 0 reused, 0 structure maps reused, "
+            "6 live") in first
+    eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
+    g = eng.g
+    below_top = 0  # maps induced out of a nonzero level, cached on a level below Q8
+    for n in range(5):
+        nonzero = {h for h, lv in eng.functor(n).levels.items() if not lv.is_trivial}
+        for low, high in covering_pairs(g):
+            below_top += (high in nonzero) + (low in nonzero) if high != "Q8" else 0
+        below_top += len(g.generators) * len(nonzero - {"Q8"})
+    assert below_top > 0
+    assert main(argv + ["--coeff", "Z(3,2)"]) == 0
+    second = capsys.readouterr().err.splitlines()
+    assert (f"level sharing: 7 levels built, 5 reused, {below_top} structure maps reused, "
+            "7 live") in second
+    # the two engines hold one value of each level below Q8
+    other = suspension_engine("Q8", "rhoQ", named("Q8", "Z(3,2)"))
+    assert all(other._levels[h] is eng._levels[h] for h in ("e", "Z", "L", "D", "R"))
+    assert other._levels["Q8"] is not eng._levels["Q8"]
 
 
 @pytest.mark.parametrize("command", ["homology", "cohomology"])
