@@ -8,6 +8,9 @@ side of the engine.
 
     python scripts/homotopy_grid.py --group q8 --max-k 2
     python scripts/homotopy_grid.py --group k4 --coeff F --max-k 2
+
+A cell the catalog cannot name prints as ``(unrecognized)``, and the exit
+status is then 1.
 """
 
 import argparse
@@ -34,6 +37,7 @@ def main() -> int:
     size = {"Q8": 8, "K4": 4, "C4": 4, "C2": 2}[gname]
     coeff = expression_functor(gname, args.coeff)
     ks = range(1, args.max_k + 1)
+    unnamed = 0
     for k in ks:
         sign = "-" if args.negative else ""
         rep = f"{sign}{k}{rho}" if k > 1 else f"{sign}{rho}"
@@ -43,7 +47,12 @@ def main() -> int:
         cells = {n: nm for n, (f, nm) in row.items() if nm != "0"}
         print(f"k={k} ({time.time() - t0:.1f}s)")
         for n in sorted(cells, reverse=True):
-            print(f"  pi_{n:>3} = {cells[n]}")
+            if cells[n] is None:
+                unnamed += 1
+            print(f"  pi_{n:>3} = {cells[n] or '(unrecognized)'}")
+    if unnamed:
+        print(f"{unnamed} cells unrecognized", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -97,25 +97,8 @@ def mat_scale(c: int, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    r, c = shape(a)
-    if len(v) != c:
-        raise ValueError("shape mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
-
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) != len(b):
-        raise ValueError("row mismatch")
-    return tuple(ra + rb for ra, rb in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -270,69 +253,6 @@ def snf_full(
     freeze = lambda rows: None if rows is None else tuple(map(tuple, rows))
     flip = lambda rows: None if rows is None else transpose(rows)
     return freeze(a), freeze(u), flip(v_t), flip(uinv_t), freeze(vinv)
-
-
-def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: (s, u, v) with u*m*v = s; see snf_full."""
-    s, u, v, _, _ = snf_full(m, ("u", "v"))
-    return s, u, v
-
-
-def snf_diagonal(m: Matrix) -> list[int]:
-    s = snf_full(m, ())[0]
-    return [s[i][i] for i in range(min(shape(s)))]
-
-
-def solve_exact(a: Matrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of a x = b, or None if none exists."""
-    return _solve(snf(a), b)
-
-
-def _solve(snf_a: tuple[Matrix, Matrix, Matrix], b: Sequence[int]) -> tuple[int, ...] | None:
-    """solve_exact from the Smith form (s, u, v) of a, kept for many b."""
-    s, u, v = snf_a
-    n_r, n_c = len(u), len(v)
-    ub = mat_vec(u, tuple(b))
-    y = [0] * n_c
-    for i in range(n_r):
-        d = s[i][i] if i < min(n_r, n_c) else 0
-        if i < n_c and d:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i] != 0:
-            return None
-    return mat_vec(v, y)
-
-
-def kernel_basis(a: Matrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice of a."""
-    n_r, n_c = shape(a)
-    if n_c == 0:
-        return []
-    s, _, v, _, _ = snf_full(a, ("v",))
-    rank = sum(1 for i in range(min(n_r, n_c)) if s[i][i] != 0)
-    cols = transpose(v)
-    return [cols[j] for j in range(rank, n_c)]
-
-
-def column_space_basis(gens: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
-    """Basis of the lattice spanned by the given vectors in Z^dim.
-
-    With u g v = s diagonal, the nonzero columns of g v form a basis: they
-    are the columns of u^-1 s, and v is unimodular.
-    """
-    if not gens:
-        return []
-    g = transpose(mat(gens))  # dim x k
-    s, _, v, _, _ = snf_full(g, ("v",))
-    gv = mat_mul(g, v)
-    cols = transpose(gv)
-    out = []
-    for i in range(min(len(g), len(g[0]) if g else 0)):
-        if s[i][i]:
-            out.append(cols[i])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +497,10 @@ class HomologyClassData:
 
     group: FgAbelian
     orders: tuple[int, ...]  # chain generator orders
-    _basis: Matrix  # core x r, columns span the cycle lattice
-    _gen_coords: Matrix  # r x ngens, homology generators in basis coords
-    _basis_snf: tuple[Matrix, Matrix, Matrix]  # Smith form (s, u, v) of _basis
-    _u: Matrix  # basis coords -> Smith coords of the relations
-    _sel: tuple[int, ...]  # the Smith coords that are homology generators
+    _lifts: Matrix  # core x ngens, the homology generators as core cycles
+    _d: Matrix  # the core boundary d_out, which tells cycles apart
+    _cod_orders: tuple[int, ...]  # orders of the rows of _d
+    _proj: Matrix  # ngens x (core + torsion rows of _d), see _cycle_coords
     alive: tuple[int, ...]
     steps: tuple = ()
     degree: int = 0
@@ -589,10 +508,9 @@ class HomologyClassData:
     def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.group.ngens:
             raise ValueError("bad coordinate length")
-        core = mat_vec(self._basis, mat_vec(self._gen_coords, coords))
         v = [0] * len(self.orders)
-        for idx, x in zip(self.alive, core):
-            v[idx] = x
+        for idx, row in zip(self.alive, self._lifts):
+            v[idx] = sum(map(mul, row, coords))
         return tuple(_lift_steps(self.steps, self.degree, self.orders, v))
 
     @cached_property
@@ -605,11 +523,30 @@ class HomologyClassData:
 
     def project(self, chain_vec: Sequence[int]) -> tuple[int, ...]:
         v = _project_steps(self.steps, self.degree, self.orders, chain_vec)
-        w = _solve(self._basis_snf, [v[idx] for idx in self.alive])
-        if w is None:
+        coords = _cycle_coords(
+            self._d, self._cod_orders, self._proj, [v[idx] for idx in self.alive])
+        if coords is None:
             raise ValueError("vector is not a cycle")
-        coords = mat_vec(self._u, w)
-        return self.group.reduce_vec(tuple(coords[i] for i in self._sel))
+        return self.group.reduce_vec(coords)
+
+
+def _cycle_coords(d: Matrix, cod_orders: Sequence[int], rows: Matrix,
+                  x: Sequence[int]) -> tuple[int, ...] | None:
+    """rows . (x, y), where y solves d x + R y = 0 for the diagonal relation
+    columns R of the torsion rows of d; None when x is no cycle, that is,
+    when d x is nonzero on a free row or no multiple of a torsion row's
+    order."""
+    ext = list(x)
+    for row, o in zip(d, cod_orders):
+        dx = sum(map(mul, row, x))
+        if o:
+            q, r = divmod(dx, o)
+            if r:
+                return None
+            ext.append(-q)
+        elif dx:
+            return None
+    return tuple([sum(map(mul, row, ext)) for row in rows])
 
 
 def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
@@ -618,6 +555,15 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
     Either map may be None (interpreted as the zero map from/to 0).  Raises
     NonComposable when the middle objects differ and NotAComplex when
     d_out . d_in is nonzero.
+
+    One Smith form u [d_out | R] v = s, R the diagonal relation columns of
+    the codomain's torsion rows, gives the cycles and their coordinates.
+    The kernel of [d_out | R] is spanned by the columns of v past the rank,
+    and dropping their R part keeps a basis, since R has full column rank.
+    That basis spans the cycle lattice, the preimage of the codomain's
+    relations, which holds the middle's own relations because d_out
+    respects torsion.  The rows of vinv past the rank send a kernel vector
+    (x, y) to its coordinates in that basis.
     """
     if d_in is None and d_out is None:
         raise ValueError("need at least one differential")
@@ -628,50 +574,46 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
         if not d_out.compose(d_in).is_zero():
             raise NotAComplex("d_out . d_in != 0")
     n = middle.ngens
-    rel_mid = _relation_columns(middle)
-    # cycle lattice: preimage of the codomain relations under d_out
-    if d_out is None or d_out.cod.ngens == 0:
-        cycle_gens = [tuple(identity(n)[i]) for i in range(n)]
+    d = d_out.matrix if d_out is not None else ()
+    cod_orders = d_out.cod.orders if d_out is not None else ()
+    if d:
+        tors = [i for i, o in enumerate(cod_orders) if o]
+        stacked = tuple(
+            row + tuple(o if i == t else 0 for t in tors)
+            for i, (row, o) in enumerate(zip(d, cod_orders))
+        )
+        s, _, v, _, vinv = snf_full(stacked, ("v", "vinv"))
+        rank = sum(1 for i in range(min(shape(s))) if s[i][i])
+        basis, tail = tuple(row[rank:] for row in v[:n]), vinv[rank:]
     else:
-        rel_cod = _relation_columns(d_out.cod)
-        stacked = d_out.matrix
-        if rel_cod:
-            stacked = hstack(stacked, transpose(mat(rel_cod)))
-        cycle_gens = [k[:n] for k in kernel_basis(stacked)]
-    basis_cols = column_space_basis(cycle_gens + rel_mid, n)
-    r = len(basis_cols)
-    basis = transpose(mat(basis_cols)) if basis_cols else zeros(n, 0)
-    basis_snf = snf(basis)
-    # relations: boundaries and the middle torsion expressed in the basis
-    rel_vecs = list(rel_mid)
+        basis = tail = identity(n)
+    # relations: the middle torsion and the boundaries, in basis coords
+    rels = _relation_columns(middle)
     if d_in is not None:
-        for j in range(d_in.dom.ngens):
-            rel_vecs.append(tuple(d_in.matrix[i][j] for i in range(n)))
-    rel_in_basis = []
-    for v in rel_vecs:
-        w = _solve(basis_snf, v)
-        if w is None:
-            raise NotAComplex("boundary does not lie in the cycle lattice")
-        rel_in_basis.append(w)
-    relmat = transpose(mat(rel_in_basis)) if rel_in_basis else zeros(r, 0)
+        rels += transpose(d_in.matrix)
+    rel_coords = [_cycle_coords(d, cod_orders, tail, x) for x in rels]
+    if None in rel_coords:
+        raise NotAComplex("boundary does not lie in the cycle lattice")
+    r = len(tail)
+    relmat = transpose(rel_coords) if rel_coords else zeros(r, 0)
     s, u, _, uinv, _ = snf_full(relmat, ("u", "uinv"))
     sr, sc = shape(s)
     orders = []
     kept = []
     for i in range(r):
-        d = s[i][i] if i < min(sr, sc) else 0
-        if d == 1:
+        d_i = s[i][i] if i < min(sr, sc) else 0
+        if d_i == 1:
             continue
-        orders.append(d)
+        orders.append(d_i)
         kept.append(i)
     free = [i for i, o in zip(kept, orders) if o == 0]
     tors = [i for i, o in zip(kept, orders) if o != 0]
     sel = free + tors
     sel_orders = tuple([0] * len(free) + [orders[kept.index(i)] for i in tors])
-    group = FgAbelian(sel_orders)
     gen_coords = tuple(tuple(row[i] for i in sel) for row in uinv)
     return HomologyClassData(
-        group, middle.orders, basis, gen_coords, basis_snf, u, tuple(sel),
+        FgAbelian(sel_orders), middle.orders, mat_mul(basis, gen_coords), d,
+        cod_orders, mat_mul(tuple(u[i] for i in sel), tail) if sel else (),
         tuple(range(n)),
     )
 
@@ -741,6 +683,7 @@ class ReducedComplex:
         # steps: (degree, source_idx, target_idx, pinv, gamma, beta)
         self.steps: list[tuple[int, int, int, int, dict, dict]] = []
         self._reduce()
+        self._dense: dict[int, AbHom] = {}
 
     def _reduce(self) -> None:
         # the indices are locals: an engine keeps its reduced complexes, and
@@ -817,16 +760,21 @@ class ReducedComplex:
         return FgAbelian(tuple(self.orders[n][i] for i in self._alive_indices(n)))
 
     def _reduced_diff(self, n: int) -> AbHom | None:
+        """The core's boundary C_n -> C_{n-1} as a dense map, built once: it
+        is d_out of H_n and d_in of H_{n+1}."""
         if n not in self.d:
             return None
-        src = self._alive_indices(n)
-        tgt = self._alive_indices(n - 1)
-        src_pos = {idx: k for k, idx in enumerate(src)}
-        tgt_pos = {idx: k for k, idx in enumerate(tgt)}
-        m = [[0] * len(src) for _ in range(len(tgt))]
-        for (i, j), v in self.d[n].items():
-            m[tgt_pos[i]][src_pos[j]] = v
-        return AbHom(self._reduced_group(n), self._reduced_group(n - 1), mat(m))
+        if n not in self._dense:
+            src = self._alive_indices(n)
+            tgt = self._alive_indices(n - 1)
+            src_pos = {idx: k for k, idx in enumerate(src)}
+            tgt_pos = {idx: k for k, idx in enumerate(tgt)}
+            m = [[0] * len(src) for _ in range(len(tgt))]
+            for (i, j), v in self.d[n].items():
+                m[tgt_pos[i]][src_pos[j]] = v
+            self._dense[n] = AbHom(
+                self._reduced_group(n), self._reduced_group(n - 1), mat(m))
+        return self._dense[n]
 
     def homology(self, n: int) -> HomologyClassData:
         """H_n, with lift and project in the full degree-n chain coordinates.

@@ -194,22 +194,36 @@ def test_weyl_action_restricts_to_b20():
     )
 
 
-def test_duality_crosscheck_sphere_of_h():
-    """Cohomology with m against the dual of homology with dual m: free
-    answers match in the same degree, torsion ones a degree later."""
-    c = unit_sphere_complex("Q8", "H")
-    m = named("Q8", "Z")
-    dual_hom = {}
-    for n in range(0, 4):
-        f, _ = homology_mackey(c, box_dual(m), n)
-        dual_hom[n] = f
-    for n in range(0, 4):
+def _duality_crosscheck(c, group_name: str, degrees: range) -> int:
+    """Cohomology with Z against the dual of homology with dual Z: free
+    answers match in the same degree, torsion ones a degree later.  Returns
+    the number of nonzero cohomology groups checked."""
+    m = named(group_name, "Z")
+    checked = 0
+    for n in degrees:
         coh, _ = cohomology_mackey(c, m, n)
         if coh.is_trivial():
             continue
         free = all(v.is_free for v in coh.levels.values())
-        partner = dual_hom[n] if free else dual_hom[n - 1]
+        partner, _ = homology_mackey(c, box_dual(m), n if free else n - 1)
         assert is_isomorphic(coh, box_dual(partner)), n
+        checked += 1
+    return checked
+
+
+def test_duality_crosscheck_sphere_of_h():
+    assert _duality_crosscheck(unit_sphere_complex("Q8", "H"), "Q8", range(0, 4))
+
+
+@pytest.mark.parametrize("group_name, rep", [
+    ("Q8", "rhoQ"), ("Q8", "2rhoQ"), ("Q8", "rhoK"),
+    ("K4", "rhoK"), ("K4", "2rhoK"), ("C4", "2rho"),
+])
+def test_duality_crosscheck_representation_spheres(group_name, rep):
+    """The same check on S^V in every degree 0..dim V: its cochains meet
+    codomains with torsion rows, where cycles are told apart by divisibility."""
+    v = parse_rep(group_name, rep)
+    assert _duality_crosscheck(sphere_complex(v), group_name, range(0, v.dim + 1))
 
 
 def test_gap_vanishing():

@@ -374,3 +374,32 @@ def test_isomorphism_search_limit_is_reported(capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: IsomorphismSearchLimit: iso search needs free rank <= 1\n"
     )
+
+
+def _homotopy_grid_script():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "homotopy_grid.py"
+    spec = importlib.util.spec_from_file_location("homotopy_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("names, code", [
+    ({0: "Z", 1: "0", 2: "g"}, 0),
+    ({0: "Z", 1: None, 2: "g"}, 1),
+])
+def test_homotopy_grid_exits_one_on_an_unnamed_cell(monkeypatch, capsys, names, code):
+    script = _homotopy_grid_script()
+    z = named("C2", "Z")
+    monkeypatch.setattr(script, "suspension_homotopy",
+                        lambda g, rep, coeff, degrees: {n: (z, nm) for n, nm in names.items()})
+    monkeypatch.setattr(sys, "argv", ["homotopy_grid.py", "--group", "c2", "--max-k", "1"])
+    assert script.main() == code
+    captured = capsys.readouterr()
+    assert "pi_  2 = g" in captured.out and "pi_  0 = Z" in captured.out
+    # a zero cell is left out; an unnamed one is printed
+    assert ("pi_  1" in captured.out) == (code == 1)
+    assert ("pi_  1 = (unrecognized)" in captured.out) == (code == 1)
+    assert ("1 cells unrecognized" in captured.err) == (code == 1)

@@ -21,6 +21,7 @@ from mackey.exactalg import (
     AbHom,
     ChainComplexAb,
     FgAbelian,
+    NonComposable,
     NotAComplex,
     Matrix,
     ReducedComplex,
@@ -30,9 +31,8 @@ from mackey.exactalg import (
     mat,
     mat_mul,
     shape,
-    snf,
-    snf_diagonal,
-    solve_exact,
+    transpose,
+    zeros,
 )
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,199 @@ def check_chain_map(
         elif not lhs.equals(rhs):
             raise NotChainMap(f"square at degree {n} does not commute")
 
+
+
+# Linear algebra the package no longer needs: each Smith form here goes
+# through exactalg.snf_full, so its own copy below (of the kernel that kept
+# all four transforms) is not mixed up with these.
+
+
+def mat_vec(a: Matrix, v) -> tuple[int, ...]:
+    r, c = shape(a)
+    if len(v) != c:
+        raise ValueError("shape mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def hstack(a: Matrix, b: Matrix) -> Matrix:
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) != len(b):
+        raise ValueError("row mismatch")
+    return tuple(ra + rb for ra, rb in zip(a, b))
+
+
+def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form: (s, u, v) with u*m*v = s; see snf_full."""
+    s, u, v, _, _ = exactalg.snf_full(m, ("u", "v"))
+    return s, u, v
+
+
+def snf_diagonal(m: Matrix) -> list[int]:
+    s = exactalg.snf_full(m, ())[0]
+    return [s[i][i] for i in range(min(shape(s)))]
+
+
+def solve_exact(a: Matrix, b) -> tuple[int, ...] | None:
+    """One integer solution x of a x = b, or None if none exists."""
+    return _solve(snf(a), b)
+
+
+def _solve(snf_a: tuple[Matrix, Matrix, Matrix], b) -> tuple[int, ...] | None:
+    """solve_exact from the Smith form (s, u, v) of a, kept for many b."""
+    s, u, v = snf_a
+    n_r, n_c = len(u), len(v)
+    ub = mat_vec(u, tuple(b))
+    y = [0] * n_c
+    for i in range(n_r):
+        d = s[i][i] if i < min(n_r, n_c) else 0
+        if i < n_c and d:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+        elif ub[i] != 0:
+            return None
+    return mat_vec(v, y)
+
+
+def kernel_basis(a: Matrix) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel lattice of a."""
+    n_r, n_c = shape(a)
+    if n_c == 0:
+        return []
+    s, _, v, _, _ = exactalg.snf_full(a, ("v",))
+    rank = sum(1 for i in range(min(n_r, n_c)) if s[i][i] != 0)
+    cols = transpose(v)
+    return [cols[j] for j in range(rank, n_c)]
+
+
+def column_space_basis(gens: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+    """Basis of the lattice spanned by the given vectors in Z^dim.
+
+    With u g v = s diagonal, the nonzero columns of g v form a basis: they
+    are the columns of u^-1 s, and v is unimodular.
+    """
+    if not gens:
+        return []
+    g = transpose(mat(gens))  # dim x k
+    s, _, v, _, _ = exactalg.snf_full(g, ("v",))
+    gv = mat_mul(g, v)
+    cols = transpose(gv)
+    out = []
+    for i in range(min(len(g), len(g[0]) if g else 0)):
+        if s[i][i]:
+            out.append(cols[i])
+    return out
+
+
+def _relation_columns(g: FgAbelian) -> list[tuple[int, ...]]:
+    cols = []
+    for i, o in enumerate(g.orders):
+        if o:
+            cols.append(tuple(o if j == i else 0 for j in range(g.ngens)))
+    return cols
+
+
+# The homology of a two-step complex as it was computed with four Smith
+# forms: a kernel basis, a basis of the lattice it spans with the middle
+# relations, that basis's Smith form to solve for coordinates in it, and
+# the relations' Smith form.  Verbatim but for the elimination steps, which
+# a group from homology_at never has.
+
+
+@dataclasses.dataclass(frozen=True)
+class FourSmithHomology:
+    group: FgAbelian
+    orders: tuple[int, ...]  # chain generator orders
+    _basis: Matrix  # core x r, columns span the cycle lattice
+    _gen_coords: Matrix  # r x ngens, homology generators in basis coords
+    _basis_snf: tuple[Matrix, Matrix, Matrix]  # Smith form (s, u, v) of _basis
+    _u: Matrix  # basis coords -> Smith coords of the relations
+    _sel: tuple[int, ...]  # the Smith coords that are homology generators
+    alive: tuple[int, ...]
+
+    def lift(self, coords) -> tuple[int, ...]:
+        if len(coords) != self.group.ngens:
+            raise ValueError("bad coordinate length")
+        core = mat_vec(self._basis, mat_vec(self._gen_coords, coords))
+        v = [0] * len(self.orders)
+        for idx, x in zip(self.alive, core):
+            v[idx] = x
+        return tuple(v)
+
+    def project(self, chain_vec) -> tuple[int, ...]:
+        v = list(chain_vec)
+        w = _solve(self._basis_snf, [v[idx] for idx in self.alive])
+        if w is None:
+            raise ValueError("vector is not a cycle")
+        coords = mat_vec(self._u, w)
+        return self.group.reduce_vec(tuple(coords[i] for i in self._sel))
+
+
+def four_smith_homology_at(d_in: AbHom | None, d_out: AbHom | None) -> FourSmithHomology:
+    """Homology ker(d_out)/im(d_in) of a two-step complex at the middle.
+
+    Either map may be None (interpreted as the zero map from/to 0).  Raises
+    NonComposable when the middle objects differ and NotAComplex when
+    d_out . d_in is nonzero.
+    """
+    if d_in is None and d_out is None:
+        raise ValueError("need at least one differential")
+    middle = d_in.cod if d_in is not None else d_out.dom
+    if d_in is not None and d_out is not None:
+        if d_in.cod.orders != d_out.dom.orders:
+            raise NonComposable("middle objects differ")
+        if not d_out.compose(d_in).is_zero():
+            raise NotAComplex("d_out . d_in != 0")
+    n = middle.ngens
+    rel_mid = _relation_columns(middle)
+    # cycle lattice: preimage of the codomain relations under d_out
+    if d_out is None or d_out.cod.ngens == 0:
+        cycle_gens = [tuple(identity(n)[i]) for i in range(n)]
+    else:
+        rel_cod = _relation_columns(d_out.cod)
+        stacked = d_out.matrix
+        if rel_cod:
+            stacked = hstack(stacked, transpose(mat(rel_cod)))
+        cycle_gens = [k[:n] for k in kernel_basis(stacked)]
+    basis_cols = column_space_basis(cycle_gens + rel_mid, n)
+    r = len(basis_cols)
+    basis = transpose(mat(basis_cols)) if basis_cols else zeros(n, 0)
+    basis_snf = snf(basis)
+    # relations: boundaries and the middle torsion expressed in the basis
+    rel_vecs = list(rel_mid)
+    if d_in is not None:
+        for j in range(d_in.dom.ngens):
+            rel_vecs.append(tuple(d_in.matrix[i][j] for i in range(n)))
+    rel_in_basis = []
+    for v in rel_vecs:
+        w = _solve(basis_snf, v)
+        if w is None:
+            raise NotAComplex("boundary does not lie in the cycle lattice")
+        rel_in_basis.append(w)
+    relmat = transpose(mat(rel_in_basis)) if rel_in_basis else zeros(r, 0)
+    s, u, _, uinv, _ = exactalg.snf_full(relmat, ("u", "uinv"))
+    sr, sc = shape(s)
+    orders = []
+    kept = []
+    for i in range(r):
+        d = s[i][i] if i < min(sr, sc) else 0
+        if d == 1:
+            continue
+        orders.append(d)
+        kept.append(i)
+    free = [i for i, o in zip(kept, orders) if o == 0]
+    tors = [i for i, o in zip(kept, orders) if o != 0]
+    sel = free + tors
+    sel_orders = tuple([0] * len(free) + [orders[kept.index(i)] for i in tors])
+    group = FgAbelian(sel_orders)
+    gen_coords = tuple(tuple(row[i] for i in sel) for row in uinv)
+    return FourSmithHomology(
+        group, middle.orders, basis, gen_coords, basis_snf, u, tuple(sel),
+        tuple(range(n)),
+    )
 
 def minor_gcd(m, k):
     """gcd of all k x k minors, the SNF oracle."""
@@ -456,6 +649,125 @@ def test_reduced_complex_matches_the_full_snf(seed):
         for col in zip(*dense.get(n + 1, [])):
             assert h.project(col) == (0,) * k
 
+
+
+# ---------------------------------------------------------------------------
+# homology_at against the four-Smith-form oracle, on random two-step complexes
+
+
+def _random_two_step(seed):
+    """(d_in, d_out, cycles, non-cycles) for a random A --d_in--> B --d_out--> C.
+
+    C has a free and a torsion generator, B mixes free and torsion ones, and
+    d_in is None in every fourth case.  Two free generators of B have
+    boundary e_f and e_t, f a free and t a torsion row of C, so a random
+    cycle plus either is a non-cycle that only that row sees.  B then takes
+    a random basis, d_in random combinations of its cycles and relations.
+    """
+    rng = random.Random(seed)
+    c_orders = [0, rng.choice((2, 3, 4, 6))]
+    c_orders += [rng.choice((0, 2, 3, 4, 6)) for _ in range(rng.randrange(3))]
+    rng.shuffle(c_orders)
+    free_row = c_orders.index(0)
+    tors_row = next(i for i, o in enumerate(c_orders) if o)
+    b_orders = [rng.choice((0, 0, 2, 3, 4, 6)) for _ in range(rng.randrange(1, 5))]
+    cols = [
+        [co // gcd(co, o) * rng.randint(-3, 3) if o and co
+         else 0 if o else rng.randint(-3, 3) for co in c_orders]
+        for o in b_orders
+    ]
+    for row in (free_row, tors_row):
+        cols.append([int(i == row) for i in range(len(c_orders))])
+        b_orders.append(0)
+    a, a_inv, b_orders = _random_automorphism(rng, b_orders)
+    B, C = FgAbelian(b_orders), FgAbelian(tuple(c_orders))
+    d_out = AbHom(B, C, mat_mul(transpose(mat(cols)), mat(a_inv)))
+    planted = [tuple(row[-2] for row in a), tuple(row[-1] for row in a)]
+    # the cycle lattice: the kernel of [d_out | codomain relations] and B's
+    # own relations
+    rel_cod = _relation_columns(C)
+    stacked = hstack(d_out.matrix, transpose(mat(rel_cod))) if rel_cod else d_out.matrix
+    gens = [k[:B.ngens] for k in kernel_basis(stacked)] + _relation_columns(B)
+
+    def combination():
+        out = [0] * B.ngens
+        for g in gens:
+            c = rng.randint(-2, 2)
+            out = [x + c * y for x, y in zip(out, g)]
+        return tuple(out)
+
+    d_in = None
+    if seed % 4:
+        boundaries = [combination() for _ in range(rng.randrange(4))]
+        a_orders = (0,) * len(boundaries)
+        if rng.random() < 0.5:  # a torsion generator that bounds nothing
+            boundaries.append((0,) * B.ngens)
+            a_orders += (rng.choice((2, 3, 4)),)
+        cols_in = transpose(mat(boundaries)) if boundaries else zeros(B.ngens, 0)
+        d_in = AbHom(FgAbelian(a_orders), B, cols_in)
+    cycles = [combination() for _ in range(6)]
+    non_cycles = [tuple(x + y for x, y in zip(cycles[k], p))
+                  for k, p in enumerate(planted)]
+    return d_in, d_out, cycles, non_cycles
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_homology_at_agrees_with_the_four_smith_form_oracle(seed):
+    d_in, d_out, cycles, non_cycles = _random_two_step(seed)
+    new, old = homology_at(d_in, d_out), four_smith_homology_at(d_in, d_out)
+    group = new.group
+    assert group.orders == old.group.orders
+    # the two generator bases differ by an automorphism M of the group
+    gens = identity(group.ngens)
+    m = AbHom(group, group, transpose(mat([old.project(new.lift(e)) for e in gens]))
+              if gens else ())
+    m_inv = AbHom(group, group, transpose(mat([new.project(old.lift(e)) for e in gens]))
+                  if gens else ())
+    assert m.compose(m_inv).equals(AbHom.identity(group))
+    assert m_inv.compose(m).equals(AbHom.identity(group))
+    for z in cycles:
+        assert old.project(z) == m(new.project(z))
+    for col in transpose(d_in.matrix) if d_in is not None else ():
+        assert new.project(col) == (0,) * group.ngens
+    # one non-cycle fails only on a free row of C, the other only on a
+    # torsion row
+    for x in non_cycles:
+        for h in (new, old):
+            with pytest.raises(ValueError, match="vector is not a cycle"):
+                h.project(x)
+
+
+def test_homology_at_runs_two_smith_forms(monkeypatch):
+    calls = []
+    real = exactalg.snf_full
+
+    def counted(m, want=exactalg._TRANSFORMS):
+        calls.append(frozenset(want))
+        return real(m, want)
+
+    monkeypatch.setattr(exactalg, "snf_full", counted)
+    z8 = FgAbelian((8,))
+    d8 = AbHom(z8, z8, mat([[4]]))
+    assert homology_at(d8, d8).group == FgAbelian((2,))
+    assert calls == [{"v", "vinv"}, {"u", "uinv"}]
+    # a map to 0 has no boundary rows: only the relations' Smith form runs
+    calls.clear()
+    homology_at(AbHom.scalar(Zn(), 2), AbHom.zero(Zn(), FgAbelian(())))
+    assert calls == [{"u", "uinv"}]
+
+
+def test_reduced_complex_builds_each_dense_boundary_once():
+    orders, dense, _ = _random_complex(3)
+    rc = ReducedComplex(orders, {
+        n: {(i, j): x for i, row in enumerate(d) for j, x in enumerate(row) if x}
+        for n, d in dense.items()
+    })
+    for n in range(TOP + 1):
+        if any(rc.alive[n]):
+            h = rc.homology(n)
+            if n in dense:
+                assert h._d is rc._reduced_diff(n).matrix
+    assert all(rc._reduced_diff(n) is rc._reduced_diff(n) for n in dense)
 
 # ---------------------------------------------------------------------------
 # snf_full against a verbatim copy of the one that kept all four transforms
