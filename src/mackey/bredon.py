@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from functools import cache
 
 from .catalog import catalog
 from .exactalg import (
@@ -44,6 +45,7 @@ from .functors import (
     covering_pairs,
     is_isomorphic,
     strip_g_summands,
+    zero_functor,
 )
 from .grouplat import Group, group, orbit_table
 from .repcw import (
@@ -130,6 +132,12 @@ _LEVELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 LEVEL_SHARING = {"built": 0, "reused": 0, "maps reused": 0}
 
 
+@cache
+def _zero(group_name: str, is_zmodule: bool) -> MackeyFunctor:
+    """The unnamed zero functor: the functor of a degree with no homology."""
+    return zero_functor(group_name, is_zmodule, None)
+
+
 class MackeyHomology:
     """A two-sided Bredon complex with coefficients, evaluated at all levels.
 
@@ -183,11 +191,18 @@ class MackeyHomology:
         self._functor_cache: dict[int, MackeyFunctor] = {}
         # per-degree structure chain maps built so far, by kind
         self._maps_built = {"res": 0, "tr": 0, "weyl": 0}
+        # degrees answered by the shared zero functor so far: with no level's
+        # core in the degree, or with every level's homology found zero
+        self.zero_degrees = {"skipped": 0, "found": 0}
         for h in self.levels:
             key = (primal.content_key, dual.content_key, h, coeff.content_key_below(h))
             level = _LEVELS.get(key)
             LEVEL_SHARING["built" if level is None else "reused"] += 1
             self._levels[h] = _LEVELS[key] = self._build_level(h) if level is None else level
+        # the degrees in which some level's core has a generator: no other
+        # degree has homology at any level, and none is taken there
+        self._core_degrees = {t for level in self._levels.values()
+                              for t, alive in level.complex.alive.items() if any(alive)}
 
     # -- chain-level assembly ------------------------------------------------
 
@@ -341,13 +356,24 @@ class MackeyHomology:
         return level.homology[t]
 
     def functor(self, n: int) -> MackeyFunctor:
-        """The degree-n homology as a Mackey functor (raw, unnamed)."""
-        if n in self._functor_cache:
-            return self._functor_cache[n]
+        """The degree-n homology as a Mackey functor (raw, unnamed); a zero
+        degree is the shared zero functor."""
+        out = self._functor_cache.get(n)
+        if out is None:
+            out = self._functor_cache[n] = self._assemble(n)
+        return out
+
+    def _assemble(self, n: int) -> MackeyFunctor:
         t = n - self.offset
         g = self.g
+        if t not in self._core_degrees:
+            self.zero_degrees["skipped"] += 1
+            return _zero(self.group_name, self.coeff.is_zmodule)
         data = {h: self.homology_raw(h, n) for h in self.levels}
         levels = {h: data[h].group for h in self.levels}
+        if all(lvl.is_trivial for lvl in levels.values()):
+            self.zero_degrees["found"] += 1
+            return _zero(self.group_name, self.coeff.is_zmodule)
         res, tr = {}, {}
         for low, high in covering_pairs(g):
             res[(low, high)] = self._induced(high, low, "res", None, t, data)
@@ -373,11 +399,7 @@ class MackeyHomology:
                         acts[word[:k]] = acts[word[:k - 1]].compose(gen_maps[word[k - 1]])
                 if not acts[word].equals(ident):
                     weyl[(h, e)] = acts[word]
-        out = MackeyFunctor(
-            self.group_name, levels, res, tr, weyl, self.coeff.is_zmodule
-        )
-        self._functor_cache[n] = out
-        return out
+        return MackeyFunctor(self.group_name, levels, res, tr, weyl, self.coeff.is_zmodule)
 
 
 # ---------------------------------------------------------------------------

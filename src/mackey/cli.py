@@ -137,10 +137,10 @@ def _print_graded(results, as_json: bool) -> None:
 def _print_stats(eng) -> None:
     """Cells per degree of the engine's complexes, each level's chain and
     reduced-core sizes, its cell pairs, orbit-map blocks and per-degree
-    res/tr/Weyl chain maps, then the levels built, reused and live and the
-    induced maps reused, and the hits, misses and entries of the recognition
-    memo and of the coefficient memos (expressions built, coefficients
-    validated), all so far, on stderr."""
+    res/tr/Weyl chain maps, then the levels built, reused and live, the
+    induced maps reused, the engine's zero degrees, and the hits, misses and
+    entries of the recognition memo and of the coefficient memos (expressions
+    built, coefficients validated), all so far, on stderr."""
     for side, c in (("primal", eng.primal), ("dual", eng.dual)):
         per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
         print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
@@ -162,6 +162,9 @@ def _print_stats(eng) -> None:
     print(f"level sharing: {shared['built']} levels built, {shared['reused']} reused, "
           f"{shared['maps reused']} structure maps reused, {len(bredon._LEVELS)} live",
           file=sys.stderr)
+    zero = eng.zero_degrees
+    print(f"zero degrees: {zero['skipped']} skipped without homology, {zero['found']} "
+          "found zero after homology", file=sys.stderr)
     print(f"recognition memo: {_memo_counts(RECOGNITION)}", file=sys.stderr)
     print(f"coefficient memos: expressions {_memo_counts(EXPRESSIONS)}; "
           f"validated {_memo_counts(bredon._VALIDATED_COEFFS)}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -404,11 +404,11 @@ class AbHom:
 
     @staticmethod
     def zero(dom: FgAbelian, cod: FgAbelian) -> "AbHom":
-        return AbHom(dom, cod, zeros(cod.ngens, dom.ngens))
+        return _unchecked(dom, cod, zeros(cod.ngens, dom.ngens))
 
     @staticmethod
     def identity(g: FgAbelian) -> "AbHom":
-        return AbHom(g, g, identity(g.ngens))
+        return _unchecked(g, g, _reduced_identity(g.orders))
 
     @staticmethod
     def scalar(g: FgAbelian, c: int) -> "AbHom":
@@ -424,16 +424,18 @@ class AbHom:
         return self.cod.reduce_vec(out)
 
     def compose(self, first: "AbHom") -> "AbHom":
-        """self after first."""
+        """self after first.  An identity factor multiplies nothing: first is
+        reduced mod self.cod already, and a valid self is zero on the columns
+        of order-1 generators, which the reduced identity zeroes."""
         if first.cod.orders != self.dom.orders:
             raise NonComposable("middle objects differ")
-        m = _mat_mul_mod(self.matrix, first.matrix, self.cod.orders, first.dom.ngens)
-        # A composite of two valid homs respects torsion and has the right
-        # shape, so only the reduction mod cod is redone, not the checks.
-        out = object.__new__(AbHom)
-        fields = out.__dict__
-        fields["dom"], fields["cod"], fields["matrix"] = first.dom, self.cod, m
-        return out
+        if _is_identity(self):
+            return first
+        if _is_identity(first):
+            return _unchecked(first.dom, self.cod, self.matrix)
+        # a composite of two valid homs is valid: only the reduction is redone
+        return _unchecked(first.dom, self.cod, _mat_mul_mod(
+            self.matrix, first.matrix, self.cod.orders, first.dom.ngens))
 
     def __add__(self, other: "AbHom") -> "AbHom":
         if (self.dom, self.cod) != (other.dom, other.cod):
@@ -463,6 +465,23 @@ class AbHom:
             list(row) + [0] * other.dom.ngens for row in self.matrix
         ] + [[0] * self.dom.ngens + list(row) for row in other.matrix]
         return AbHom(dom, cod, mat(m))
+
+
+def _unchecked(dom: FgAbelian, cod: FgAbelian, m: Matrix) -> AbHom:
+    """An AbHom without the checks, for a matrix valid by construction."""
+    out = object.__new__(AbHom)
+    out.__dict__.update(dom=dom, cod=cod, matrix=m)
+    return out
+
+
+@cache
+def _reduced_identity(orders: tuple[int, ...]) -> Matrix:
+    """The identity mod the orders, one per orders: order-1 rows are zero."""
+    return _reduce_matrix(identity(len(orders)), FgAbelian(orders))
+
+
+def _is_identity(h: AbHom) -> bool:
+    return h.dom.orders == h.cod.orders and h.matrix == _reduced_identity(h.dom.orders)
 
 
 def _reduce_matrix(m: Matrix, cod: FgAbelian) -> Matrix:
@@ -725,6 +744,8 @@ class ReducedComplex:
                 if old is None:
                     rows[i][j] = next(ix.seq)
                     cj[i] = None
+                    ix.row_fill[i] += 1
+                    ix.col_fill[j] += 1
                 dn[key] = new
                 if o == src_o and (inv := _unit_inverse(o, new)) is not None:
                     if old is not None and key not in units:
@@ -807,13 +828,15 @@ class _DegreeIndex:
 
     * rows {i: {j: seq}} and cols {j: {i: None}}, each in entry order, seq
       being the entry's place in the entry order of d;
+    * row_fill and col_fill: each row's and column's entry count minus one,
+      the factors of a unit's Markowitz cost;
     * units {(i, j): pinv}: the entries that may be pivots (equal orders,
       invertible value), in entry order except for
     * late: the units that were entries before a fill-in made them units,
       and so joined ``units`` out of entry order.
     """
 
-    __slots__ = ("d", "seq", "rows", "cols", "units", "late")
+    __slots__ = ("d", "seq", "rows", "cols", "row_fill", "col_fill", "units", "late")
 
     def __init__(self, d: Entries, src_orders, tgt_orders, seq):
         self.d, self.seq = d, seq
@@ -827,32 +850,37 @@ class _DegreeIndex:
             o = src_orders[j]
             if o == tgt_orders[i] and (pinv := _unit_inverse(o, v)) is not None:
                 self.units[(i, j)] = pinv
+        self.row_fill = [len(self.rows.get(i, ())) - 1 for i in range(len(tgt_orders))]
+        self.col_fill = [len(self.cols.get(j, ())) - 1 for j in range(len(src_orders))]
 
     def least_fill_pivot(self) -> tuple[int, int, int] | None:
         """The unit of least Markowitz cost (row entries - 1) * (column
         entries - 1), which bounds the fill-in its cancellation makes; among
         equal costs, the first in entry order.
 
-        The late units are compared first.  The scan of ``units`` may then
-        stop at its first unit of cost 0: every unit after it is either late
-        or a new entry, which comes later in entry order."""
-        rows, cols, late = self.rows, self.cols, self.late
+        The scan of ``units`` keeps the first unit of the least cost it has
+        seen, and stops at a unit of cost 0.  Every unit after the one kept
+        is either late or a new entry, which comes later in entry order, so
+        only the late units are then compared by (cost, entry order)."""
+        row_fill, col_fill, rows = self.row_fill, self.col_fill, self.rows
         best = None
-        for i, j in late:
-            cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            if best is None or (cost, rows[i][j]) < best[:2]:
-                best = (cost, rows[i][j], i, j, self.units[(i, j)])
         for (i, j), pinv in self.units.items():
-            cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            if best is None or cost < best[0] or (cost == best[0] and rows[i][j] < best[1]):
+            cost = row_fill[i] * col_fill[j]
+            if best is None or cost < best[0]:
                 best = (cost, rows[i][j], i, j, pinv)
-            if not cost:
-                break
+                if not cost:
+                    break
+        for i, j in self.late:  # late units are units: best is set
+            cost = row_fill[i] * col_fill[j]
+            if (cost, rows[i][j]) < best[:2]:
+                best = (cost, rows[i][j], i, j, self.units[(i, j)])
         return None if best is None else best[2:]
 
     def drop(self, i: int, j: int) -> None:
         """Remove entry (i, j) from d and from every index."""
         del self.d[(i, j)], self.rows[i][j], self.cols[j][i]
+        self.row_fill[i] -= 1
+        self.col_fill[j] -= 1
         if self.units.pop((i, j), None) is not None:
             self.late.discard((i, j))
 

@@ -100,9 +100,7 @@ class MackeyFunctor:
         a level-h Bredon complex reads of its coefficients."""
         key = ("below", h)
         if key not in self._map_memo:
-            g, top = self.group(), self.group().subgroup(h).elements
-            below = {s.name for s in g.subgroups() if any(
-                {g.mul(g.mul(x, y), g.inv(x)) for y in s.elements} <= top for x in g.elements)}
+            below = self.group().below[h]
             self._map_memo[key] = marshal.dumps((
                 sorted((s, lvl.orders) for s, lvl in self.levels.items() if s in below),
                 *(sorted((k, m.matrix) for k, m in d.items() if k[i] in below)
@@ -133,22 +131,14 @@ class MackeyFunctor:
         memo = self._map_memo
         key = ("res", low, high)
         if key not in memo:
-            chain = self._chain(low, high)
-            h = AbHom.identity(self.levels[high])
-            for a, b in reversed(list(zip(chain, chain[1:]))):
-                h = self.res[(a, b)].compose(h)
-            memo[key] = h
+            memo[key] = _compose_res(self, self._chain(low, high))
         return memo[key]
 
     def tr_map(self, low: str, high: str) -> AbHom:
         memo = self._map_memo
         key = ("tr", low, high)
         if key not in memo:
-            chain = self._chain(low, high)
-            h = AbHom.identity(self.levels[low])
-            for a, b in zip(chain, chain[1:]):
-                h = self.tr[(a, b)].compose(h)
-            memo[key] = h
+            memo[key] = _compose_tr(self, self._chain(low, high))
         return memo[key]
 
     def weyl_action(self, sub: str, elem: str) -> AbHom:
@@ -200,17 +190,13 @@ class MackeyFunctor:
         return f"{label}({self.group_name}; " + ", ".join(parts) + ")"
 
 
-def zero_functor(group_name: str) -> MackeyFunctor:
+def zero_functor(group_name: str, is_zmodule: bool = True,
+                 name: str | None = "0") -> MackeyFunctor:
     g = group(group_name)
     z = FgAbelian(())
-    levels = {s.name: z for s in g.subgroups()}
-    res = {}
-    tr = {}
-    for s in g.subgroups():
-        for c in g.covers(s):
-            res[(s.name, c.name)] = AbHom.zero(z, z)
-            tr[(s.name, c.name)] = AbHom.zero(z, z)
-    return MackeyFunctor(group_name, levels, res, tr, {}, True, "0")
+    maps = dict.fromkeys(covering_pairs(g), AbHom.zero(z, z))
+    return MackeyFunctor(group_name, {s.name: z for s in g.subgroups()}, maps, maps, {},
+                         is_zmodule, name)
 
 
 def covering_pairs(g: Group) -> list[tuple[str, str]]:

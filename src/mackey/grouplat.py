@@ -87,6 +87,10 @@ class Group:
                         nxt.append(y)
             frontier = nxt
         self._check_table()
+        # by subgroup name h, the subgroups with a conjugate inside h: as
+        # every subgroup is normal, the subgroups inside h
+        self.below = {h.name: frozenset(s.name for s in self.subgroups() if s <= h)
+                      for h in self.subgroups()}
 
     def word(self, elem: str) -> tuple[str, ...]:
         """A fixed expression of elem as a product of the generators."""

@@ -1018,3 +1018,54 @@ def test_the_shared_underlying_level_matches_the_underlying_homology(seed):
         assert z.homology_raw("e", t + z.offset).group == want, (str(rep), t)
     # the sphere of the virtual representation: Z in its dimension alone
     assert z.homology_raw("e", rep.dim).group == FgAbelian((0,))
+
+
+# ---------------------------------------------------------------------------
+# zero degrees
+
+
+def _assembled_the_slow_way(eng, n):
+    """The degree-n functor from every level's homology, taken afresh, and
+    every res, tr and Weyl map induced, with no shortcut for zero degrees."""
+    t, g = n - eng.offset, eng.g
+    data = {h: eng._levels[h].complex.homology(t) for h in eng.levels}
+    levels = {h: d.group for h, d in data.items()}
+    pairs = covering_pairs(g)
+    res = {(lo, hi): eng._induced(hi, lo, "res", None, t, data) for lo, hi in pairs}
+    tr = {(lo, hi): eng._induced(lo, hi, "tr", None, t, data) for lo, hi in pairs}
+    weyl = {}
+    for h in eng.levels:
+        ident = AbHom.identity(levels[h])
+        for e in g.elements:
+            acc = ident
+            for letter in g.word(e):
+                acc = acc.compose(eng._induced(h, h, "weyl", letter, t, data))
+            if e not in g.subgroup(h) and not acc.equals(ident):
+                weyl[(h, e)] = acc
+    return MackeyFunctor(eng.group_name, levels, res, tr, weyl, eng.coeff.is_zmodule)
+
+
+@pytest.mark.parametrize("rep, found", [
+    ("rhoQ", {3, 5, 7}), ("rhoQ-2", {1, 3, 5}), ("-rhoQ", {-6, -4}),
+])
+def test_zero_degrees_answer_like_the_full_assembly(monkeypatch, rep, found):
+    # below the complex, above it, and with a core but no homology
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(64))
+    eng = suspension_engine("Q8", rep, named("Q8", "Z"))
+    zero = bredon._zero("Q8", True)
+    core = {t + eng.offset for t in eng._core_degrees}
+    degrees = range(min(core) - 3, max(core) + 4)
+    for n in degrees:
+        f, t = eng.functor(n), n - eng.offset
+        taken = [t in eng._levels[h].homology for h in eng.levels]
+        if n not in core:  # no level's core has a generator: no homology taken
+            assert f is zero and not any(taken), n
+        elif n in found:  # homology taken at every level, and all of it zero
+            assert f is zero and all(taken), n
+        else:
+            assert not f.is_trivial() and all(taken), n
+        assert f.content_key == _assembled_the_slow_way(eng, n).content_key, n
+    assert found < core and {n for n in degrees if eng.functor(n) is zero} == (
+        set(degrees) - core) | found
+    assert eng.zero_degrees == {"skipped": len(set(degrees) - core), "found": len(found)}

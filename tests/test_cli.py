@@ -162,7 +162,7 @@ def test_homology_stats_go_to_stderr(capsys):
     err = captured.err.splitlines()
     cell_lines, lines, assembly = err[:2], err[2:8], err[8:11]
     assert err[11] == sharing
-    assert err[12:] == memo
+    assert err[13:] == memo
     # the primal complex is the sphere of rhoQ, the dual one a point
     sphere = sphere_complex("rhoQ", "Q8")
     for line, side, c in zip(cell_lines, ("primal", "dual"), (sphere, point_complex("Q8"))):
@@ -179,12 +179,19 @@ def test_homology_stats_go_to_stderr(capsys):
     # one cell pair per sphere cell, the dual complex being a point
     eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
     _check_assembly_lines(assembly, sphere, eng, 1)
+    assert err[12] == _zero_line(eng)
 
 
 def _sharing_line():
     counts = bredon.LEVEL_SHARING
     return (f"level sharing: {counts['built']} levels built, {counts['reused']} reused, "
             f"{counts['maps reused']} structure maps reused, {len(bredon._LEVELS)} live")
+
+
+def _zero_line(eng):
+    zero = eng.zero_degrees
+    return (f"zero degrees: {zero['skipped']} skipped without homology, "
+            f"{zero['found']} found zero after homology")
 
 
 def _memo_lines():
@@ -237,7 +244,7 @@ def test_cohomology_stats_go_to_stderr(capsys):
     assert RECOGNITION.misses == misses
     assert RECOGNITION.hits - hits == len(plain.out.splitlines()) > 0
     assert lines[11] == sharing
-    assert lines[12:] == memo
+    assert lines[13:] == memo
     # cohomology reads the sphere of rhoQ as the dual complex
     sphere = sphere_complex("rhoQ", "Q8")
     assert lines[0] == "primal cells per degree: 0:1 (1 in all)"
@@ -248,6 +255,7 @@ def test_cohomology_stats_go_to_stderr(capsys):
     ]
     eng = cached_engine(named("Q8", "Z"), dual=sphere)  # the one the command cached
     _check_assembly_lines(lines[8:11], sphere, eng, -1)
+    assert lines[12] == _zero_line(eng)
 
 
 def test_stats_count_the_coefficient_memos(capsys, monkeypatch):
@@ -320,6 +328,22 @@ def test_stats_count_the_levels_two_coefficients_share(capsys, monkeypatch):
     other = suspension_engine("Q8", "rhoQ", named("Q8", "Z(3,2)"))
     assert all(other._levels[h] is eng._levels[h] for h in ("e", "Z", "L", "D", "R"))
     assert other._levels["Q8"] is not eng._levels["Q8"]
+
+
+def test_stats_count_the_degrees_answered_by_the_zero_functor(capsys, monkeypatch):
+    # the sphere of rhoQ has cells in degrees 1..8, and with Z coefficients
+    # the degrees 3, 5 and 7 have cores but no homology
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(64))  # a fresh engine
+    assert main(["homology", "--group", "q8", "--rep", "rhoQ", "--degrees=-3..12",
+                 "--stats"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "zero degrees: 8 skipped without homology, 3 found zero after homology" in err
+    eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
+    assert eng._core_degrees == set(range(1, 9))
+    # the degrees again come from the engine's functor cache, and count no more
+    assert main(["homology", "--group", "q8", "--rep", "rhoQ", "--degrees=-3..12",
+                 "--stats"]) == 0
+    assert eng.zero_degrees == {"skipped": 8, "found": 3}
 
 
 @pytest.mark.parametrize("command", ["homology", "cohomology"])

@@ -1093,3 +1093,67 @@ def test_an_empty_core_degree_answers_like_the_full_computation(monkeypatch):
             assert _projected(h, v) == _projected(ref, v)
     assert [homology[n].group for n in range(4)] == [
         FgAbelian((2,)), FgAbelian((2,)), FgAbelian(()), FgAbelian(())]
+
+
+# ---------------------------------------------------------------------------
+# zero and identity homs, built without the checks
+
+# presentations with order-1, torsion and free generators
+PRESENTATIONS = [(), (1,), (0,), (4,), (1, 1), (0, 1, 6), (3, 0, 1, 2), (2, 2, 0, 0)]
+
+
+def test_identity_and_zero_equal_the_validated_constructions():
+    for orders in PRESENTATIONS:
+        g = FgAbelian(orders)
+        ident = AbHom.identity(g)
+        checked = AbHom(g, g, identity(g.ngens))
+        assert ident.dom.orders == ident.cod.orders == orders
+        assert ident.equals(checked)
+        # one reduced identity matrix per presentation, zero on order-1 rows
+        assert AbHom.identity(FgAbelian(orders)).matrix is ident.matrix
+        assert all(not any(row) for row, o in zip(ident.matrix, orders) if o == 1)
+        for cod_orders in PRESENTATIONS:
+            c = FgAbelian(cod_orders)
+            zero = AbHom.zero(g, c)
+            assert zero.equals(AbHom(g, c, zeros(c.ngens, g.ngens)))
+            assert zero.is_zero()
+
+
+def _random_valid_hom(rng: random.Random, dom: FgAbelian, cod: FgAbelian) -> AbHom:
+    """A hom through the validating constructor: a generator of order o
+    goes to an element killed by o."""
+    rows = [[0] * dom.ngens for _ in range(cod.ngens)]
+    for j, o in enumerate(dom.orders):
+        for i, co in enumerate(cod.orders):
+            if o == 0:
+                rows[i][j] = rng.randint(-9, 9)
+            elif co:
+                rows[i][j] = co // gcd(co, o) * rng.randint(-9, 9)
+    return AbHom(dom, cod, mat(rows))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_compose_with_an_identity_is_the_product(seed):
+    rng = random.Random(seed)
+    a, b = (FgAbelian(tuple(rng.choice((0, 1, 2, 3, 4, 6)) for _ in range(rng.randint(0, 4))))
+            for _ in range(2))
+    h = _random_valid_hom(rng, a, b)
+    for left, right in ((AbHom.identity(b), h), (h, AbHom.identity(a))):
+        composite = left.compose(right)
+        product = exactalg._mat_mul_mod(left.matrix, right.matrix, b.orders, a.ngens)
+        assert composite.dom.orders == a.orders and composite.cod.orders == b.orders
+        assert composite.matrix == product
+    # an identity after h hands back h itself
+    assert AbHom.identity(b).compose(h) is h
+
+
+def test_an_identity_factor_is_still_checked_for_composability():
+    z2, z4 = FgAbelian((2,)), FgAbelian((4,))
+    h = AbHom(z4, z4, ((2,),))
+    with pytest.raises(NonComposable):
+        AbHom.identity(z2).compose(h)
+    with pytest.raises(NonComposable):
+        h.compose(AbHom.identity(z2))
+    # an equal group in another presentation is another object
+    with pytest.raises(NonComposable):
+        AbHom.identity(FgAbelian((4, 1))).compose(h)

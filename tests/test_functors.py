@@ -827,3 +827,66 @@ def test_expression_functor_is_built_once_per_canonical_group_name():
         expression_functor("q8", "nonsense")
     with pytest.raises(UnknownName):  # a failed build is not stored
         expression_functor("q8", "nonsense")
+
+
+def _plain_homs(monkeypatch):
+    """AbHom.compose as the plain product, and identity and zero homs
+    through the validating constructor: no shortcut for identity factors."""
+    from mackey.exactalg import _mat_mul_mod, identity as identity_matrix, zeros
+
+    def compose(self, first):
+        if first.cod.orders != self.dom.orders:
+            raise NonComposable("middle objects differ")
+        return AbHom(first.dom, self.cod, _mat_mul_mod(
+            self.matrix, first.matrix, self.cod.orders, first.dom.ngens))
+
+    monkeypatch.setattr(AbHom, "compose", compose)
+    monkeypatch.setattr(AbHom, "identity", staticmethod(
+        lambda g: AbHom(g, g, identity_matrix(g.ngens))))
+    monkeypatch.setattr(AbHom, "zero", staticmethod(
+        lambda d, c: AbHom(d, c, zeros(c.ngens, d.ngens))))
+
+
+def test_axiom_reports_do_not_depend_on_the_identity_shortcuts(monkeypatch):
+    z = named("Q8", "Z")
+    lvl = z.levels["Z"]
+    planted = [
+        MackeyFunctor("Q8", dict(z.levels), dict(z.res),
+                      {**z.tr, ("Z", "L"): AbHom(lvl, lvl, ((3,),))}, {}, True),
+        _c2_with_weyl_off_level(),
+        replace(z, weyl={("Z", "j"): AbHom(lvl, lvl, ((-1,),))}),
+    ]
+    rng = random.Random("planted edits")
+    for nm in ("Z", "mgw", "B(3,0)"):
+        planted += _single_entry_edits(named("Q8", nm), rng, 4)
+    functors = [f for gname in ALL_GROUPS for _, f in sorted(catalog(gname).items())]
+    functors += planted
+    fast = [(r.checked, r.failures) for r in map(check_axioms, functors)]
+    # fresh copies, so no composite memoised above is read back
+    copies = [replace(f) for f in functors]
+    _plain_homs(monkeypatch)
+    plain = [(r.checked, r.failures) for r in map(check_axioms, copies)]
+    assert fast == plain
+    assert sum(bool(failures) for _, failures in fast) >= 3
+
+
+def _content_key_below_oracle(m: MackeyFunctor, h: str) -> bytes:
+    """content_key_below with the subgroups below h found by conjugating
+    each subgroup by every element."""
+    import marshal
+
+    g, top = m.group(), m.group().subgroup(h).elements
+    below = {s.name for s in g.subgroups() if any(
+        {g.mul(g.mul(x, y), g.inv(x)) for y in s.elements} <= top for x in g.elements)}
+    return marshal.dumps((
+        sorted((s, lvl.orders) for s, lvl in m.levels.items() if s in below),
+        *(sorted((k, f.matrix) for k, f in d.items() if k[i] in below)
+          for d, i in ((m.res, 1), (m.tr, 1), (m.weyl, 0)))), 0)
+
+
+@pytest.mark.parametrize("gname", ALL_GROUPS)
+def test_content_key_below_reads_the_group_table(gname):
+    g = group(gname)
+    for nm, f in sorted(catalog(gname).items()):
+        for s in g.subgroups():
+            assert f.content_key_below(s.name) == _content_key_below_oracle(f, s.name), nm
