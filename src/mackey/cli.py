@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from . import bredon
 from .bredon import (
@@ -252,30 +253,37 @@ def cmd_chart(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: SUITES is the one place that chooses the fixture rows
+# `verify` checks and their degrees
 
 
-def _verify_table(gname, filename, keys, degrees_of, failures):
-    table = degree_table(filename)
-    for key in keys:
-        rep, coeff_name = key.split()
-        coeff = expression_functor(gname, coeff_name)
-        row = table[key]
-        got = suspension_homotopy(gname, rep, coeff, degrees_of(row))
-        for n in degrees_of(row):
-            want = row.get(n, "0")
-            f, nm = got[n]
-            if not match_expression(f, "" if want == "0" else want):
-                failures.append(
-                    f"{filename}:{key} degree {n}: expected {want}, "
-                    f"computed {nm or f}"
-                )
-                print(f"  MISMATCH {key} @ {n}: expected {want}, got {nm or f}")
+def _check_row(filename, key, row, got, failures):
+    """Compare computed degrees {n: (functor, name)} with a fixture row, in
+    which an omitted degree vanishes."""
+    for n, (f, nm) in got.items():
+        want = row.get(n, "0")
+        if not match_expression(f, "" if want == "0" else want):
+            failures.append(
+                f"{filename}:{key} degree {n}: expected {want}, computed {nm or f}"
+            )
 
 
-def _row_span(row):
-    lo, hi = min(row), max(row)
-    return range(lo, hi + 1)
+def _span(gname, rep):
+    """Degrees -dim V- .. dim V+ of the suspension by rep = V+ - V-, with
+    the integer offset on its side: the homotopy lives inside them."""
+    pos, neg, offset = parse_rep(gname, rep).split()
+    return range(min(offset, 0) - neg.dim, pos.dim + max(offset, 0) + 1)
+
+
+def suite_rows(gname, filename, args, failures):
+    """Every "<rep> <coefficients>" row of a degree-table fixture, over its
+    whole span."""
+    for key, row in degree_table(filename).items():
+        rep, coeff = key.split()
+        got = suspension_homotopy(
+            gname, rep, expression_functor(gname, coeff), _span(gname, rep)
+        )
+        _check_row(filename, key, row, got, failures)
 
 
 def suite_axioms(args, failures):
@@ -289,58 +297,18 @@ def suite_axioms(args, failures):
 
 
 def suite_sphere_h(args, failures):
+    """The three-sphere S(H), both sides, and S^H as the suspension of Z by H."""
     from .repcw import unit_sphere_complex
 
     table = degree_table("sphere_h.txt")
     c = unit_sphere_complex("Q8", "H")
     coeff = named("Q8", "Z")
-    for n in range(0, 4):
-        f, nm = homology_mackey(c, coeff, n)
-        want = table["S(H) homology"].get(n, "0")
-        if (nm or "0") != want:
-            failures.append(f"S(H) homology @ {n}: expected {want}, got {nm}")
-    for n in range(0, 4):
-        f, nm = cohomology_mackey(c, coeff, n)
-        want = table["S(H) cohomology"].get(n, "0")
-        if (nm or "0") != want:
-            failures.append(f"S(H) cohomology @ {n}: expected {want}, got {nm}")
-
-
-def suite_h_powers(args, failures):
-    keys = [f"{k}H Z".replace("1H", "H") for k in range(1, args.max_k + 1)]
-    _verify_table("Q8", "qrho_grid.txt", keys, _row_span, failures)
-
-
-def suite_qrho_grid(args, failures):
-    keys = [("rhoQ Z" if k == 1 else f"{k}rhoQ Z") for k in range(1, args.max_k + 1)]
-    _verify_table("Q8", "qrho_grid.txt", keys, _row_span, failures)
-
-
-def suite_neg_qrho(args, failures):
-    keys = [
-        ("-rhoQ Z" if k == 1 else f"-{k}rhoQ Z")
-        for k in range(1, min(args.max_k, 2) + 1)
-    ]
-    _verify_table("Q8", "qrho_grid.txt", keys,
-                  lambda row: range(min(row), 0), failures)
-
-
-def suite_krho_grid(args, failures):
-    keys = [
-        ("rhoK Z" if k == 1 else f"{k}rhoK Z")
-        for k in range(1, min(args.max_k + 1, 4))
-    ]
-    _verify_table("K4", "krho_grid.txt", keys, _row_span, failures)
-
-
-def suite_krho_mod2(args, failures):
-    keys = ["rhoK F", "2rhoK F"][: args.max_k]
-    _verify_table("K4", "krho_mod2_grid.txt", keys, _row_span, failures)
-
-
-def suite_aux(args, failures):
-    table = degree_table("aux_mixed.txt")
-    _verify_table("Q8", "aux_mixed.txt", sorted(table), _row_span, failures)
+    for key, side in (("S(H) homology", homology_mackey),
+                      ("S(H) cohomology", cohomology_mackey)):
+        got = {n: side(c, coeff, n) for n in range(0, 4)}
+        _check_row("sphere_h.txt", key, table[key], got, failures)
+    got = suspension_homotopy("Q8", "H", coeff, _span("Q8", "H"))
+    _check_row("sphere_h.txt", "S^H homology", table["S^H homology"], got, failures)
 
 
 def suite_inflation(args, failures):
@@ -384,24 +352,6 @@ def suite_slices(args, failures):
             failures.append(f"slice list over C4 at n={n} differs")
 
 
-def suite_slice_homotopy(args, failures):
-    table = degree_table("slice_homotopy.txt")
-    keys = [
-        k for k in sorted(table)
-        if _rho_power(k) <= args.max_j
-    ]
-    _verify_table("Q8", "slice_homotopy.txt", keys, _row_span, failures)
-
-
-def _rho_power(key: str) -> int:
-    rep = key.split()[0]
-    for tok in rep.split("+"):
-        if tok.endswith("rhoQ"):
-            head = tok[: -len("rhoQ")]
-            return int(head) if head else 1
-    return 0
-
-
 def suite_charts(args, failures):
     for n in range(0, 9):
         page = e2_page("Q8", n)
@@ -431,16 +381,14 @@ def suite_charts(args, failures):
 SUITES = {
     "axioms": suite_axioms,
     "sphere-h": suite_sphere_h,
-    "h-powers": suite_h_powers,
-    "qrho-grid": suite_qrho_grid,
-    "neg-qrho": suite_neg_qrho,
-    "krho-grid": suite_krho_grid,
-    "krho-mod2-grid": suite_krho_mod2,
-    "aux": suite_aux,
+    "qrho-grid": partial(suite_rows, "Q8", "qrho_grid.txt"),
+    "krho-grid": partial(suite_rows, "K4", "krho_grid.txt"),
+    "krho-mod2-grid": partial(suite_rows, "K4", "krho_mod2_grid.txt"),
+    "aux": partial(suite_rows, "Q8", "aux_mixed.txt"),
     "inflation": suite_inflation,
     "ses": suite_ses,
     "slices": suite_slices,
-    "slice-homotopy": suite_slice_homotopy,
+    "slice-homotopy": partial(suite_rows, "Q8", "slice_homotopy.txt"),
     "charts": suite_charts,
 }
 
@@ -546,14 +494,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="run golden-fixture suites")
     s.add_argument("--suite")
-    s.add_argument("--max-k", type=int, default=2)
-    s.add_argument("--max-j", type=int, default=1)
     s.set_defaults(func=cmd_verify)
     return p
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Read `--rep -rhoQ` and `--degrees -8..-1`, or an abbreviation of
+    either option, as `--rep=-rhoQ` and `--degrees=-8..-1`: argparse takes a
+    separate value that starts with a dash, other than a plain negative
+    number, for an option.  `-h` stays the help option, never a value."""
+    out: list[str] = []
+    for tok in argv:
+        opt = out[-1] if out else ""
+        if (len(opt) > 2 and ("--rep".startswith(opt) or "--degrees".startswith(opt))
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except BrokenPipeError:

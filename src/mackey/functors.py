@@ -44,7 +44,7 @@ class UnknownName(Exception):
     pass
 
 
-class IsomorphismSearchLimit(NotImplementedError):
+class IsomorphismSearchLimit(Exception):
     """A level is beyond the exhaustive isomorphism search: free rank 2 or
     more, or more than 300,000 candidate matrices."""
 

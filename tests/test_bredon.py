@@ -1,10 +1,6 @@
-"""Engine tests against the golden homotopy tables.
-
-Expected values live in the text fixtures; each case names a (virtual)
-representation sphere and a coefficient system, and the engine must
-reproduce the table exactly, including recognizing each answer in the
-named catalog.
-"""
+"""Engine tests: golden homotopy table rows through the `mackey verify` row
+comparison (`cli._check_row`, over each row's whole span), sharing and
+caching, structure maps, duality and other cross-checks."""
 
 import gc
 import itertools
@@ -18,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackey import bredon
+from mackey import bredon, cli
 from mackey.bredon import (
     AxiomFailure,
     MackeyHomology,
@@ -63,28 +59,58 @@ from mackey.repcw import (
 )
 
 
-def check_case(group_name, key, table, degrees):
-    rep, coeff_name = key.split()
-    coeff = named(group_name, coeff_name)
-    got = suspension_homotopy(group_name, rep, coeff, degrees)
-    for n in degrees:
-        want = table.get(n, "0")
-        f, nm = got[n]
-        assert match_expression(f, "" if want == "0" else want), (
-            key, n, "expected", want, "got", nm
+def check_rows(group_name, filename, *keys):
+    """The named fixture rows, with the catalog's coefficients, over the
+    spans `mackey verify` checks them on (`cli._span`)."""
+    table = degree_table(filename)
+    failures = []
+    for key in keys:
+        rep, coeff = key.split()
+        got = suspension_homotopy(
+            group_name, rep, named(group_name, coeff), cli._span(group_name, rep)
         )
+        cli._check_row(filename, key, table[key], got, failures)
+    assert failures == []
 
 
 def test_sphere_of_h_homology_and_cohomology():
     table = degree_table("sphere_h.txt")
     c = unit_sphere_complex("Q8", "H")
     coeff = named("Q8", "Z")
-    for n in range(0, 4):
+    degrees = range(parse_rep("Q8", "H").dim)  # S(H) is a 3-sphere
+    for n in degrees:
         f, nm = homology_mackey(c, coeff, n)
         assert nm == table["S(H) homology"].get(n, "0")
-    for n in range(0, 4):
+    for n in degrees:
         f, nm = cohomology_mackey(c, coeff, n)
         assert nm == table["S(H) cohomology"].get(n, "0")
+
+
+def test_sphere_h_cone():
+    row = degree_table("sphere_h.txt")["S^H homology"]
+    got = suspension_homotopy("Q8", "H", named("Q8", "Z"), cli._span("Q8", "H"))
+    failures = []
+    cli._check_row("sphere_h.txt", "S^H homology", row, got, failures)
+    assert failures == []
+
+
+def test_qrho_rows():
+    check_rows("Q8", "qrho_grid.txt", "rhoQ Z", "2rhoQ Z")
+
+
+def test_h_powers():
+    check_rows("Q8", "qrho_grid.txt", "2H Z")
+
+
+def test_negative_qrho_and_gap():
+    check_rows("Q8", "qrho_grid.txt", "-rhoQ Z", "-2rhoQ Z")
+
+
+def test_krho_rows():
+    check_rows(
+        "K4", "krho_grid.txt",
+        "rhoK Z", "2rhoK Z", "3rhoK Z", "-rhoK Z", "-2rhoK Z", "-3rhoK Z",
+    )
 
 
 def test_small_h_model_same_mackey_homology():
@@ -95,54 +121,6 @@ def test_small_h_model_same_mackey_homology():
         a, _ = homology_mackey(big, coeff, n)
         b, _ = homology_mackey(small, coeff, n)
         assert is_isomorphic(a, b), n
-
-
-def test_sphere_h_cone():
-    table = degree_table("sphere_h.txt")["S^H homology"]
-    check_case("Q8", "H Z", table, range(0, 5))
-
-
-def test_qrho_rows():
-    grids = degree_table("qrho_grid.txt")
-    check_case("Q8", "rhoQ Z", grids["rhoQ Z"], range(0, 9))
-    check_case("Q8", "2rhoQ Z", grids["2rhoQ Z"], range(0, 17))
-
-
-def test_h_powers():
-    grids = degree_table("qrho_grid.txt")
-    check_case("Q8", "2H Z", grids["2H Z"], range(0, 9))
-
-
-def test_negative_qrho_and_gap():
-    grids = degree_table("qrho_grid.txt")
-    check_case("Q8", "-rhoQ Z", grids["-rhoQ Z"], range(-8, 0))
-    check_case("Q8", "-2rhoQ Z", grids["-2rhoQ Z"], range(-16, 0))
-
-
-def test_krho_rows():
-    grids = degree_table("krho_grid.txt")
-    for key, degrees in (
-        ("rhoK Z", range(0, 5)),
-        ("2rhoK Z", range(0, 9)),
-        ("3rhoK Z", range(0, 13)),
-        ("-rhoK Z", range(-4, 0)),
-        ("-2rhoK Z", range(-8, 0)),
-        ("-3rhoK Z", range(-12, 0)),
-    ):
-        check_case("K4", key, grids[key], degrees)
-
-
-def test_krho_mod2_rows():
-    grids = degree_table("krho_mod2_grid.txt")
-    check_case("K4", "rhoK F", grids["rhoK F"], range(0, 5))
-    check_case("K4", "2rhoK F", grids["2rhoK F"], range(0, 9))
-
-
-def test_aux_mixed():
-    grids = degree_table("aux_mixed.txt")
-    check_case("Q8", "rhoK-H Z", grids["rhoK-H Z"], range(-1, 3))
-    check_case("Q8", "rhoK-H Z(3,2)", grids["rhoK-H Z(3,2)"], range(-1, 3))
-    check_case("Q8", "H-rhoK Z(2,0)", grids["H-rhoK Z(2,0)"], range(-3, 2))
 
 
 def test_homology_table_batch():

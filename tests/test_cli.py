@@ -370,6 +370,26 @@ def test_degrees_are_one_degree_or_an_inclusive_range(degrees, want):
     assert list(_parse_degrees(degrees)) == want
 
 
+@pytest.mark.parametrize("rep, degrees", [
+    (["--rep", "-rhoQ"], ["--degrees=-8..-1"]),
+    (["--rep=-rhoQ"], ["--degrees", "-8..-1"]),
+    (["--rep", "-rhoQ"], ["--degrees", "-8..-1"]),
+    (["--re", "-rhoQ"], ["--deg", "-8..-1"]),
+])
+def test_a_negative_value_may_follow_its_option_after_a_space(capsys, rep, degrees):
+    code, out = run(capsys, "homology", "--group", "q8", *rep, *degrees)
+    assert code == 0 and "-8: Z*" in out
+    assert out == run(capsys, "homology", "--group", "q8", "--rep=-rhoQ",
+                      "--degrees=-8..-1")[1]
+
+
+def test_h_after_an_option_is_never_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--group", "q8", "--rep", "-h"])
+    assert exc.value.code == 2
+    assert "--rep: expected one argument" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
