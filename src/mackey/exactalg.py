@@ -351,14 +351,6 @@ class FgAbelian:
     def reduce_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(x % o if o else x for x, o in zip(v, self.orders))
 
-    def elements(self) -> list[tuple[int, ...]]:
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        coords: list[tuple[int, ...]] = [()]
-        for o in self.orders:
-            coords = [c + (x,) for c in coords for x in range(o)]
-        return coords
-
     def direct_sum(self, other: "FgAbelian") -> "FgAbelian":
         return FgAbelian(self.orders + other.orders)
 
@@ -441,12 +433,6 @@ class AbHom:
         if (self.dom, self.cod) != (other.dom, other.cod):
             raise ValueError("mismatched homs")
         return AbHom(self.dom, self.cod, mat_add(self.matrix, other.matrix))
-
-    def __neg__(self) -> "AbHom":
-        return AbHom(self.dom, self.cod, mat_scale(-1, self.matrix))
-
-    def scale(self, c: int) -> "AbHom":
-        return AbHom(self.dom, self.cod, mat_scale(c, self.matrix))
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.matrix)
@@ -653,9 +639,6 @@ class ChainComplexAb:
                 raise ValueError(f"differential at {n} has wrong domain")
             if d.cod.orders != self.groups.get(n - 1, FgAbelian(())).orders:
                 raise ValueError(f"differential at {n} has wrong codomain")
-
-    def degrees(self) -> list[int]:
-        return sorted(self.groups)
 
     def check(self) -> None:
         for n in self.diff:

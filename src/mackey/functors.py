@@ -26,6 +26,7 @@ from .exactalg import (
     NonComposable,
     _mat_mul_mod,
     _reduce_matrix,
+    _unchecked,
     identity,
     mat_add,
 )
@@ -109,9 +110,6 @@ class MackeyFunctor:
 
     def group(self) -> Group:
         return group(self.group_name)
-
-    def level(self, sub: str) -> FgAbelian:
-        return self.levels[sub]
 
     def _chain(self, low: str, high: str) -> list[str]:
         g = self.group()
@@ -797,11 +795,17 @@ def restrict_functor(m: MackeyFunctor, sub_name: str) -> MackeyFunctor:
 # ---------------------------------------------------------------------------
 # splitting off powers of g
 
-# Summands isomorphic to g live in the top level: 2-torsion elements killed
-# by every restriction, fixed by the Weyl action, and independent of the
-# transfer images modulo twice the top.  Those split off canonically, which
-# keeps isomorphism testing away from automorphism groups of large F_2
-# vector spaces.
+# Summands isomorphic to g live in the top level T.  Their generators lie in
+# W: the elements of T[2] (the 2-torsion, spanned by (o/2) e_i for each
+# generator of even order o) that every restriction to a maximal subgroup
+# kills and every stored top-level Weyl map fixes; the other elements act
+# as the identity.  W is the kernel on T[2] of those maps stacked into one,
+# read off one homology_at.  The reps are the basis vectors of W, in order,
+# that are independent over F_2 of the transfer images and the reps kept
+# before them modulo 2T: one small echelon of bit rows of T/2T, seeded with
+# the transfer images.  No step enumerates elements, so the top may have
+# any size.  The reps split off canonically, which keeps isomorphism testing
+# away from automorphism groups of large F_2 vector spaces.
 
 
 def strip_g_summands(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
@@ -817,6 +821,13 @@ def strip_g_summands(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
     return (0, m) if k == 0 else (k, red)
 
 
+@lru_cache(maxsize=None)
+def _maximals(group_name: str) -> tuple[str, ...]:
+    g = group(group_name)
+    top = g.top().name
+    return tuple(s.name for s in g.subgroups() if any(c.name == top for c in g.covers(s)))
+
+
 def _strip_g(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
     """strip_g_summands, computed."""
     from .exactalg import homology_at
@@ -824,58 +835,63 @@ def _strip_g(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
     g = m.group()
     top = g.top().name
     T = m.levels[top]
-    if T.is_trivial or T.ngens > 12:
+    even = [j for j, o in enumerate(T.orders) if o and o % 2 == 0]
+    if not even:
         return 0, m
-    maximals = [
-        s.name for s in g.subgroups()
-        if any(c.name == top for c in g.covers(s))
-    ]
-    torsion = [v for v in _torsion_elements(T) if any(v)]
+    maximals = _maximals(m.group_name)
     res_maps = [m.res[(s, top)] for s in maximals]
-    weyl_maps = [m.weyl_action(top, e) for e in g.elements]
-    W = [
-        v
-        for v in torsion
-        if not any(T.reduce_vec(tuple(2 * c for c in v)))
-        and all(not any(r(v)) for r in res_maps)
-        and all(w(v) == T.reduce_vec(v) for w in weyl_maps)
-    ]
-    if not W:
-        return 0, m
-    # transfers into the top plus twice the top
-    cols = []
+    weyl_maps = [m.weyl[(top, e)] for e in g.elements if (top, e) in m.weyl]
+    if any(not w.dom.orders == w.cod.orders == T.orders for w in weyl_maps):
+        raise NonComposable(f"a weyl map at {top} is not a level endomorphism")
+
+    def stacked(v):  # every restriction of v, then every (W_e - 1) v
+        moved = (T.reduce_vec([a - b for a, b in zip(w(v), v)]) for w in weyl_maps)
+        return sum((r(v) for r in res_maps), ()) + sum(moved, ())
+
+    halves = [tuple(T.orders[j] // 2 if i == j else 0 for i in range(T.ngens))
+              for j in even]
+    # T[2] into T, and the stacked map out of T[2]: valid by construction,
+    # since 2 kills each (o/2) e_i and so each image of one
+    t2 = _unchecked(FgAbelian((2,) * len(even)), T, tuple(zip(*halves)))
+    cod = FgAbelian(sum((r.cod.orders for r in res_maps), ()) + T.orders * len(weyl_maps))
+    kernel = homology_at(None, _unchecked(t2.dom, cod, tuple(zip(*map(stacked, halves)))))
+    n = kernel.group.ngens
+    W = [t2(kernel.lift(_unit(n, j))) for j in range(n)]
+    pivots: dict[int, int] = {}
+
+    def independent(v) -> bool:
+        """Whether v mod 2T is outside the pivots' span; if so it joins them."""
+        b = sum(1 << j for j, (x, o) in enumerate(zip(v, T.orders)) if x % 2 and o % 2 == 0)
+        while b and b.bit_length() in pivots:
+            b ^= pivots[b.bit_length()]
+        if b:
+            pivots[b.bit_length()] = b
+        return bool(b)
+
     for s in maximals:
-        t = m.tr[(s, top)]
-        for j in range(t.dom.ngens):
-            cols.append(tuple(t.matrix[i][j] for i in range(T.ngens)))
-    for j in range(T.ngens):
-        cols.append(tuple(2 if i == j else 0 for i in range(T.ngens)))
-    dom = FgAbelian((0,) * len(cols))
-    span_hom = AbHom(dom, T, tuple(zip(*cols)) if cols else ())
-    quot = homology_at(span_hom, AbHom.zero(T, FgAbelian(())))
-    # greedily pick elements of W independent in the quotient
-    reps: list[tuple[int, ...]] = []
-    seen = {(0,) * quot.group.ngens}
-    for v in W:
-        p = quot.project(v)
-        if p in seen:
-            continue
-        reps.append(v)
-        closure = set(seen)
-        for old in seen:
-            closure.add(quot.group.reduce_vec(tuple(a + b for a, b in zip(old, p))))
-        seen = closure
-    k = len(reps)
-    if k == 0:
-        return 0, m
-    incl = AbHom(FgAbelian((2,) * k), T, tuple(zip(*reps)))
+        for col in zip(*m.tr[(s, top)].matrix):
+            independent(col)
+    reps = [v for v in W if independent(v)]
+    return (len(reps), _split_off(m, reps)) if reps else (0, m)
+
+
+def _split_off(m: MackeyFunctor, reps: list[tuple[int, ...]]) -> MackeyFunctor:
+    """The complement of the g summands generated by reps, 2-torsion
+    elements of the top level: the top becomes its quotient by them, and
+    the res, tr and Weyl maps at the top are induced."""
+    from .exactalg import homology_at
+
+    g = m.group()
+    top = g.top().name
+    T = m.levels[top]
+    incl = AbHom(FgAbelian((2,) * len(reps)), T, tuple(zip(*reps)))
     top_quot = homology_at(incl, AbHom.zero(T, FgAbelian(())))
     new_top = top_quot.group
     levels = dict(m.levels)
     levels[top] = new_top
     res = dict(m.res)
     tr = dict(m.tr)
-    for s in maximals:
+    for s in _maximals(m.group_name):
         lifted = [
             m.res[(s, top)](top_quot.lift(_unit(new_top.ngens, j)))
             for j in range(new_top.ngens)
@@ -906,10 +922,7 @@ def _strip_g(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
         h = AbHom(new_top, new_top, tuple(zip(*cols2)) if cols2 else ())
         if not h.equals(AbHom.identity(new_top)):
             weyl[(top, e)] = h
-    reduced = MackeyFunctor(
-        m.group_name, levels, res, tr, weyl, m.is_zmodule
-    )
-    return k, reduced
+    return MackeyFunctor(m.group_name, levels, res, tr, weyl, m.is_zmodule)
 
 
 def _unit(n: int, j: int) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 from mackey.catalog import catalog, named
-from mackey.exactalg import AbHom, FgAbelian, NonComposable
+from mackey.exactalg import AbHom, FgAbelian, NonComposable, homology_at
 from mackey.bredon import identify, suspension_homotopy
 from mackey.functors import (
     EXPRESSIONS,
@@ -27,6 +27,7 @@ from mackey.functors import (
     _compose_res,
     _compose_tr,
     _double_cosets_within,
+    _split_off,
     _strip_g,
     box_dual,
     check_axioms,
@@ -406,6 +407,13 @@ def test_weyl_map_off_the_level_presentation_is_refused():
     # an endomorphism of the level
     with pytest.raises(NonComposable):
         find_isomorphism(_c2_with_weyl_off_level(), _c2_with_action_at_e(None))
+    # the same map at the top level, where the g-split reads it
+    g2 = expression_functor("C2", "g^2")
+    top = g2.levels["C2"]
+    off_top = replace(g2, weyl={("C2", "s"): AbHom(top, FgAbelian((2, 2, 1)),
+                                                   ((1, 0), (0, 1), (0, 0)))})
+    with pytest.raises(NonComposable):
+        strip_g_summands(off_top)
 
 
 def test_check_axioms_reports_a_weyl_map_off_its_level():
@@ -466,6 +474,7 @@ def test_memoised_recognition_agrees_on_a_slice_grid_row():
     for n in degrees:
         f = got[n][0]
         _check_memoised(f, [f] + [table[x] for x in sorted(table)])
+        _agrees_with_the_enumeration(f)
         assert match_expression(f, row.get(n, ""))
     assert any(strip_g_summands(got[n][0])[0] for n in degrees)
 
@@ -812,6 +821,100 @@ def test_weyl_map_that_is_no_action_fails_on_generators():
         report = check(bad)
         assert not report.ok
         assert any(f.startswith("weyl action Z:") for f in report.failures)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the g-split by enumerating the top level's torsion elements
+
+
+def _strip_g_by_enumeration(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
+    """strip_g_summands by listing all 2^n torsion elements of the top level
+    T.  W is every element of order 2 that each restriction to a maximal
+    subgroup kills and each Weyl map fixes; the reps are the elements of W
+    whose classes modulo the transfer images and 2T fall outside the span,
+    closed as a set, of the classes kept before them.  The complement is
+    built by the library's _split_off, which the search does not touch."""
+    g = m.group()
+    top = g.top().name
+    T = m.levels[top]
+    if T.is_trivial:
+        return 0, m
+    maximals = [s.name for s in g.subgroups() if any(c.name == top for c in g.covers(s))]
+    W = [
+        v for v in itertools.product(*(range(o) if o else (0,) for o in T.orders))
+        if any(v) and not any(T.reduce_vec([2 * x for x in v]))
+        and all(not any(m.res[(s, top)](v)) for s in maximals)
+        and all(m.weyl_action(top, e)(v) == T.reduce_vec(v) for e in g.elements)
+    ]
+    cols = [col for s in maximals for col in zip(*m.tr[(s, top)].matrix)]
+    cols += [tuple(2 * (i == j) for i in range(T.ngens)) for j in range(T.ngens)]
+    span = AbHom(FgAbelian((0,) * len(cols)), T, tuple(zip(*cols)))
+    quot = homology_at(span, AbHom.zero(T, FgAbelian(())))
+    reps, seen = [], {(0,) * quot.group.ngens}
+    for v in W:
+        p = quot.project(v)
+        if p not in seen:
+            reps.append(v)
+            seen |= {quot.group.reduce_vec([a + b for a, b in zip(old, p)]) for old in seen}
+    return (len(reps), _split_off(m, reps)) if reps else (0, m)
+
+
+def _agrees_with_the_enumeration(m: MackeyFunctor) -> None:
+    k, red = strip_g_summands(m)
+    k_want, red_want = _strip_g_by_enumeration(m)
+    assert k == k_want, (str(m), k, k_want)
+    assert is_isomorphic(red, red_want), str(m)
+
+
+@pytest.mark.parametrize("gname", ALL_GROUPS)
+def test_strip_g_agrees_with_the_enumeration_oracle(gname):
+    for nm in sorted(catalog(gname)):
+        for j in range(4):
+            _agrees_with_the_enumeration(expression_functor(gname, f"{nm}+g^{j}"))
+
+
+@pytest.mark.parametrize("gname", ALL_GROUPS)
+def test_strip_g_count_agrees_with_the_enumeration_off_valid_functors(gname):
+    # single edits break the axioms (a Weyl map that is no action, res and
+    # tr that do not commute), and the kernel's conditions are still the
+    # enumeration's
+    rng = random.Random(f"strip {gname}")
+    for nm, f in sorted(catalog(gname).items()):
+        for edited in _single_entry_edits(f.direct_sum(named(gname, "g")), rng, 6):
+            assert _strip_g(edited)[0] == _strip_g_by_enumeration(edited)[0], (nm, edited)
+
+
+def test_a_transfer_into_the_free_part_counts_modulo_two():
+    # C2 Z* + g with tr(1) = (1, 1): a change of basis at the top makes it
+    # (1, 0) again, so g still splits off; the transfer's odd free
+    # coordinate keeps (0, 1) outside the transfer images plus 2T
+    f = expression_functor("C2", "Z*+g")
+    t = f.tr[("e", "C2")]
+    crossed = replace(f, tr={("e", "C2"): AbHom(t.dom, t.cod, ((1,), (1,)))})
+    assert check_axioms(crossed).ok
+    assert strip_g_summands(crossed)[0] == 1
+    _agrees_with_the_enumeration(crossed)
+    assert identify(crossed) == "Z*+g"
+
+
+@pytest.mark.parametrize("gname", ("Q8", "K4"))
+def test_a_top_level_above_twelve_generators_splits(gname):
+    expr = "phi_LDR(F)+g^10"
+    f = expression_functor(gname, expr)
+    assert f.levels[group(gname).top().name].ngens > 12
+    assert strip_g_summands(f)[0] == 10
+    assert match_expression(f, expr)
+    assert identify(f) == expr
+    k, red = strip_g_summands(expression_functor(gname, "g^13"))
+    assert k == 13 and red.is_trivial()
+
+
+@pytest.mark.parametrize("gname, rep", [("Q8", "12rhoQ"), ("K4", "12rhoK")])
+def test_degree_24_of_the_twelfth_regular_suspension_gets_a_name(gname, rep):
+    # the name itself is left for a closed-form answer key to check
+    f = suspension_homotopy(gname, rep, expression_functor(gname, "Z"), [24])[24][0]
+    assert f.levels[group(gname).top().name].ngens > 12
+    assert identify(f) is not None
 
 
 def test_expression_functor_is_built_once_per_canonical_group_name():
