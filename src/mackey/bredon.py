@@ -382,13 +382,10 @@ class MackeyHomology:
         for h in self.levels:
             if levels[h].is_trivial:
                 continue
-            # induce the generators only; other elements are their products
-            ident = AbHom.identity(levels[h])
-            gen_maps = {e: self._induced(h, h, "weyl", e, t, data) for e in g.generators}
-            if all(m.equals(ident) for m in gen_maps.values()):
-                continue
+            # induce the generators only; other elements are their products,
             # by word: the map of the word's prefix, then its last letter's
-            acts = {(): ident}
+            gen_maps = {e: self._induced(h, h, "weyl", e, t, data) for e in g.generators}
+            acts = {(): AbHom.identity(levels[h])}
             sub = g.subgroup(h)
             for e in g.elements:
                 if e in sub.elements:
@@ -397,8 +394,7 @@ class MackeyHomology:
                 for k in range(1, len(word) + 1):
                     if word[:k] not in acts:
                         acts[word[:k]] = acts[word[:k - 1]].compose(gen_maps[word[k - 1]])
-                if not acts[word].equals(ident):
-                    weyl[(h, e)] = acts[word]
+                weyl[(h, e)] = acts[word]
         return MackeyFunctor(self.group_name, levels, res, tr, weyl, self.coeff.is_zmodule)
 
 

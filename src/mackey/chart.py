@@ -21,7 +21,7 @@ classes in hand-drawn charts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .grouplat import canonical_group_name, group
@@ -37,14 +37,6 @@ class Differential:
 
 
 @dataclass
-class ChartData:
-    n: int
-    entries: dict[tuple[int, int], list[str]]
-    differentials: list[Differential]
-    flags: dict[tuple[int, int, int], set[str]] = field(default_factory=dict)
-
-
-@dataclass
 class ChartPage:
     group_name: str
     n: int
@@ -53,13 +45,14 @@ class ChartPage:
     flags: dict[tuple[int, int, int], set[str]] = field(default_factory=dict)
 
 
-def golden_chart(group_name: str, n: int) -> ChartData:
+def golden_chart(group_name: str, n: int) -> ChartPage:
+    """The recorded page, shared with every caller: golden_page copies it."""
     from .golden import chart_table
 
     gname = canonical_group_name(group_name)
     if gname != "Q8":
         raise ValueError("chart fixtures are recorded for the quaternion group")
-    return chart_table("charts_q8.txt")[n]
+    return chart_table("charts_q8.txt", gname)[n]
 
 
 def golden_differentials(group_name: str, n: int) -> list[Differential]:
@@ -473,8 +466,6 @@ def _svg_glyph(cx: float, cy: float, name: str, scale: int) -> str:
 
 
 def golden_page(group_name: str, n: int) -> ChartPage:
-    data = golden_chart(group_name, n)
-    return ChartPage(
-        canonical_group_name(group_name), n, dict(data.entries),
-        list(data.differentials), dict(data.flags),
-    )
+    page = golden_chart(group_name, n)
+    return replace(page, entries=dict(page.entries),
+                   differentials=list(page.differentials), flags=dict(page.flags))

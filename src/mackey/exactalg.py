@@ -3,8 +3,8 @@ abelian groups, and homology of complexes of such groups.
 
 Everything is done with Python's arbitrary-precision integers, so there is
 no overflow to guard against.  Matrices are small (tens to a few hundred
-rows), which keeps the classical SNF algorithm comfortably fast once unit
-pivots are swept first.
+rows), which keeps the classical SNF algorithm comfortably fast: its pivot
+is an entry of least absolute value, so a unit whenever there is one.
 
 Conventions used throughout the package:
 
@@ -130,30 +130,6 @@ def _side_add(side, i, t, q):
         inv[t] = [x + q * y for x, y in zip(inv[t], inv[i])]
 
 
-def _unit_sweep(m, left, right, start):
-    """Eliminate with +-1 pivots first; this keeps entry growth tame."""
-    n_r, n_c = len(m), len(m[0]) if m else 0
-    t = start
-    while t < min(n_r, n_c):
-        pivot = None
-        for i in range(t, n_r):
-            for j in range(t, n_c):
-                if m[i][j] in (1, -1):
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            return t
-        _pivot_to(m, left, right, pivot, t)
-        _clear_with_pivot(m, left, right, t)
-        if all(m[t][j] == 0 for j in range(t + 1, n_c)) and all(
-            m[i][t] == 0 for i in range(t + 1, n_r)
-        ):
-            t += 1
-    return t
-
-
 def _pivot_to(m, left, right, src, t):
     i, j = src
     if i != t:
@@ -211,37 +187,47 @@ def snf_full(
 
     left = [start("u", n_r), start("uinv", n_r)]
     right = [start("v", n_c), start("vinv", n_c)]
-    if n_r and n_c:
-        t = _unit_sweep(a, left, right, 0)
-        while t < min(n_r, n_c):
-            pivot = None
-            best = None
-            for i in range(t, n_r):
-                for j in range(t, n_c):
-                    x = abs(a[i][j])
-                    if x and (best is None or x < best):
-                        best, pivot = x, (i, j)
-            if pivot is None:
-                break
-            _pivot_to(a, left, right, pivot, t)
-            _clear_with_pivot(a, left, right, t)
-            if any(a[t][j] for j in range(t + 1, n_c)) or any(
-                a[i][t] for i in range(t + 1, n_r)
-            ):
-                continue
-            # force divisibility d_t | everything below
-            stuck = False
-            for i in range(t + 1, n_r):
-                for j in range(t + 1, n_c):
-                    if a[i][j] % a[t][t] != 0:
-                        a[t] = [x + y for x, y in zip(a[t], a[i])]
-                        _side_add(left, t, i, -1)
-                        stuck = True
+    t = 0
+    while t < min(n_r, n_c):
+        # the first entry of least absolute value in row-major order: the
+        # first unit, when there is one, which ends the scan
+        pivot = None
+        best = None
+        for i in range(t, n_r):
+            row = a[i]
+            for j in range(t, n_c):
+                x = abs(row[j])
+                if x and (best is None or x < best):
+                    best, pivot = x, (i, j)
+                    if x == 1:
                         break
-                if stuck:
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        _pivot_to(a, left, right, pivot, t)
+        _clear_with_pivot(a, left, right, t)
+        if best == 1:
+            # a unit clears its row and column and divides every entry
+            t += 1
+            continue
+        if any(a[t][j] for j in range(t + 1, n_c)) or any(
+            a[i][t] for i in range(t + 1, n_r)
+        ):
+            continue
+        # force divisibility d_t | everything below
+        stuck = False
+        for i in range(t + 1, n_r):
+            for j in range(t + 1, n_c):
+                if a[i][j] % a[t][t] != 0:
+                    a[t] = [x + y for x, y in zip(a[t], a[i])]
+                    _side_add(left, t, i, -1)
+                    stuck = True
                     break
-            if not stuck:
-                t += 1
+            if stuck:
+                break
+        if not stuck:
+            t += 1
     for i in range(min(n_r, n_c)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]

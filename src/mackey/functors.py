@@ -24,13 +24,14 @@ from .exactalg import (
     AbHom,
     FgAbelian,
     NonComposable,
+    _is_identity,
     _mat_mul_mod,
     _reduce_matrix,
     _unchecked,
-    identity,
+    homology_at,
     mat_add,
 )
-from .grouplat import Group, Subgroup, canonical_group_name, group, orbit_table
+from .grouplat import Group, Subgroup, canonical_group_name, group, orbit_table, subgroup_iso
 
 
 class Mismatch(Exception):
@@ -66,13 +67,21 @@ class MackeyFunctor:
 
     def __post_init__(self):
         object.__setattr__(self, "group_name", canonical_group_name(self.group_name))
-        for f in ("levels", "res", "tr", "weyl"):
+        for f in ("levels", "res", "tr"):
             object.__setattr__(self, f, MappingProxyType(dict(getattr(self, f))))
         object.__setattr__(self, "_map_memo", {})  # composites, identities, keys below
         g = self.group()
         for s in g.subgroups():
             if s.name not in self.levels:
                 raise ValueError(f"missing level {s.name}")
+        # The one place that decides what is stored: the identity of its own
+        # level is what weyl_action supplies, so it is dropped; an identity
+        # onto another presentation is kept, for the checks to refuse.
+        levels = self.levels
+        object.__setattr__(self, "weyl", MappingProxyType({
+            k: h for k, h in self.weyl.items()
+            if not (_is_identity(h) and k[0] in levels
+                    and h.dom.orders == levels[k[0]].orders)}))
 
     @cached_property
     def content_key(self) -> bytes:
@@ -168,14 +177,11 @@ class MackeyFunctor:
         for key in self.res:
             res[key] = self.res[key].direct_sum(other.res[key])
             tr[key] = self.tr[key].direct_sum(other.tr[key])
-        weyl = {}
-        for s in g.subgroups():
-            for e in g.elements:
-                a = self.weyl_action(s.name, e)
-                b = other.weyl_action(s.name, e)
-                if not (a.matrix == identity(a.dom.ngens) and
-                        b.matrix == identity(b.dom.ngens)):
-                    weyl[(s.name, e)] = a.direct_sum(b)
+        weyl = {
+            (s.name, e): self.weyl_action(s.name, e).direct_sum(other.weyl_action(s.name, e))
+            for s in g.subgroups() for e in g.elements
+            if (s.name, e) in self.weyl or (s.name, e) in other.weyl
+        }
         return MackeyFunctor(
             self.group_name, levels, res, tr, weyl,
             self.is_zmodule and other.is_zmodule,
@@ -465,12 +471,10 @@ def box_dual(m: MackeyFunctor) -> MackeyFunctor:
     for key in covering_pairs(g):
         res[key] = _dual_hom(m.tr[key])
         tr[key] = _dual_hom(m.res[key])
-    weyl = {}
-    for s in g.subgroups():
-        for e in g.elements:
-            w = m.weyl_action(s.name, e)
-            if w.matrix != identity(w.dom.ngens):
-                weyl[(s.name, e)] = _dual_hom(m.weyl_action(s.name, g.inv(e)))
+    weyl = {
+        (s.name, e): _dual_hom(m.weyl[(s.name, g.inv(e))])
+        for s in g.subgroups() for e in g.elements if (s.name, g.inv(e)) in m.weyl
+    }
     name = (m.name[:-1] if m.name.endswith("*") else m.name + "*") if m.name else None
     return MackeyFunctor(m.group_name, levels, res, tr, weyl, m.is_zmodule, name)
 
@@ -520,8 +524,6 @@ class MackeyMorphism:
 
 def ses_check(i: MackeyMorphism, p: MackeyMorphism) -> bool:
     """Levelwise short-exactness of 0 -> A -i-> B -p-> C -> 0."""
-    from .exactalg import homology_at
-
     if i.target is not p.source and not data_equal(i.target, p.source):
         raise Mismatch("middle objects differ")
     g = i.source.group()
@@ -762,34 +764,36 @@ def _consistent(a: MackeyFunctor, b: MackeyFunctor, pairs, assignment: dict,
     return True
 
 
+def pull_back(m: MackeyFunctor, target: str, pre: Mapping[str, str],
+              elem: Mapping[str, str]) -> tuple[dict, dict, dict, dict]:
+    """The levels, res, tr and Weyl maps of a target-functor that reads m
+    along pre (a subgroup of target -> a subgroup of m's group) and elem (an
+    element of target -> an element of m's group): level s is m's level
+    pre[s], res and tr along a covering pair are m's composites between the
+    two preimages, and the Weyl map of e at s is m's of elem[e] at pre[s].
+    Restriction, push-forward and both inflations are this read, plus what
+    each of them changes."""
+    tgt = group(target)
+    pairs = covering_pairs(tgt)
+    levels = {s.name: m.levels[pre[s.name]] for s in tgt.subgroups()}
+    res = {(low, high): m.res_map(pre[low], pre[high]) for low, high in pairs}
+    tr = {(low, high): m.tr_map(pre[low], pre[high]) for low, high in pairs}
+    weyl = {(s.name, e): m.weyl_action(pre[s.name], elem[e])
+            for s in tgt.subgroups() for e in tgt.elements}
+    return levels, res, tr, weyl
+
+
 def restrict_functor(m: MackeyFunctor, sub_name: str) -> MackeyFunctor:
     """View a Mackey functor through a subgroup, as a functor over the
     abstract copy of that subgroup."""
-    from .grouplat import subgroup_iso
-
     g = m.group()
-    sub = g.subgroup(sub_name)
     target, iso = subgroup_iso(g.name, sub_name)
     inv = {v: k for k, v in iso.items()}
-    tgt = group(target)
-    pre: dict[str, str] = {}
-    for s in tgt.subgroups():
+    pre = {}
+    for s in group(target).subgroups():
         elems = frozenset(inv[x] for x in s.elements)
-        match = next(t for t in g.subgroups() if t.elements == elems)
-        pre[s.name] = match.name
-    levels = {nm: m.levels[pre[nm]] for nm in pre}
-    res = {}
-    tr = {}
-    for low, high in covering_pairs(tgt):
-        res[(low, high)] = m.res_map(pre[low], pre[high])
-        tr[(low, high)] = m.tr_map(pre[low], pre[high])
-    weyl = {}
-    for s in tgt.subgroups():
-        for e in tgt.elements:
-            w = m.weyl_action(pre[s.name], inv[e])
-            if not w.equals(AbHom.identity(levels[s.name])):
-                weyl[(s.name, e)] = w
-    return MackeyFunctor(target, levels, res, tr, weyl, m.is_zmodule)
+        pre[s.name] = next(t.name for t in g.subgroups() if t.elements == elems)
+    return MackeyFunctor(target, *pull_back(m, target, pre, inv), m.is_zmodule)
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +834,6 @@ def _maximals(group_name: str) -> tuple[str, ...]:
 
 def _strip_g(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
     """strip_g_summands, computed."""
-    from .exactalg import homology_at
-
     g = m.group()
     top = g.top().name
     T = m.levels[top]
@@ -879,8 +881,6 @@ def _split_off(m: MackeyFunctor, reps: list[tuple[int, ...]]) -> MackeyFunctor:
     """The complement of the g summands generated by reps, 2-torsion
     elements of the top level: the top becomes its quotient by them, and
     the res, tr and Weyl maps at the top are induced."""
-    from .exactalg import homology_at
-
     g = m.group()
     top = g.top().name
     T = m.levels[top]
@@ -908,20 +908,14 @@ def _split_off(m: MackeyFunctor, reps: list[tuple[int, ...]]) -> MackeyFunctor:
             m.levels[s], new_top, tuple(zip(*projected)) if projected else
             tuple(() for _ in range(new_top.ngens))
         )
-    weyl = {
-        key: h for key, h in m.weyl.items() if key[0] != top
-    }
-    for e in g.elements:
-        w = m.weyl_action(top, e)
-        if w.matrix == identity(T.ngens):
-            continue
-        cols2 = [
-            top_quot.project(w(top_quot.lift(_unit(new_top.ngens, j))))
-            for j in range(new_top.ngens)
-        ]
-        h = AbHom(new_top, new_top, tuple(zip(*cols2)) if cols2 else ())
-        if not h.equals(AbHom.identity(new_top)):
-            weyl[(top, e)] = h
+    weyl = dict(m.weyl)
+    for key, w in m.weyl.items():
+        if key[0] == top:
+            cols = [
+                top_quot.project(w(top_quot.lift(_unit(new_top.ngens, j))))
+                for j in range(new_top.ngens)
+            ]
+            weyl[key] = AbHom(new_top, new_top, tuple(zip(*cols)) if cols else ())
     return MackeyFunctor(m.group_name, levels, res, tr, weyl, m.is_zmodule)
 
 

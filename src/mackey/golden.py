@@ -67,11 +67,11 @@ def slice_table(filename: str) -> dict[int, list[tuple[int, int, str, str]]]:
 
 
 @lru_cache(maxsize=None)
-def chart_table(filename: str):
-    """Chart fixtures; see chart.py for the record types."""
-    from .chart import ChartData, Differential
+def chart_table(filename: str, group_name: str):
+    """Chart fixtures of one group, as chart.ChartPage records by n."""
+    from .chart import ChartPage, Differential
 
-    out: dict[int, ChartData] = {}
+    out: dict[int, ChartPage] = {}
     for key, lines in _case_blocks(filename).items():
         n = int(key.split("=")[1])
         entries: dict[tuple[int, int], list[str]] = {}
@@ -100,7 +100,7 @@ def chart_table(filename: str):
                 diffs.append(Differential(r, src, tgt, rs, rt))
             else:
                 raise ValueError(f"bad chart line {line!r}")
-        out[n] = ChartData(n, entries, diffs, flags)
+        out[n] = ChartPage(group_name, n, entries, diffs, flags)
     return out
 
 

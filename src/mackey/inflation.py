@@ -11,6 +11,10 @@ constant at the bottom value.
   inside N, with identity restrictions and index transfers there.
 * ``phi_inflate``: the geometric inflation; zero strictly below N.
 
+Each reads its input through ``functors.pull_back`` and changes only what
+is its own: ``psi_inflate`` the transfers inside N, ``phi_inflate`` the
+levels and maps strictly below N.
+
 ``psi_inflate`` requires its input to satisfy the cohomological condition;
 ``q_push . psi_inflate`` is the identity on the nose, not merely up to
 isomorphism, and the tests check exact data equality.
@@ -19,7 +23,7 @@ isomorphism, and the tests check exact data equality.
 from __future__ import annotations
 
 from .exactalg import AbHom, FgAbelian
-from .functors import MackeyFunctor, covering_pairs, is_isomorphic
+from .functors import MackeyFunctor, covering_pairs, is_isomorphic, pull_back
 from .grouplat import QuotientMap, group
 
 
@@ -54,25 +58,12 @@ def q_push(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
     """Push a G-Mackey functor down to G/N by evaluating at preimages."""
     if m.group_name != qm.source:
         raise ValueError("functor is not over the source of the quotient")
-    src = qm.source_group()
     tgt = qm.target_group()
     pre = {s.name: qm.preimage_subgroup(s).name for s in tgt.subgroups()}
-    levels = {nm: m.levels[pre[nm]] for nm in pre}
-    res = {}
-    tr = {}
-    for low, high in covering_pairs(tgt):
-        res[(low, high)] = m.res_map(pre[low], pre[high])
-        tr[(low, high)] = m.tr_map(pre[low], pre[high])
-    weyl = {}
     section = {}
-    for e in src.elements:
+    for e in qm.source_group().elements:
         section.setdefault(qm(e), e)
-    for s in tgt.subgroups():
-        for e in tgt.elements:
-            w = m.weyl_action(pre[s.name], section[e])
-            if not w.equals(AbHom.identity(levels[s.name])):
-                weyl[(s.name, e)] = w
-    return MackeyFunctor(qm.target, levels, res, tr, weyl, m.is_zmodule)
+    return MackeyFunctor(qm.target, *pull_back(m, qm.target, pre, section), m.is_zmodule)
 
 
 def _require_bottleneck(qm: QuotientMap) -> None:
@@ -82,82 +73,50 @@ def _require_bottleneck(qm: QuotientMap) -> None:
         raise NotBottleneck(f"{qm.kernel} is not a bottleneck subgroup of {qm.source}")
 
 
-def psi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
-    """Module inflation: copy above N, constant at m(e) on and below N."""
+def _inflate(qm: QuotientMap, m: MackeyFunctor) -> tuple[list[str], tuple[dict, ...]]:
+    """The subgroups inside the kernel N, and m read along qm: a subgroup
+    containing N at its image, one inside N at the bottom, e."""
     if m.group_name != qm.target:
         raise ValueError("functor is not over the target of the quotient")
     _require_bottleneck(qm)
+    n = qm.kernel_subgroup().elements
+    pre, inside = {}, []
+    for s in qm.source_group().subgroups():
+        if n <= s.elements:
+            pre[s.name] = qm.image_subgroup(s).name
+        else:
+            pre[s.name] = "e"
+            inside.append(s.name)
+    return inside, pull_back(m, qm.source, pre, qm.projection)
+
+
+def psi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
+    """Module inflation: copy above N, constant at m(e) on and below N."""
+    inside, (levels, res, tr, weyl) = _inflate(qm, m)
     if not m.is_zmodule:
         raise NotZModule("module inflation needs the cohomological condition")
     src = qm.source_group()
-    n = qm.kernel_subgroup()
-    bottom = m.levels["e"]
-    levels = {}
-    for s in src.subgroups():
-        if n.elements <= s.elements:
-            levels[s.name] = m.levels[qm.image_subgroup(s).name]
-        else:
-            levels[s.name] = bottom
-    res = {}
-    tr = {}
     for low, high in covering_pairs(src):
-        lo = src.subgroup(low)
-        hi = src.subgroup(high)
-        if n.elements <= lo.elements:
-            key = (qm.image_subgroup(lo).name, qm.image_subgroup(hi).name)
-            res[(low, high)] = m.res[key]
-            tr[(low, high)] = m.tr[key]
-        else:
+        if low in inside:
             # inside the kernel: identity restriction, index transfer
-            index = hi.order // lo.order
-            res[(low, high)] = AbHom.identity(bottom)
-            tr[(low, high)] = AbHom.scalar(bottom, index)
-    weyl = {}
-    for s in src.subgroups():
-        img = qm.image_subgroup(s).name if n.elements <= s.elements else "e"
-        for e in src.elements:
-            w = m.weyl_action(img, qm(e))
-            if not w.equals(AbHom.identity(levels[s.name])):
-                weyl[(s.name, e)] = w
+            index = src.subgroup(high).order // src.subgroup(low).order
+            tr[(low, high)] = AbHom.scalar(levels[low], index)
     return MackeyFunctor(qm.source, levels, res, tr, weyl, True)
 
 
 def phi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
     """Geometric inflation: copy above N, zero strictly below it."""
-    if m.group_name != qm.target:
-        raise ValueError("functor is not over the target of the quotient")
-    _require_bottleneck(qm)
-    src = qm.source_group()
-    n = qm.kernel_subgroup()
+    inside, (levels, res, tr, weyl) = _inflate(qm, m)
     zero = FgAbelian(())
-    levels = {}
-    for s in src.subgroups():
-        if n.elements <= s.elements:
-            levels[s.name] = m.levels[qm.image_subgroup(s).name]
-        else:
-            levels[s.name] = zero
-    res = {}
-    tr = {}
-    for low, high in covering_pairs(src):
-        lo = src.subgroup(low)
-        hi = src.subgroup(high)
-        if n.elements <= lo.elements:
-            key = (qm.image_subgroup(lo).name, qm.image_subgroup(hi).name)
-            res[(low, high)] = m.res[key]
-            tr[(low, high)] = m.tr[key]
-        else:
-            res[(low, high)] = AbHom.zero(levels[high], levels[low])
-            tr[(low, high)] = AbHom.zero(levels[low], levels[high])
-    weyl = {}
-    for s in src.subgroups():
-        if not (n.elements <= s.elements):
-            continue
-        img = qm.image_subgroup(s).name
-        for e in src.elements:
-            w = m.weyl_action(img, qm(e))
-            if not w.equals(AbHom.identity(levels[s.name])):
-                weyl[(s.name, e)] = w
+    for s in inside:
+        levels[s] = zero
+    for low, high in covering_pairs(qm.source_group()):
+        if low in inside:
+            res[(low, high)] = AbHom.zero(levels[high], zero)
+            tr[(low, high)] = AbHom.zero(zero, levels[high])
+    weyl = {key: w for key, w in weyl.items() if key[0] not in inside}
     # the cohomological condition survives iff |N| kills the bottom value
+    n = qm.kernel_subgroup()
     zmod = m.is_zmodule and all(
         o != 0 and n.order % o == 0 for o in m.levels["e"].orders
     )

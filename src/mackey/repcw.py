@@ -444,6 +444,15 @@ def smash(c: BurnsideComplex, d: BurnsideComplex) -> BurnsideComplex:
     decomposed into orbits along double cosets."""
     if c.group_name != d.group_name:
         raise GroupMismatch("smash needs complexes over the same group")
+    out = _product(c, d)
+    # checked here, not only after reduction: cancelling unit pivots can
+    # leave d.d = 0 on a product whose own d.d is not
+    check_boundary(out)
+    return out
+
+
+def _product(c: BurnsideComplex, d: BurnsideComplex) -> BurnsideComplex:
+    """smash, unchecked."""
     g = c.group()
     t = _tables(g.name)
     cells: dict[int, list[str]] = {}
@@ -497,13 +506,7 @@ def smash(c: BurnsideComplex, d: BurnsideComplex) -> BurnsideComplex:
                 entry = _osum_of(sums, t.names)
                 if entry:
                     dd[(ti, si)] = entry
-    out = BurnsideComplex(
-        c.group_name, {n: tuple(cs) for n, cs in cells.items()}, diff
-    )
-    # checked here, not only after reduction: cancelling unit pivots can
-    # leave d.d = 0 on a product whose own d.d is not
-    check_boundary(out)
-    return out
+    return BurnsideComplex(c.group_name, {n: tuple(cs) for n, cs in cells.items()}, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -745,46 +748,19 @@ def restrict_complex(c: BurnsideComplex, sub_name: str) -> BurnsideComplex:
     """View a G-complex as a complex over (the abstract copy of) H <= G.
 
     The H-orbits of G/K are the orbits of G/H x G/K, through the points
-    (e.H, x.K): the orbit of (e.H, x.K) is a cell of the restriction, and
-    orbit_table's u for that point, which fixes e.H and so lies in H, is
-    the translation from the cell's representative to x.K."""
+    (e.H, x.K), so the restriction is the smash of the point cell G/H with
+    c: every translation in it fixes e.H, so lies in H, and is renamed, with
+    every stabilizer, along subgroup_iso."""
     g = c.group()
     target, iso = subgroup_iso(g.name, sub_name)
-    cells: dict[int, list[str]] = {}
-    meta: dict[int, list[tuple[int, str]]] = {}
-    first: dict[tuple[int, int], int] = {}  # (n, cell) -> its first H-orbit
-    for n in sorted(c.cells):
-        cells[n] = []
-        meta[n] = []
-        for i, k in enumerate(c.cells[n]):
-            reps, _, inner = orbit_table(g.name, (sub_name, k))
-            stab = subgroup_image_under_iso(g.name, sub_name, g.subgroup(inner))
-            first[(n, i)] = len(cells[n])
-            for _, rep in reps:
-                cells[n].append(stab)
-                meta[n].append((i, rep))
-    t = _tables(target)
-    diff: dict[int, dict[tuple[int, int], OrbitSum]] = {}
-    for n in sorted(c.diff):
-        dd: dict[tuple[int, int], OrbitSum] = {}
-        by_source: dict[int, list[tuple[int, OrbitSum]]] = {}
-        for (ti_c, sj_c), entry in c.diff[n].items():
-            by_source.setdefault(sj_c, []).append((ti_c, entry))
-        for si, (j, grep) in enumerate(meta[n]):
-            acc: dict[int, dict[int, int]] = {}
-            for ti_c, entry in by_source.get(j, ()):
-                ktgt = c.cells[n - 1][ti_c]
-                _, index, _ = orbit_table(g.name, (sub_name, ktgt))
-                for coeff, a in entry:
-                    r, h0 = index[(g.identity, g.coset(g.mul(grep, a), g.subgroup(ktgt)))]
-                    _add_term(acc, first[(n - 1, ti_c)] + r, coeff, t.index[iso[h0]])
-            for ti, sums in acc.items():
-                entry = _osum_of(sums, t.names)
-                if entry:
-                    dd[(ti, si)] = entry
-        if dd:
-            diff[n] = dd
-    out = BurnsideComplex(target, {n: tuple(cs) for n, cs in cells.items()}, diff)
+    h = g.subgroup(sub_name)
+    prod = _product(BurnsideComplex(g.name, {0: (sub_name,)}, {}), c)
+    stab = {k.name: subgroup_image_under_iso(g.name, sub_name, k)
+            for k in g.subgroups() if k <= h}
+    out = BurnsideComplex(
+        target, {n: tuple(stab[k] for k in cs) for n, cs in prod.cells.items()},
+        {n: {key: osum((x, iso[u]) for x, u in entry) for key, entry in d.items()}
+         for n, d in prod.diff.items() if d})
     check_boundary(out)
     return out
 

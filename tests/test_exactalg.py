@@ -771,8 +771,9 @@ def test_reduced_complex_builds_each_dense_boundary_once():
 
 # ---------------------------------------------------------------------------
 # snf_full against a verbatim copy of the one that kept all four transforms
-# up to date; the kernel builds only the requested ones, with the same
-# pivots and operations, so every requested transform must be the copy's.
+# up to date and swept unit pivots in a loop of their own; the kernel builds
+# only the requested ones, in one pivot loop, with the same pivots and
+# operations, so every requested transform must be the copy's.
 
 
 class _Transforms:
@@ -967,6 +968,9 @@ SMITH_CASES = (
     + [
         # diag(2, 3) -> diag(1, 6) only through the divisibility-forcing step
         pytest.param(mat([[2, 0], [0, 3]]), id="diag(2,3)"),
+        # pivots of |entry| 2, 1, 4, 2, 1, 24: the first is no unit, and
+        # units appear after it, at t = 0 and again at t = 1
+        pytest.param(mat([[4, 6, 0], [6, 9, 3], [0, 2, 5]]), id="unit-after-2"),
         # a matrix without rows carries no column count: 0 x n reads as ()
         pytest.param((), id="0xn"),
         pytest.param(((),) * 3, id="3x0"),

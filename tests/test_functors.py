@@ -422,6 +422,25 @@ def test_check_axioms_reports_a_weyl_map_off_its_level():
     assert report.failures == ["weyl shape e,s"]
 
 
+@pytest.mark.parametrize("orders, action", [
+    ((2, 2), ((1, 0), (0, 1))),
+    # an order-1 generator: the matrix reduces to the reduced identity
+    ((2, 1), ((1, 0), (0, 1))),
+])
+def test_an_identity_weyl_map_of_its_level_is_not_stored(orders, action):
+    lvl, top = FgAbelian(orders), FgAbelian(())
+    res, tr = {("e", "C2"): AbHom.zero(top, lvl)}, {("e", "C2"): AbHom.zero(lvl, top)}
+    plain = MackeyFunctor("C2", {"e": lvl, "C2": top}, res, tr)
+    given = MackeyFunctor("C2", {"e": lvl, "C2": top}, res, tr,
+                          {("e", "s"): AbHom(lvl, lvl, action)})
+    assert dict(given.weyl) == dict(plain.weyl) == {}
+    assert given.content_key == plain.content_key
+    # an identity onto another presentation of the level is kept
+    off = _c2_with_weyl_off_level()
+    assert list(off.weyl) == [("e", "s")]
+    assert off.content_key != _c2_with_action_at_e(None).content_key
+
+
 def test_isomorphism_search_leaves_no_reference_cycles():
     z = named("Q8", "Z")
     assert is_isomorphic(z, z)  # fills the memoised candidate tables

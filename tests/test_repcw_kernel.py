@@ -451,10 +451,14 @@ def test_kernel_matches_the_string_based_copies(group_name, text):
 
 
 def test_kernel_matches_the_copies_on_a_restricted_complex():
-    c = repcw.sphere_complex("rhoQ", "Q8")
-    new, ref = repcw.restrict_complex(c, "L"), restrict_complex(c, "L")
-    _assert_same(new, ref)
-    _assert_same(repcw.reduce_complex(new), reduce_complex(ref))
+    # spheres at every subgroup, and an unreduced cone, whose cells of equal
+    # stabilizer the reduction has not cancelled
+    for c in (repcw.sphere_complex("rhoQ", "Q8"), repcw.sphere_complex("rhoK+rhoQ", "Q8"),
+              cone_of_unit_sphere(unit_sphere_complex("Q8", "H"))):
+        for s in c.group().subgroups():
+            new, ref = repcw.restrict_complex(c, s.name), restrict_complex(c, s.name)
+            _assert_same(new, ref)
+            _assert_same(repcw.reduce_complex(new), reduce_complex(ref))
 
 
 def test_smash_orders_an_entry_that_cancels_and_returns_like_the_copy():
