@@ -14,7 +14,7 @@ import sys
 import time
 from functools import partial
 
-from . import bredon
+from . import bredon, repcw
 from .bredon import (
     cached_engine,
     cohomology_mackey,
@@ -140,8 +140,8 @@ def _print_stats(eng) -> None:
     reduced-core sizes, its cell pairs, orbit-map blocks and per-degree
     res/tr/Weyl chain maps, then the levels built, reused and live, the
     induced maps reused, the engine's zero degrees, and the hits, misses and
-    entries of the recognition memo and of the coefficient memos (expressions
-    built, coefficients validated), all so far, on stderr."""
+    entries of the sphere cache, the recognition memo and the coefficient
+    memos (expressions built, coefficients validated), all so far, on stderr."""
     for side, c in (("primal", eng.primal), ("dual", eng.dual)):
         per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
         print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
@@ -166,6 +166,7 @@ def _print_stats(eng) -> None:
     zero = eng.zero_degrees
     print(f"zero degrees: {zero['skipped']} skipped without homology, {zero['found']} "
           "found zero after homology", file=sys.stderr)
+    print(f"sphere cache: {_memo_counts(repcw._SPHERE_CACHE)}", file=sys.stderr)
     print(f"recognition memo: {_memo_counts(RECOGNITION)}", file=sys.stderr)
     print(f"coefficient memos: expressions {_memo_counts(EXPRESSIONS)}; "
           f"validated {_memo_counts(bredon._VALIDATED_COEFFS)}", file=sys.stderr)

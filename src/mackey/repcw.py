@@ -14,20 +14,19 @@ Library complexes:
 * the free quaternionic cell structure on the three-sphere of the
   4-dimensional irreducible, with boundary matrices of ranks 2, 4, 3, 1.
 
-``sphere_complex`` builds reduced complexes of representation spheres by
-smashing cones of the unit-sphere complexes onto a cached prefix sphere one
-irreducible at a time, running Gaussian elimination over the Burnside
-category after every smash so that complexes stay near their homology
-size.  Unit pivots are single orbit maps with coefficient +-1 between
-cells with equal stabilizer; eliminating them changes nothing about any
-level's homology or its induced structure maps.
+``sphere_complex`` builds reduced complexes of representation spheres from
+closed-form blocks, one S^kV per irreducible V, smashed together with
+Gaussian elimination over the Burnside category after every smash, so that
+complexes stay near their homology size.  Unit pivots are single orbit maps
+with coefficient +-1 between cells with equal stabilizer; eliminating them
+changes nothing about any level's homology or its induced structure maps.
 
-The prefix S^kV of an irreducible V in ``PERIODIC`` is not folded at all.
-S(V) is a free, connected, orientation-preserving G-sphere, so S(kV), the
-k-fold join of S(V), has the periodic free resolution as its cellular
-complex (Cartan-Eilenberg XII.7, Brown VI.9): ``periodic_sphere`` repeats
-the free cells of the reduced S^V k times and joins each period to the one
-below by the norm, the k-fold Yoneda splice of S(V)'s period.
+For a sign representation, ``sign_sphere`` writes S^kV down: one cell G/K
+in each degree 1..k.  For V in ``PERIODIC``, S(V) is a free, connected,
+orientation-preserving G-sphere, so S(kV), the k-fold join of S(V), has the
+periodic free resolution as its cellular complex (Cartan-Eilenberg XII.7,
+Brown VI.9): ``periodic_sphere`` repeats the free cells of the reduced S^V
+k times and joins each period to the one below by the norm.
 """
 
 from __future__ import annotations
@@ -325,55 +324,38 @@ def _h_unit_sphere() -> BurnsideComplex:
     Degrees 0..3 carry 1, 3, 4, 2 free cells; the subgroups generated by
     i, j, k act freely along the coordinate circles."""
     e = "1"
-    d1 = {(0, 0): osum([(1, "i"), (-1, e)]),
-          (0, 1): osum([(1, "j"), (-1, e)]),
-          (0, 2): osum([(1, "k"), (-1, e)])}
-    rows2 = [
-        [(1, "k"), (1, e), (1, e), (1, "k")],
-        [(-1, e), (-1, e), (1, "i"), (1, "i")],
-        [(1, e), (-1, "j"), (-1, e), (1, "j")],
-    ]
-    d2 = {
-        (i, j): osum([rows2[i][j]])
-        for i in range(3)
-        for j in range(4)
-    }
-    rows3 = [
-        [(1, e), (1, "j")],
-        [(-1, e), (-1, "i")],
-        [(1, e), (1, "k")],
-        [(-1, e), (-1, e)],
-    ]
-    d3 = {
-        (i, j): osum([rows3[i][j]])
-        for i in range(4)
-        for j in range(2)
-    }
-    c = BurnsideComplex(
-        "Q8",
-        {0: ("e",), 1: ("e", "e", "e"), 2: ("e",) * 4, 3: ("e",) * 2},
-        {1: d1, 2: d2, 3: d3},
-    )
-    check_boundary(c)
-    return c
+    return _free_q8_complex(
+        [[[(1, "i"), (-1, e)], [(1, "j"), (-1, e)], [(1, "k"), (-1, e)]]],
+        [[[(1, "k")], [(1, e)], [(1, e)], [(1, "k")]],
+         [[(-1, e)], [(-1, e)], [(1, "i")], [(1, "i")]],
+         [[(1, e)], [(-1, "j")], [(-1, e)], [(1, "j")]]],
+        [[[(1, e)], [(1, "j")]],
+         [[(-1, e)], [(-1, "i")]],
+         [[(1, e)], [(1, "k")]],
+         [[(-1, e)], [(-1, e)]]])
 
 
 def small_h_unit_sphere() -> BurnsideComplex:
     """A smaller free model of the same three-sphere, for cross-checks."""
     e = "1"
-    d1 = {(0, 0): osum([(1, "i"), (-1, e)]),
-          (0, 1): osum([(1, "j"), (-1, e)])}
-    d2 = {(0, 0): osum([(1, e), (1, "i")]),
-          (0, 1): osum([(1, e), (1, "k")]),
-          (1, 0): osum([(-1, e), (-1, "j")]),
-          (1, 1): osum([(-1, e), (1, "i")])}
-    d3 = {(0, 0): osum([(1, "i"), (-1, e)]),
-          (1, 0): osum([(1, e), (-1, "k")])}
-    c = BurnsideComplex(
-        "Q8",
-        {0: ("e",), 1: ("e", "e"), 2: ("e", "e"), 3: ("e",)},
-        {1: d1, 2: d2, 3: d3},
-    )
+    return _free_q8_complex(
+        [[[(1, "i"), (-1, e)], [(1, "j"), (-1, e)]]],
+        [[[(1, e), (1, "i")], [(1, e), (1, "k")]],
+         [[(-1, e), (-1, "j")], [(-1, e), (1, "i")]]],
+        [[[(1, "i"), (-1, e)]],
+         [[(1, e), (-1, "k")]]])
+
+
+def _free_q8_complex(*mats) -> BurnsideComplex:
+    """The free Q8-complex with one cell in degree 0 whose d_n is mats[n-1],
+    rows of orbit-map sums, checked."""
+    cells = {0: ("e",)}
+    diff = {}
+    for n, rows in enumerate(mats, 1):
+        cells[n] = ("e",) * len(rows[0])
+        diff[n] = {(i, j): osum(entry) for i, row in enumerate(rows)
+                   for j, entry in enumerate(row)}
+    c = BurnsideComplex("Q8", cells, diff)
     check_boundary(c)
     return c
 
@@ -660,9 +642,10 @@ def reduce_complex(c: BurnsideComplex) -> BurnsideComplex:
 # degrees 1..dim V, one at each end, and S^kV is its periodic splice.
 PERIODIC = frozenset({("Q8", "H"), ("C4", "lambda")})
 
-# Spheres and the prefixes they were built from; values, so safe to share.
-# A perfbench workload builds 39 to 67 of them, `homotopy_grid.py --group q8
-# --max-k 8` 127, and a grid to k = 12 261, so the oldest few are evicted.
+# The spheres callers asked for, and the unit sphere S^V of each V in
+# PERIODIC, which every splice of V starts from; values, so safe to share.
+# A perfbench workload builds 39 to 67 of them, and the kρ rows of Q8 and K4
+# to k = 12 and of C4 to k = 8 about 70.
 _SPHERE_CACHE = LruMemo(256)
 
 
@@ -676,8 +659,7 @@ def sphere_complex(rep: VirtualRep | str, group_name: str | None = None) -> Burn
 
 
 def _sphere(rep: VirtualRep) -> BurnsideComplex:
-    """sphere_complex of a parsed rep; the spheres it is built from are
-    cached too, so later spheres reuse them."""
+    """sphere_complex of a parsed rep, cached."""
     return _SPHERE_CACHE.recall(
         (rep.group_name, rep.mults, rep.shift), lambda: _build_sphere(rep))
 
@@ -688,27 +670,50 @@ def _build_sphere(rep: VirtualRep) -> BurnsideComplex:
         raise NegativeMultiplicity(
             "negative spheres are handled through cohomology, not cells"
         )
-    gname = rep.group_name
-    irrs = [irr for irr in IRREDUCIBLES[group(gname).name] if mults.get(irr)]
+    gname = group(rep.group_name).name
     if mults.get("1") or rep.shift:
-        nontrivial = VirtualRep.make(gname, {irr: mults[irr] for irr in irrs})
+        nontrivial = VirtualRep.make(gname, {irr: m for irr, m in mults.items() if irr != "1"})
         return suspend(_sphere(nontrivial), mults.get("1", 0) + rep.shift)
-    elif not irrs:
+    # the periodic block first, then the signs in IRREDUCIBLES order: the
+    # largest unit sphere first keeps every product near its final size, and
+    # another order gives other complexes, so other cache keys downstream
+    irrs = sorted((irr for irr in IRREDUCIBLES[gname] if mults.get(irr)),
+                  key=lambda irr: (gname, irr) not in PERIODIC)
+    if not irrs:
         return point_complex(gname)
-    elif mults == {irrs[0]: 1}:
+    if mults == {irrs[0]: 1} and (gname, irrs[0]) in PERIODIC:
+        # the one cone still reduced: the unit that splices start from
         return reduce_complex(cone_of_unit_sphere(unit_sphere_complex(gname, irrs[0])))
-    elif len(irrs) == 1 and (gname, irrs[0]) in PERIODIC:
-        unit = _sphere(VirtualRep.make(gname, {irrs[0]: 1}))
-        return periodic_sphere(unit, mults[irrs[0]])
-    else:
-        # smash one factor at a time, S^V = S^(V-f) ^ S^f, with the factors
-        # ordered largest first (ties in IRREDUCIBLES order) and f the last:
-        # each intermediate complex is the cached sphere of a prefix, and
-        # stays near its final size
-        unit = {irr: _sphere(VirtualRep.make(gname, {irr: 1})) for irr in irrs}
-        f = sorted(irrs, key=lambda irr: unit[irr].ncells(), reverse=True)[-1]
-        prefix = VirtualRep.make(gname, {**mults, f: mults[f] - 1})
-        return reduce_complex(smash(_sphere(prefix), unit[f]))
+    out, *blocks = [_block(gname, irr, mults[irr]) for irr in irrs]
+    for block in blocks:
+        out = reduce_complex(smash(out, block))
+    return out
+
+
+def _block(gname: str, irr: str, k: int) -> BurnsideComplex:
+    """S^k.irr in closed form: a sign sphere, or the splice of the cached
+    unit sphere of a periodic irreducible."""
+    if (gname, irr) not in PERIODIC:
+        return sign_sphere(gname, irr, k)
+    unit = _sphere(VirtualRep.make(gname, {irr: 1}))
+    return unit if k == 1 else periodic_sphere(unit, k)
+
+
+def sign_sphere(group_name: str, irr: str, k: int) -> BurnsideComplex:
+    """S^k.sigma, reduced, for a sign irreducible sigma with kernel K: one
+    G/K cell in each degree 1..k over the G/G cell, bounding e in degree 1,
+    then e - t in even and e + t in odd degrees, for t the first element
+    outside K.  For k = 1 it is the reduced cone of the unit sphere G/K."""
+    g = group(group_name)
+    kernel = SIGN_KERNEL[(g.name, REP_ALIASES.get(irr, irr))]
+    t = next(x for x in g.elements if x not in g.subgroup(kernel))
+    e = g.identity
+    out = BurnsideComplex(
+        g.name, {n: (kernel,) if n else (g.top().name,) for n in range(k + 1)},
+        {n: {(0, 0): osum([(1, e), (1 if n % 2 else -1, t)]) if n > 1 else ((1, e),)}
+         for n in range(1, k + 1)})
+    check_boundary(out)
+    return out
 
 
 def periodic_sphere(unit: BurnsideComplex, k: int) -> BurnsideComplex:

@@ -459,7 +459,7 @@ def test_validated_coefficients_are_bounded_and_evicted_ones_checked_again(monke
 def _balanced_sphere(group_name, text):
     """S^V in the balanced smash order: the two smallest complexes smashed
     and reduced until one is left (trivial summands left out).  Its
-    complexes are larger than sphere_complex's one-factor fold, which gives
+    complexes are larger than the spheres sphere_complex builds, which gives
     the level reducer's pivot rule more to do."""
     mults = parse_rep(group_name, text).mult_dict()
     factors = []

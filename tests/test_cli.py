@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mackey import bredon
+from mackey import bredon, repcw
 from mackey.bredon import cached_engine, suspension_engine
 from mackey.catalog import named
 from mackey.cli import main
@@ -195,9 +195,12 @@ def _zero_line(eng):
 
 
 def _memo_lines():
-    """The recognition memo line and the coefficient memos line."""
+    """The sphere cache line, the recognition memo line and the coefficient
+    memos line."""
     validated = bredon._VALIDATED_COEFFS
+    spheres = repcw._SPHERE_CACHE
     return [
+        f"sphere cache: {spheres.hits} hits, {spheres.misses} misses, {len(spheres)} entries",
         f"recognition memo: {RECOGNITION.hits} hits, "
         f"{RECOGNITION.misses} misses, {len(RECOGNITION)} entries",
         f"coefficient memos: expressions {EXPRESSIONS.hits} hits, "
@@ -265,15 +268,30 @@ def test_stats_count_the_coefficient_memos(capsys, monkeypatch):
             "--degrees", "0..4", "--stats"]
     assert main(argv) == 0
     first = capsys.readouterr().err.splitlines()
-    assert first[-2:] == _memo_lines()
+    assert first[-3:] == _memo_lines()
     hits, misses = EXPRESSIONS.hits, EXPRESSIONS.misses
     assert main(argv) == 0
     second = capsys.readouterr().err.splitlines()
-    assert second[-2:] == _memo_lines()
+    assert second[-3:] == _memo_lines()
     # the sum is built once and its engine validated it once: the second
     # command finds both the expression and the engine
     assert (EXPRESSIONS.hits, EXPRESSIONS.misses) == (hits + 1, misses)
     assert second[-1].endswith("; validated 0 hits, 1 misses, 1 entries")
+
+
+def test_stats_count_the_sphere_cache(capsys, monkeypatch):
+    monkeypatch.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
+    argv = ["homology", "--group", "c4", "--rep", "lambda+2sigma", "--degrees", "0..4",
+            "--stats"]
+    assert main(argv) == 0
+    first = capsys.readouterr().err.splitlines()
+    assert first[-3:] == _memo_lines()
+    # the sphere and the unit sphere of lambda that its block splices
+    assert first[-3].endswith(" hits, 2 misses, 2 entries")
+    assert main(argv) == 0
+    second = capsys.readouterr().err.splitlines()
+    assert second[-3:] == _memo_lines()
+    assert second[-3].endswith(" hits, 2 misses, 2 entries")
 
 
 def test_stats_count_one_chain_map_per_nonzero_source(capsys, monkeypatch):

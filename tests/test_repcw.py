@@ -1,6 +1,7 @@
 """Representation parsing, sphere complexes, smash products, reduction."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,14 @@ from mackey import repcw
 from mackey.bredon import homology_mackey
 from mackey.catalog import named
 from mackey.functors import LruMemo, is_isomorphic
+from mackey.golden import degree_table
 from mackey.grouplat import group
 from mackey.repcw import (
+    BurnsideComplex,
     GroupMismatch,
     NegativeMultiplicity,
     TrivialRep,
+    VirtualRep,
     check_boundary,
     cone_of_unit_sphere,
     expand_level_e,
@@ -25,12 +29,14 @@ from mackey.repcw import (
     point_complex,
     reduce_complex,
     restrict_complex,
+    sign_sphere,
     small_h_unit_sphere,
     smash,
     sphere_complex,
     underlying_homology_ranks,
     unit_sphere_complex,
 )
+from mackey.slices import slice_list
 
 
 def test_parse_rep():
@@ -106,14 +112,55 @@ def test_sphere_has_the_homology_of_a_sphere_of_its_dimension(group_name, text):
     ("rhoK+2rhoQ", 49), ("3rhoQ", 55), ("4rhoQ", 85), ("rhoK+3rhoQ", 79),
 ])
 def test_folded_spheres_stay_small(text, most):
-    # smashing one factor at a time onto the prefix sphere; the balanced
+    # smashing the blocks onto each other, largest first; the balanced
     # order that paired the two smallest complexes left 147, 65, 189 and 81
     assert sphere_complex(text, "Q8").ncells() <= most
 
 
-def test_a_sphere_is_one_smash_from_its_cached_prefix(monkeypatch):
-    monkeypatch.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
-    prefix = sphere_complex("2H+sigmaL", "Q8")
+# ---------------------------------------------------------------------------
+# the fold that the closed-form blocks replaced, kept as an oracle
+
+
+_FOLDED: dict = {}  # (periodic irreducibles, group, mults, shift) -> sphere
+
+
+def _folded_sphere(rep: VirtualRep, periodic=repcw.PERIODIC, memo=None) -> BurnsideComplex:
+    """S^V as sphere_complex built it before its closed-form blocks: every
+    irreducible smashed on one at a time, the factors ordered largest
+    reduced unit sphere first (ties in IRREDUCIBLES order), onto the sphere
+    of the prefix, and the power of a single irreducible in ``periodic``
+    spliced.  The prefixes are kept in memo, by default one shared dict."""
+    memo = _FOLDED if memo is None else memo
+    key = (periodic, rep.group_name, rep.mults, rep.shift)
+    if key not in memo:
+        memo[key] = _fold_step(rep, periodic, memo)
+    return memo[key]
+
+
+def _fold_step(rep: VirtualRep, periodic, memo) -> BurnsideComplex:
+    mults = rep.mult_dict()
+    gname = rep.group_name
+    irrs = [irr for irr in repcw.IRREDUCIBLES[gname] if mults.get(irr)]
+
+    def sphere(part: dict) -> BurnsideComplex:
+        return _folded_sphere(VirtualRep.make(gname, part), periodic, memo)
+
+    if mults.get("1") or rep.shift:
+        return repcw.suspend(sphere({irr: mults[irr] for irr in irrs}),
+                             mults.get("1", 0) + rep.shift)
+    if not irrs:
+        return point_complex(gname)
+    if mults == {irrs[0]: 1}:
+        return reduce_complex(cone_of_unit_sphere(unit_sphere_complex(gname, irrs[0])))
+    if len(irrs) == 1 and (gname, irrs[0]) in periodic:
+        return repcw.periodic_sphere(sphere({irrs[0]: 1}), mults[irrs[0]])
+    unit = {irr: sphere({irr: 1}) for irr in irrs}
+    f = sorted(irrs, key=lambda irr: unit[irr].ncells(), reverse=True)[-1]
+    return reduce_complex(repcw.smash(sphere({**mults, f: mults[f] - 1}), unit[f]))
+
+
+def _built(monkeypatch, make):
+    """make() with a fresh sphere cache, and the (left, right) pairs it smashed."""
     smashed = []
     real_smash = repcw.smash
 
@@ -121,11 +168,137 @@ def test_a_sphere_is_one_smash_from_its_cached_prefix(monkeypatch):
         smashed.append((c, d))
         return real_smash(c, d)
 
-    monkeypatch.setattr(repcw, "smash", counting_smash)
-    sphere_complex("2H+2sigmaL", "Q8")
+    with monkeypatch.context() as m:
+        m.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
+        m.setattr(repcw, "smash", counting_smash)
+        return make(), smashed
+
+
+def _spheres_of(group_name: str, texts) -> dict:
+    """The spheres of the positive and negative parts of virtual reps."""
+    out = {}
+    for text in texts:
+        for part in parse_rep(group_name, text).split()[:2]:
+            if part.mults:
+                out[(part.group_name, part.mults)] = part
+    return out
+
+
+def _fixture_spheres() -> list[VirtualRep]:
+    """Every sphere the golden degree tables and the Q8 and C4 slice lists
+    n <= 32 use.  The benchmark's workloads compute fixture rows and slice
+    pages n <= 13 only, so their spheres are among these."""
+    spheres = _spheres_of("Q8", ["H"])
+    for gname, filename in [("Q8", "qrho_grid.txt"), ("K4", "krho_grid.txt"),
+                            ("K4", "krho_mod2_grid.txt"), ("Q8", "aux_mixed.txt"),
+                            ("Q8", "slice_homotopy.txt")]:
+        spheres.update(_spheres_of(gname, [key.split()[0] for key in degree_table(filename)]))
+    for gname in ("Q8", "C4"):
+        spheres.update(_spheres_of(
+            gname, [d.rep for n in range(33) for d in slice_list(gname, n) if d.rep]))
+    return list(spheres.values())
+
+
+def test_every_fixture_and_slice_sphere_equals_the_fold():
+    spheres = _fixture_spheres()
+    assert len(spheres) == 54
+    for rep in spheres:
+        assert sphere_complex(rep).content_key == _folded_sphere(rep).content_key, str(rep)
+
+
+_KRHO_ROWS = [("Q8", "rhoQ", 12), ("K4", "rhoK", 12), ("C4", "rho", 8)]
+
+
+def test_the_krho_rows_equal_the_fold_and_a_second_pass_builds_none(monkeypatch):
+    cache = LruMemo(256)
+    monkeypatch.setattr(repcw, "_SPHERE_CACHE", cache)
+    rows = [parse_rep(g, f"{k}{rho}") for g, rho, top in _KRHO_ROWS for k in range(1, top + 1)]
+    assert len(rows) == 32
+    for rep in rows:
+        assert sphere_complex(rep).content_key == _folded_sphere(rep).content_key, str(rep)
+    # each row and its nontrivial part, and the unit spheres of H and
+    # lambda; the fold built 496 spheres for these rows, more than the 256
+    # entries hold, so a second pass built them all again
+    assert cache.misses == len(cache) == 66
+    for rep in rows:
+        sphere_complex(rep)
+    assert cache.misses == 66
+
+
+@pytest.mark.parametrize("group_name, texts", [
+    ("C2", [f"{k}{v}" for k in range(1, 13) for v in ("sigma", "rho")]),
+    ("Q8", [f"{k}rhoK" for k in range(1, 9)]),
+    ("C4", [f"{a}lambda+{b}sigma" for a in range(5) for b in range(6)]),
+    ("Q8", [f"{a}H+{b}sigmaL+{c}sigmaD" for a in range(4) for b in range(4) for c in range(4)]),
+])
+def test_more_rows_equal_the_fold(group_name, texts):
+    # C4 lambda+2sigma and its kind tell the block order apart: smashing
+    # the blocks smallest first gives other complexes
+    for text in texts:
+        rep = parse_rep(group_name, text)
+        assert sphere_complex(rep).content_key == _folded_sphere(rep).content_key, text
+
+
+def _reversed_blocks(rep: VirtualRep) -> BurnsideComplex:
+    """S^V from the same closed-form blocks smashed the other way round:
+    the signs in reverse IRREDUCIBLES order, the periodic block last.  It
+    is another complex of the same sphere."""
+    mults = rep.mult_dict()
+    gname = rep.group_name
+    irrs = sorted((irr for irr in reversed(repcw.IRREDUCIBLES[gname]) if mults.get(irr)),
+                  key=lambda irr: (gname, irr) in repcw.PERIODIC)
+    out = point_complex(gname)
+    for irr in irrs:
+        block = (repcw.periodic_sphere(sphere_complex(irr, gname), mults[irr])
+                 if (gname, irr) in repcw.PERIODIC else sign_sphere(gname, irr, mults[irr]))
+        out = reduce_complex(smash(out, block))
+    return repcw.suspend(out, mults.get("1", 0))
+
+
+@pytest.mark.parametrize("seed", [3, 14, 15])
+@pytest.mark.parametrize("group_name", ["C2", "C4", "K4", "Q8"])
+def test_random_spheres_agree_with_the_fold_cell_for_cell(group_name, seed):
+    # two nonzero virtual representations per seed, up to 2 of each
+    # irreducible and 1 trivial summand
+    rng = random.Random(seed)
+    reps = []
+    while len(reps) < 2:
+        rep = VirtualRep.make(group_name, {irr: rng.randint(0, 2) for irr in
+                                           repcw.IRREDUCIBLES[group_name]})
+        if rep.mults:
+            reps.append(VirtualRep.make(group_name, {**rep.mult_dict(), "1": rng.randint(0, 1)}))
+    z = named(group_name, "Z")
+    for rep in reps:
+        blocks = sphere_complex(rep)
+        assert blocks.content_key == _folded_sphere(rep).content_key, str(rep)
+        other = _reversed_blocks(rep)
+        for n in range(rep.dim + 2):
+            a, _ = homology_mackey(blocks, z, n)
+            b, _ = homology_mackey(other, z, n)
+            assert is_isomorphic(a, b), (str(rep), n)
+
+
+def test_a_sphere_is_one_smash_per_block_after_the_first(monkeypatch):
+    rep = parse_rep("Q8", "2H+2sigmaL")
+    out, smashed = _built(monkeypatch, lambda: sphere_complex(rep))
     assert len(smashed) == 1
     c, d = smashed[0]
-    assert c is prefix and d is sphere_complex("sigmaL", "Q8")
+    assert c.content_key == repcw.periodic_sphere(sphere_complex("H", "Q8"), 2).content_key
+    assert d.content_key == sign_sphere("Q8", "sigmaL", 2).content_key
+    assert out.content_key == _folded_sphere(rep).content_key
+    # one block per irreducible, so at most three smashes over Q8
+    _, smashed = _built(monkeypatch, lambda: sphere_complex("3rhoQ+2", "Q8"))
+    assert len(smashed) == 3
+
+
+def test_only_the_spheres_asked_for_are_cached(monkeypatch):
+    cache = LruMemo(256)
+    monkeypatch.setattr(repcw, "_SPHERE_CACHE", cache)
+    sphere_complex("2H+2sigmaL+sigmaR", "Q8")
+    # the sphere and the unit sphere of H, which its block splices; no prefix
+    assert (cache.misses, len(cache)) == (2, 2)
+    sphere_complex("H", "Q8")
+    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_each_public_constructor_checks_its_complex_once(monkeypatch):
@@ -147,24 +320,42 @@ def test_each_public_constructor_checks_its_complex_once(monkeypatch):
         "cone_of_unit_sphere": lambda: cone_of_unit_sphere(h),
         "reduce_complex": lambda: reduce_complex(cone),
         "smash": lambda: smash(s_h, s_l),
+        "sign_sphere": lambda: sign_sphere("Q8", "sigmaL", 3),
         "periodic_sphere": lambda: repcw.periodic_sphere(s_h, 2),
         "restrict_complex": lambda: restrict_complex(s_h, "L"),
-        # the prefix spheres are cached: one splice
+        # the unit sphere of H is cached: one splice
         "sphere_complex": lambda: sphere_complex("3H", "Q8"),
     }
     for name, make in constructors.items():
         checked.clear()
         out = make()
         assert len(checked) == 1 and checked[0] is out, name
-    # a fold step checks the smash of its cached prefix and factor, then
-    # the reduced sphere, and a cached sphere is not checked again
+    # a block step checks its sign block, the smash of the blocks, then the
+    # reduced sphere, and a cached sphere is not checked again
     checked.clear()
     out = sphere_complex("H+sigmaL", "Q8")
-    assert len(checked) == 2 and checked[1] is out
-    assert checked[0].ncells() > out.ncells()
+    assert len(checked) == 3 and checked[2] is out
+    assert checked[0].content_key == s_l.content_key
+    assert checked[1].ncells() > out.ncells()
     checked.clear()
     sphere_complex("H+sigmaL", "Q8")
     assert not checked
+
+
+@pytest.mark.parametrize("group_name, irr", sorted(repcw.SIGN_KERNEL))
+def test_a_sign_sphere_is_a_sphere_on_which_its_kernel_acts_trivially(group_name, irr):
+    kernel = repcw.SIGN_KERNEL[(group_name, irr)]
+    cone = reduce_complex(cone_of_unit_sphere(unit_sphere_complex(group_name, irr)))
+    assert sign_sphere(group_name, irr, 1).content_key == cone.content_key
+    for k in range(1, 13):
+        c = sign_sphere(group_name, irr, k)
+        h = underlying_homology_ranks(c)
+        assert h[k] == (1, ()) and all(v == (0, ()) for n, v in h.items() if n != k)
+        # K acts trivially on sigma, so over K this is S^k: one cell fixed
+        # by all of K in degree k
+        over_k = reduce_complex(restrict_complex(c, kernel))
+        assert dict(over_k.cells) == {k: (group(over_k.group_name).top().name,)}, k
+        assert not over_k.diff
 
 
 _CONTENT_DIGESTS = """
@@ -193,24 +384,6 @@ def test_complexes_do_not_depend_on_the_string_hash_seed():
     ]
     assert len(runs[0].splitlines()) == 12
     assert runs[0] == runs[1] == runs[2]
-
-
-def _built(monkeypatch, group_name: str, text: str, periodic=repcw.PERIODIC):
-    """sphere_complex(text) built afresh with the given periodic irreducibles
-    (none: every power of an irreducible folded one smash at a time), and
-    the number of smashes made."""
-    smashed = []
-    real_smash = repcw.smash
-
-    def counting_smash(c, d):
-        smashed.append((c, d))
-        return real_smash(c, d)
-
-    with monkeypatch.context() as m:
-        m.setattr(repcw, "PERIODIC", periodic)
-        m.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
-        m.setattr(repcw, "smash", counting_smash)
-        return sphere_complex(text, group_name), len(smashed)
 
 
 @pytest.mark.parametrize("group_name, irr", sorted(repcw.PERIODIC))
@@ -246,10 +419,11 @@ def test_only_one_period_of_free_cells_is_spliced(group_name, text):
 ])
 def test_the_splice_agrees_with_the_fold(monkeypatch, group_name, irr, coeffs, ks):
     for k in ks:
-        text = f"{k}{irr}"
-        spliced, smashes = _built(monkeypatch, group_name, text)
-        folded, folds = _built(monkeypatch, group_name, text, frozenset())
-        assert (smashes, folds) == (0, k - 1)
+        rep = parse_rep(group_name, f"{k}{irr}")
+        spliced, smashes = _built(monkeypatch, lambda: sphere_complex(rep))
+        # the fold without the splice: one smash per factor after the first
+        folded, folds = _built(monkeypatch, lambda: _folded_sphere(rep, frozenset(), {}))
+        assert (len(smashes), len(folds)) == (0, k - 1)
         assert ({n: len(cs) for n, cs in spliced.cells.items()}
                 == {n: len(cs) for n, cs in folded.cells.items()})
         assert spliced.ncells() == 1 + k * (sphere_complex(irr, group_name).ncells() - 1)
@@ -262,17 +436,20 @@ def test_the_splice_agrees_with_the_fold(monkeypatch, group_name, irr, coeffs, k
             for n in range(dim + 2):
                 a, _ = homology_mackey(spliced, coeff, n)
                 b, _ = homology_mackey(folded, coeff, n)
-                assert is_isomorphic(a, b), (text, name, n)
+                assert is_isomorphic(a, b), (rep, name, n)
 
 
 def test_5rhoq_has_the_same_names_spliced_and_folded(monkeypatch):
     z = named("Q8", "Z")
-    spliced, smashes = _built(monkeypatch, "Q8", "5rhoQ")
-    folded, folds = _built(monkeypatch, "Q8", "5rhoQ", frozenset())
-    # the 15 sign factors are folded either way, the five H only without
-    # the splice
-    assert (smashes, folds) == (15, 19)
-    names = [(homology_mackey(spliced, z, n)[1], homology_mackey(folded, z, n)[1])
+    rep = parse_rep("Q8", "5rhoQ")
+    blocks, smashes = _built(monkeypatch, lambda: sphere_complex(rep))
+    spliced, splice_folds = _built(monkeypatch, lambda: _folded_sphere(rep, memo={}))
+    folded, folds = _built(monkeypatch, lambda: _folded_sphere(rep, frozenset(), {}))
+    # three smashes of four blocks; the fold smashed each of the 15 sign
+    # factors on, and the five H as well without the splice
+    assert (len(smashes), len(splice_folds), len(folds)) == (3, 15, 19)
+    assert blocks.content_key == spliced.content_key
+    names = [(homology_mackey(blocks, z, n)[1], homology_mackey(folded, z, n)[1])
              for n in range(42)]
     assert all(a == b and a is not None for a, b in names), names
     assert names[40] == ("Z", "Z") and names[10][0] == "phi_LDR(F)+g^3"

@@ -7,6 +7,7 @@ because the engine, recognition and fixtures downstream read them in that
 order.
 """
 
+import inspect
 from functools import lru_cache
 
 import pytest
@@ -407,14 +408,15 @@ def _fold_both_ways(new, ref, factors):
 
 
 def _sphere_both_ways(group_name: str, text: str) -> BurnsideComplex:
-    """S^V built as sphere_complex builds it, once with the kernel and once
-    with the copies, comparing every smash and every reduction: the reduced
-    unit-sphere cones, largest first, smashed onto the product so far one
-    factor at a time.
+    """S^V folded one factor at a time, as sphere_complex built it before
+    its closed-form blocks, once with the kernel and once with the copies,
+    comparing every smash and every reduction: the reduced unit-sphere
+    cones, largest first, smashed onto the product so far.  The blocks give
+    the same complex.
 
-    sphere_complex splices S^kW for the largest factor W when W is
-    periodic and k > 1.  Its k - 1 folds are still made and compared here,
-    then both sides go on from the spliced S^kW, as sphere_complex does."""
+    The fold spliced S^kW for the largest factor W when W is periodic and
+    k > 1.  Its k - 1 folds are still made and compared here, then both
+    sides go on from the spliced S^kW, as the fold did."""
     rep = parse_rep(group_name, text)
     mults = rep.mult_dict()
     factors = []
@@ -518,13 +520,28 @@ def test_check_boundary_rejects_a_broken_complex(edit, check):
 
 @pytest.mark.parametrize("edit", [_flip_first_sign, _delete_first_term])
 def test_a_fold_step_rejects_each_planted_error(edit):
-    # a prefix with d.d != 0 smashed with S^sigma and reduced, as
-    # sphere_complex folds: smash's own check rejects it, where the reduced
-    # product alone would pass check_boundary
+    # a complex with d.d != 0 smashed with a sign block and reduced, as
+    # sphere_complex smashes its blocks: smash's own check rejects it, where
+    # the reduced product alone would pass check_boundary
     broken = _broken(_smashed_q8(), edit)
-    sign = repcw.sphere_complex("sigmaL", "Q8")
+    for k in (1, 2):
+        with pytest.raises(BoundaryError):
+            repcw.reduce_complex(repcw.smash(broken, repcw.sign_sphere("Q8", "sigmaL", k)))
+
+
+def test_a_block_step_rejects_a_planted_koszul_sign_error(monkeypatch):
+    # the boundary on the right factor without the sign of the left degree:
+    # d.d picks up 2 (da x db) wherever both factors have a boundary
+    h, sign = repcw.sphere_complex("2H", "Q8"), repcw.sign_sphere("Q8", "sigmaL", 2)
+    repcw.smash(h, sign)
+    source = inspect.getsource(repcw._product)
+    planted = source.replace("sign = -1 if p % 2 else 1", "sign = 1")
+    assert planted != source
+    namespace: dict = {}
+    exec(planted, vars(repcw), namespace)
+    monkeypatch.setattr(repcw, "_product", namespace["_product"])
     with pytest.raises(BoundaryError):
-        repcw.reduce_complex(repcw.smash(broken, sign))
+        repcw.smash(h, sign)
 
 
 def _smashed_k4() -> BurnsideComplex:
