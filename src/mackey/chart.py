@@ -115,8 +115,6 @@ def validate_differentials(page: ChartPage) -> ValidationReport:
     for (x, y), names in page.entries.items():
         for idx, nm in enumerate(names, start=1):
             state[(x, y, idx)] = nm
-            if nm == "UNKNOWN" or "?" in page.flags.get((x, y, idx), set()):
-                pass
             if nm == "UNKNOWN":
                 unknown.add((x, y, idx))
 

@@ -420,9 +420,11 @@ def _add_stats_flag(s: argparse.ArgumentParser) -> None:
         "--stats", action="store_true",
         help="print the cells per degree of the complexes, each level's "
         "chain and reduced-core sizes, the cell pairs per level, the "
-        "orbit-map blocks and per-degree res/tr/Weyl chain maps built, and "
-        "the hits, misses and entries of the recognition memo and of the "
-        "coefficient memos to stderr",
+        "orbit-map blocks and per-degree res/tr/Weyl chain maps built, the "
+        "levels built and reused, the structure maps reused and the live "
+        "levels, the zero degrees skipped and found, "
+        "and the hits, misses and entries of the sphere cache, the "
+        "recognition memo and the coefficient memos to stderr",
     )
 
 

@@ -16,7 +16,8 @@ import itertools
 import marshal
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
-from math import gcd
+from math import gcd, prod
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -25,11 +26,13 @@ from .exactalg import (
     FgAbelian,
     NonComposable,
     _is_identity,
-    _mat_mul_mod,
     _reduce_matrix,
     _unchecked,
     homology_at,
     mat_add,
+    mat_scale,
+    snf_full,
+    zeros,
 )
 from .grouplat import Group, Subgroup, canonical_group_name, group, orbit_table, subgroup_iso
 
@@ -46,9 +49,13 @@ class UnknownName(Exception):
     pass
 
 
+class BadExpression(ValueError):
+    """A sum of named functors with a power that is not an integer >= 1."""
+
+
 class IsomorphismSearchLimit(Exception):
-    """A level is beyond the exhaustive isomorphism search: free rank 2 or
-    more, or more than 300,000 candidate matrices."""
+    """A pair is beyond the isomorphism search: a level of free rank 2 or
+    more, or more than 300,000 elements in the finite part of Hom."""
 
 
 @dataclass(frozen=True)
@@ -424,10 +431,6 @@ def _compose_tr(m: MackeyFunctor, chain: list[str]) -> AbHom:
 # duality
 
 
-def _dual_group(gp: FgAbelian) -> FgAbelian:
-    return FgAbelian(gp.orders)
-
-
 def _dual_hom(h: AbHom) -> AbHom:
     """Adjoint with respect to the standard pairings.
 
@@ -448,7 +451,7 @@ def _dual_hom(h: AbHom) -> AbHom:
                     raise MixedTorsion("hom has no integral dual")
                 row.append(num // b.orders[i])
         rows.append(tuple(row))
-    return AbHom(_dual_group(b), _dual_group(a), tuple(rows))
+    return AbHom(b, a, tuple(rows))
 
 
 def box_dual(m: MackeyFunctor) -> MackeyFunctor:
@@ -465,7 +468,7 @@ def box_dual(m: MackeyFunctor) -> MackeyFunctor:
     if "mixed" in kinds or len(kinds) > 1:
         raise MixedTorsion("levels must be all free or all finite")
     g = m.group()
-    levels = {s.name: _dual_group(m.levels[s.name]) for s in g.subgroups()}
+    levels = {s.name: m.levels[s.name] for s in g.subgroups()}
     res = {}
     tr = {}
     for key in covering_pairs(g):
@@ -485,6 +488,10 @@ def box_dual(m: MackeyFunctor) -> MackeyFunctor:
 
 @dataclass
 class MackeyMorphism:
+    """Level maps that satisfy hom_group's equations: they commute with res
+    and tr on every covering pair and with every stored Weyl map, or
+    Mismatch names the map that fails."""
+
     source: MackeyFunctor
     target: MackeyFunctor
     components: dict[str, AbHom]
@@ -502,24 +509,7 @@ class MackeyMorphism:
                 or c.cod.orders != self.target.levels[s.name].orders
             ):
                 raise Mismatch(f"component at {s.name} has wrong shape")
-        for low, high in covering_pairs(g):
-            f_low, f_high = self.components[low], self.components[high]
-            if not f_low.compose(self.source.res[(low, high)]).equals(
-                self.target.res[(low, high)].compose(f_high)
-            ):
-                raise Mismatch(f"does not commute with res at {low}<{high}")
-            if not f_high.compose(self.source.tr[(low, high)]).equals(
-                self.target.tr[(low, high)].compose(f_low)
-            ):
-                raise Mismatch(f"does not commute with tr at {low}<{high}")
-        for s in g.subgroups():
-            for e in g.elements:
-                ws = self.source.weyl_action(s.name, e)
-                wt = self.target.weyl_action(s.name, e)
-                if not self.components[s.name].compose(ws).equals(
-                    wt.compose(self.components[s.name])
-                ):
-                    raise Mismatch(f"does not commute with Weyl at {s.name}")
+        _HomSystem(self.source, self.target).check(self.components)
 
 
 def ses_check(i: MackeyMorphism, p: MackeyMorphism) -> bool:
@@ -591,177 +581,169 @@ EXPRESSIONS = LruMemo(256)
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing
+# Hom and isomorphism testing
+
+# A Mackey functor is a module over the Mackey algebra (Thevenaz and Webb,
+# "The structure of Mackey functors", 1995), so Hom(a, b) is the integer
+# kernel of one linear system.  The unknowns are the entries of the level
+# matrices: entry (i, j) at level s lies in Hom(Z/a_j, Z/b_i), the multiples
+# of the step b_i / gcd(a_j, b_i) modulo b_i, so it is one unknown of order
+# gcd(a_j, b_i), free when a_j = b_i = 0, and none when the entry is always
+# zero (b_i = 0 != a_j, or gcd 1).  Each equation is one entry of
+# f_t P - Q f_u, for P and Q the res, tr or Weyl maps of a and b, taken
+# modulo its target generator's order.
 
 
-def _hom_columns(order: int, cod: FgAbelian) -> list[tuple[int, ...]]:
-    """All possible images in cod of a generator of the given order."""
-    choices = []
-    for o in cod.orders:
-        if order == 0:
-            if o == 0:
-                choices.append(range(-1, 2))  # -1, 0, 1 suffice for rank <= 1
-            else:
-                choices.append(range(o))
-        else:
-            if o == 0:
-                choices.append((0,))
-            else:
-                step = o // gcd(o, order)
-                choices.append(range(0, o, step))
-    return [tuple(c) for c in itertools.product(*choices)]
+class _HomSystem:
+    """The equations of Hom(a, b), in blocks labelled by the structure map
+    each block says the level maps commute with."""
+
+    def __init__(self, a: MackeyFunctor, b: MackeyFunctor):
+        g = a.group()
+        self.a, self.b = a, b
+        self.index: dict[tuple[str, int, int], int] = {}  # (level, i, j) -> unknown
+        self.steps: list[int] = []
+        self.orders: list[int] = []
+        for s in g.subgroups():
+            for i, bo in enumerate(b.levels[s.name].orders):
+                for j, ao in enumerate(a.levels[s.name].orders):
+                    o = gcd(ao, bo)
+                    if o != 1 and (bo or not ao):
+                        self.index[(s.name, i, j)] = len(self.orders)
+                        self.steps.append(bo // o if bo else 1)
+                        self.orders.append(o)
+        self.blocks: list[tuple[str, list[tuple[tuple[int, ...], int]]]] = []
+        for low, high in covering_pairs(g):
+            key = (low, high)
+            self._block(f"res at {low}<{high}", low, high, a.res[key], b.res[key])
+            self._block(f"tr at {low}<{high}", high, low, a.tr[key], b.tr[key])
+        for s in g.subgroups():
+            pairs = {}
+            for e in g.elements:
+                if (s.name, e) in a.weyl or (s.name, e) in b.weyl:
+                    wa, wb = a.weyl_action(s.name, e), b.weyl_action(s.name, e)
+                    if not (wa.dom.orders == wa.cod.orders == a.levels[s.name].orders
+                            and wb.dom.orders == wb.cod.orders == b.levels[s.name].orders):
+                        raise NonComposable(f"weyl map at {s.name},{e} is not a level endomorphism")
+                    pairs[(wa.matrix, wb.matrix)] = (wa, wb)
+            for wa, wb in pairs.values():
+                self._block(f"Weyl at {s.name}", s.name, s.name, wa, wb)
+
+    def _block(self, label: str, t: str, u: str, p: AbHom, q: AbHom) -> None:
+        """The equations f_t p = q f_u, for p: a(u) -> a(t), q: b(u) -> b(t):
+        one row of coefficients on the unknowns per entry, with its order."""
+        rows = []
+        for i, o in enumerate(self.b.levels[t].orders):
+            for j in range(p.dom.ngens):
+                row = [0] * len(self.orders)
+                for k, pk in enumerate(p.matrix):  # f_t[i][k] p[k][j]
+                    if (x := self.index.get((t, i, k))) is not None:
+                        row[x] += self.steps[x] * pk[j]
+                for k, qik in enumerate(q.matrix[i]):  # q[i][k] f_u[k][j]
+                    if (x := self.index.get((u, k, j))) is not None:
+                        row[x] -= self.steps[x] * qik
+                if any(row := tuple(c % o if o else c for c in row)):
+                    rows.append((row, o))
+        self.blocks.append((label, rows))
+
+    def check(self, components: Mapping[str, AbHom]) -> None:
+        """Raise Mismatch naming the first block the level maps fail.  A
+        valid level map is a multiple of the step at every entry, so it has
+        coordinates in the unknowns."""
+        x = [components[s].matrix[i][j] // self.steps[n] for (s, i, j), n in self.index.items()]
+        for label, rows in self.blocks:
+            for row, o in rows:
+                v = sum(map(mul, row, x))
+                if v % o if o else v:
+                    raise Mismatch(f"does not commute with {label}")
+
+    def level_maps(self, x) -> dict[str, AbHom]:
+        """The level maps with coordinates x in the unknowns."""
+        a, b = self.a.levels, self.b.levels
+        mats = {s: [[0] * a[s].ngens for _ in b[s].orders] for s in a}
+        for ((s, i, j), n), v in zip(self.index.items(), x):
+            mats[s][i][j] = self.steps[n] * v
+        return {s: _unchecked(a[s], b[s], _reduce_matrix(m, b[s])) for s, m in mats.items()}
 
 
-@lru_cache(maxsize=256)
-def _isos_between(a_orders: tuple[int, ...], b_orders: tuple[int, ...]) -> tuple[AbHom, ...]:
-    """All isomorphisms between the two presentations.  Free rank at most 1
-    and at most 300,000 candidate matrices are supported; beyond that it
-    raises IsomorphismSearchLimit.
-
-    Keyed on the presentations, not on FgAbelian equality: equal groups
-    with different generator orders give different matrices."""
-    a, b = FgAbelian(a_orders), FgAbelian(b_orders)
-    if a != b:
-        return ()
-    if a.is_trivial:
-        return (AbHom.zero(a, b),)
-    if a.rank > 1:
-        raise IsomorphismSearchLimit("iso search needs free rank <= 1")
-    cols = [_hom_columns(o, b) for o in a.orders]
-    size = 1
-    for c in cols:
-        size *= len(c)
-    if size > 300_000:
-        raise IsomorphismSearchLimit(
-            "level too large for exhaustive isomorphism search; "
-            "split off g summands first"
-        )
-    out = []
-    torsion_elems = _torsion_elements(a)
-    target_torsion = {_torsion_reduce(b, v) for v in _torsion_elements(b)}
-    for combo in itertools.product(*cols):
-        matrix = tuple(zip(*combo))
-        h = AbHom(a, b, matrix)
-        # the free generator must hit a free generator with coefficient +-1
-        ok = True
-        for j, ao in enumerate(a.orders):
-            if ao == 0:
-                fc = [h.matrix[i][j] for i, bo in enumerate(b.orders) if bo == 0]
-                if sum(abs(x) for x in fc) != 1:
-                    ok = False
-                break
-        if not ok:
-            continue
-        # bijective on torsion makes the whole map an isomorphism
-        image = {h(v) for v in torsion_elems}
-        if image == target_torsion and len(image) == len(torsion_elems):
-            out.append(h)
-    return tuple(out)
-
-
-def _torsion_elements(g: FgAbelian) -> list[tuple[int, ...]]:
-    coords: list[tuple[int, ...]] = [()]
-    for o in g.orders:
-        vals = (0,) if o == 0 else tuple(range(o))
-        coords = [c + (x,) for c in coords for x in vals]
-    return coords
-
-
-def _torsion_reduce(g: FgAbelian, v) -> tuple[int, ...]:
-    return tuple(0 if o == 0 else x % o for x, o in zip(v, g.orders))
-
-
-def _weyl_pairs(a: MackeyFunctor, b: MackeyFunctor, s: str, elements) -> set:
-    """Distinct matrix pairs (W_a(e), W_b(e)) at level s over the elements
-    either functor stores a Weyl map for."""
-    a_orders, b_orders = a.levels[s].orders, b.levels[s].orders
-    mats: set = set()
-    for e in elements:
-        if (s, e) not in a.weyl and (s, e) not in b.weyl:
-            continue
-        wa, wb = a.weyl_action(s, e), b.weyl_action(s, e)
-        if not (wa.dom.orders == wa.cod.orders == a_orders
-                and wb.dom.orders == wb.cod.orders == b_orders):
-            raise NonComposable(f"weyl map at {s},{e} is not a level endomorphism")
-        mats.add((wa.matrix, wb.matrix))
-    return mats
+def hom_group(a: MackeyFunctor, b: MackeyFunctor) -> tuple[FgAbelian, tuple[dict[str, AbHom], ...]]:
+    """Hom(a, b) as a finitely generated abelian group, and each generator
+    lifted to its level maps, read off one homology_at of the stacked
+    equations.  Raises NonComposable when a stored Weyl map is not an
+    endomorphism of its level."""
+    if a.group_name != b.group_name:
+        raise Mismatch("source and target over different groups")
+    system = _HomSystem(a, b)
+    rows = list(dict.fromkeys(r for _, block in system.blocks for r in block))
+    hom = homology_at(None, _unchecked(FgAbelian(tuple(system.orders)),
+                                       FgAbelian(tuple(o for _, o in rows)),
+                                       tuple(row for row, _ in rows)))
+    k = hom.group.ngens
+    return hom.group, tuple(system.level_maps(hom.lift(_unit(k, j))) for j in range(k))
 
 
 def is_isomorphic(a: MackeyFunctor, b: MackeyFunctor) -> bool:
-    """Whether find_isomorphism finds a map, once per pair of contents."""
-    return RECOGNITION.recall(("iso", a.content_key, b.content_key),
-                              lambda: find_isomorphism(a, b) is not None)
+    """Whether a and b are isomorphic, once per pair of contents: the powers
+    of g split off must agree, and find_isomorphism compares the rest."""
+
+    def compute():
+        (k_a, red_a), (k_b, red_b) = strip_g_summands(a), strip_g_summands(b)
+        return k_a == k_b and find_isomorphism(red_a, red_b) is not None
+
+    return RECOGNITION.recall(("iso", a.content_key, b.content_key), compute)
 
 
 def find_isomorphism(a: MackeyFunctor, b: MackeyFunctor) -> dict[str, AbHom] | None:
-    """Search for a family of levelwise isomorphisms commuting with all
-    structure maps, or None.
+    """An isomorphism a -> b as its level maps, or None, found in Hom(a, b).
 
-    The candidates at each level are all isomorphisms between the two
-    presentations, a table memoised per pair of presentation tuples.  They
-    are first filtered for Weyl equivariance, h . W_a(e) == W_b(e) . h, on
-    plain reduced integer matrices: one test per distinct pair of Weyl
-    matrices over every group element either functor stores a map for
-    (elsewhere both sides are the identity).  Backtracking top down over the
-    survivors then enforces res and tr on every covering pair; the first
-    consistent family in candidate order is returned."""
+    At each level of free rank 1 (a higher free rank raises
+    IsomorphismSearchLimit) the free-to-free entry phi of an isomorphism is
+    +-1.  Torsion elements of Hom have phi = 0, and phi is injective on the
+    free part, so each sign pattern pins the free coordinates by one exact
+    solve.  The finite part of Hom, at most 300,000 elements, is then
+    enumerated until every level map is onto, which makes it an
+    isomorphism: the levels of a and b are isomorphic, and a surjection
+    between isomorphic finitely generated abelian groups is injective."""
     if a.group_name != b.group_name:
         return None
-    g = a.group()
-    subs = [s.name for s in reversed(g.subgroups())]  # top down
-    for s in subs:
-        if a.levels[s] != b.levels[s]:
-            return None
-
-    cand: dict[str, list[AbHom]] = {}
-    for s in subs:
-        mats = _weyl_pairs(a, b, s, g.elements)
-        orders, ncols = b.levels[s].orders, a.levels[s].ngens
-        isos = [
-            h for h in _isos_between(a.levels[s].orders, orders)
-            if all(
-                _mat_mul_mod(h.matrix, wa, orders, ncols)
-                == _mat_mul_mod(wb, h.matrix, orders, ncols)
-                for wa, wb in mats
-            )
-        ]
-        if not isos:
-            return None
-        cand[s] = isos
-
-    # depth-first over levels, top down: choice[k] is the next candidate to
-    # try at level k; a loop with explicit state leaves no reference cycle
-    pairs = covering_pairs(g)
-    assignment: dict[str, AbHom] = {}
-    choice = [0] * len(subs)
-    k = 0
-    while 0 <= k < len(subs):
-        s = subs[k]
-        assignment.pop(s, None)
-        for c in range(choice[k], len(cand[s])):
-            if _consistent(a, b, pairs, assignment, s, cand[s][c]):
-                assignment[s] = cand[s][c]
-                choice[k] = c + 1
-                k += 1
-                break
-        else:
-            choice[k] = 0
-            k -= 1
-    return assignment if k == len(subs) else None
-
-
-def _consistent(a: MackeyFunctor, b: MackeyFunctor, pairs, assignment: dict,
-                s: str, h: AbHom) -> bool:
-    """h at level s commutes with res and tr to and from the assigned levels."""
-    for low, high in pairs:
-        if s not in (low, high) or (high if s == low else low) not in assignment:
+    subs = [s.name for s in reversed(a.group().subgroups())]  # top down
+    if any(a.levels[s] != b.levels[s] for s in subs):
+        return None
+    if any(a.levels[s].rank > 1 for s in subs):
+        raise IsomorphismSearchLimit("iso search needs free rank <= 1")
+    hom, gens = hom_group(a, b)
+    free = [k for k, o in enumerate(hom.orders) if o == 0]
+    tors = [k for k, o in enumerate(hom.orders) if o]
+    if (size := prod(hom.orders[k] for k in tors)) > 300_000:
+        raise IsomorphismSearchLimit(
+            f"Hom too large for exhaustive isomorphism search ({size} elements "
+            "in its finite part); split off g summands first")
+    phi = [[gens[k][s].matrix[b.levels[s].orders.index(0)][a.levels[s].orders.index(0)]
+            for k in free] for s in subs if a.levels[s].rank]
+    d, u, v, _, _ = snf_full(phi, ("u", "v"))
+    onto: dict = {}
+    # -h is an isomorphism when h is, so the first sign is +1
+    for signs in itertools.product((1, -1), repeat=max(len(phi) - 1, 0)):
+        # u phi v = d, so phi y = signs iff y = v z with d z = u signs
+        w = [sum(map(mul, row, (1,) + signs)) for row in u]
+        if any(w[k] % d[k][k] if k < len(free) else w[k] for k in range(len(w))):
             continue
-        h_low, h_high = (h, assignment[high]) if s == low else (assignment[low], h)
-        key = (low, high)
-        if not (h_low.compose(a.res[key]).equals(b.res[key].compose(h_high))
-                and h_high.compose(a.tr[key]).equals(b.tr[key].compose(h_low))):
-            return False
-    return True
+        y = [sum(x * w[k] // d[k][k] for k, x in enumerate(row)) for row in v]
+        for t in itertools.product(*(range(hom.orders[k]) for k in tors)):
+            terms = [(c, gens[k]) for c, k in zip(y + list(t), free + tors) if c]
+            maps = {}
+            for s in subs:
+                lvl = b.levels[s]
+                m = _reduce_matrix(reduce(mat_add, (mat_scale(c, h[s].matrix) for c, h in terms),
+                                          zeros(lvl.ngens, a.levels[s].ngens)), lvl)
+                maps[s] = _unchecked(a.levels[s], lvl, m)
+                if (s, m) not in onto:
+                    onto[(s, m)] = lvl.is_trivial or homology_at(maps[s], None).group.is_trivial
+                if not onto[(s, m)]:
+                    break
+            else:
+                return maps
+    return None
 
 
 def pull_back(m: MackeyFunctor, target: str, pre: Mapping[str, str],
@@ -939,6 +921,9 @@ def parse_expression(expr: str) -> list[tuple[str, int]]:
             continue
         if "^" in t:
             base, _, p = t.partition("^")
+            p = p.strip()
+            if not p.isdecimal() or int(p) < 1:
+                raise BadExpression(f"{t!r}: a power must be an integer >= 1")
             terms.append((base.strip(), int(p)))
         else:
             terms.append((t, 1))

@@ -438,6 +438,15 @@ def test_isomorphism_search_limit_is_reported(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("coeff", ["g^-1", "Z^0", "Z^x"])
+def test_a_power_below_one_is_refused(capsys, coeff):
+    code = main(["homology", "--group", "q8", "--rep", "rhoQ", "--coeff", coeff,
+                 "--degrees", "0..1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: BadExpression: ")
+
+
 def _homotopy_grid_script():
     import importlib.util
 

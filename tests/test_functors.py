@@ -17,6 +17,7 @@ from mackey.functors import (
     EXPRESSIONS,
     RECOGNITION,
     AxiomReport,
+    BadExpression,
     MackeyFunctor,
     MackeyMorphism,
     IsomorphismSearchLimit,
@@ -35,8 +36,10 @@ from mackey.functors import (
     data_equal,
     expression_functor,
     find_isomorphism,
+    hom_group,
     is_isomorphic,
     match_expression,
+    parse_expression,
     ses_check,
     strip_g_summands,
     zero_functor,
@@ -211,11 +214,15 @@ def test_isomorphism_search_limits_raise_a_typed_error():
     zz = expression_functor("C2", "Z+Z")  # free rank 2 at every level
     with pytest.raises(IsomorphismSearchLimit, match="free rank"):
         is_isomorphic(zz, zz)
-    # each generator of (2,)*5 has 2^5 images, so 32^5 candidates at the top
+    # g summands are split off before any search, so g^5 is answered
     g5 = expression_functor("K4", "g^5")
     assert g5.levels["K4"] == FgAbelian((2,) * 5)
+    assert is_isomorphic(g5, g5)
+    # End(F^5) is the 5 x 5 matrices over End(F) = Z/2: 2^25 elements
+    f5 = expression_functor("K4", "F^5")
+    assert hom_group(f5, f5)[0] == FgAbelian((2,) * 25)
     with pytest.raises(IsomorphismSearchLimit, match="too large"):
-        is_isomorphic(g5, g5)
+        is_isomorphic(f5, f5)
 
 
 def test_match_expression():
@@ -232,6 +239,15 @@ def test_match_expression():
     )
 
 
+@pytest.mark.parametrize("expr", ["g^-1", "Z^0", "Z^x"])
+def test_a_power_below_one_is_a_bad_expression(expr):
+    with pytest.raises(BadExpression):
+        parse_expression(expr)
+    with pytest.raises(BadExpression):
+        match_expression(zero_functor("Q8"), f"{expr}+g")
+    assert issubclass(BadExpression, ValueError)
+
+
 def test_expression_functor_sum_levels():
     s = expression_functor("K4", "g^3")
     assert s.levels["K4"] == FgAbelian((2, 2, 2))
@@ -240,6 +256,7 @@ def test_expression_functor_sum_levels():
 
 # ---------------------------------------------------------------------------
 # the map find_isomorphism returns, against a brute-force reference search
+# that enumerates the automorphisms of each level
 
 
 def _reference_isos(a, b):
@@ -325,16 +342,23 @@ def _reference_find_isomorphism(a, b):
     return dict(assignment) if backtrack(0) else None
 
 
+def _invertible(h):
+    """Whether the level map h has trivial kernel and cokernel."""
+    return (homology_at(None, h).group.is_trivial
+            and homology_at(h, None).group.is_trivial)
+
+
 def _check_returned_iso(a, b):
+    """find_isomorphism finds a map exactly when the reference search does,
+    and the map it returns is a morphism invertible at every level."""
     iso = find_isomorphism(a, b)
     ref = _reference_find_isomorphism(a, b)
-    if ref is None:
-        assert iso is None
+    assert (iso is None) == (ref is None)
+    if iso is None:
         return None
-    assert iso is not None and set(iso) == set(ref)
-    for s in ref:
-        assert iso[s].equals(ref[s]), s
+    assert set(iso) == {s.name for s in a.group().subgroups()}
     MackeyMorphism(a, b, iso)  # raises Mismatch unless res, tr, Weyl commute
+    assert all(_invertible(h) for h in iso.values())
     return iso
 
 
@@ -353,6 +377,80 @@ def test_returned_isomorphism_on_catalog_pairs():
                 assert iso is not None, f"{gname}:{x}"
     # the registered Q8 aliases phi_Z(X) ~ X add pairs off the diagonal
     assert found > sum(len(catalog(gn)) for gn in ALL_GROUPS)
+
+
+def _level_maps(a, b):
+    """Every homomorphism between two finite presentations."""
+    steps = [range(0, bo, bo // gcd(ao, bo)) for bo in b.orders for ao in a.orders]
+    n = a.ngens
+    for entries in itertools.product(*steps):
+        yield AbHom(a, b, tuple(entries[i * n:(i + 1) * n] for i in range(b.ngens)))
+
+
+def _commutes(a, b, comps):
+    """Whether the level maps commute with res, tr and every Weyl map, by
+    composing them."""
+    g = a.group()
+    for key in covering_pairs(g):
+        low, high = key
+        if not (comps[low].compose(a.res[key]).equals(b.res[key].compose(comps[high]))
+                and comps[high].compose(a.tr[key]).equals(b.tr[key].compose(comps[low]))):
+            return False
+    return all(comps[s.name].compose(a.weyl_action(s.name, e)).equals(
+        b.weyl_action(s.name, e).compose(comps[s.name]))
+        for s in g.subgroups() for e in g.elements)
+
+
+@pytest.mark.parametrize("gname", ["C2", "K4"])
+def test_hom_group_order_matches_a_brute_force_count(gname):
+    # every tuple of level maps between catalog functors whose levels are
+    # finite of order at most 16; MackeyMorphism keeps exactly the tuples
+    # that commute when composed
+    table = catalog(gname)
+    small = [nm for nm, f in sorted(table.items())
+             if all(lvl.is_finite and lvl.order() <= 16 for lvl in f.levels.values())]
+    subs = [s.name for s in group(gname).subgroups()]
+    for x, y in itertools.product(small, repeat=2):
+        a, b = table[x], table[y]
+        count = 0
+        for maps in itertools.product(*(list(_level_maps(a.levels[s], b.levels[s]))
+                                        for s in subs)):
+            comps = dict(zip(subs, maps))
+            try:
+                MackeyMorphism(a, b, comps)
+                ok = True
+            except Mismatch:
+                ok = False
+            assert ok == _commutes(a, b, comps), (x, y, comps)
+            count += ok
+        assert hom_group(a, b)[0].order() == count, (x, y)
+
+
+def test_hom_group_pins():
+    z, g = named("Q8", "Z"), named("Q8", "g")
+    hom, gens = hom_group(z, z)
+    assert hom == FgAbelian((0,))
+    MackeyMorphism(z, z, gens[0])
+    assert all(_invertible(h) for h in gens[0].values())  # the identity, up to sign
+    assert hom_group(g, g)[0] == FgAbelian((2,))
+    assert hom_group(z, g)[0] == FgAbelian((2,))  # Z -> g, the top's reduction mod 2
+    assert hom_group(g, z)[0].is_trivial
+
+
+@pytest.mark.parametrize("gname, rho, size, max_k", [
+    ("K4", "rhoK", 4, 4),
+    ("Q8", "rhoQ", 8, 2),
+])
+def test_every_mod_two_cell_is_isomorphic_to_itself(gname, rho, size, max_k):
+    # F cells of the +-k rho suspensions, whose top levels reach (Z/2)^5
+    # and past, where a search without splitting g off first stops
+    f = expression_functor(gname, "F")
+    for k in range(1, max_k + 1):
+        for sign, degrees in (("", range(0, size * k + 1)), ("-", range(-size * k, 1))):
+            row = suspension_homotopy(gname, f"{sign}{k}{rho}", f, degrees)
+            for n, (cell, _) in row.items():
+                if not cell.is_trivial():
+                    assert is_isomorphic(cell, cell), (sign, k, n)
 
 
 @pytest.mark.parametrize(
@@ -443,7 +541,7 @@ def test_an_identity_weyl_map_of_its_level_is_not_stored(orders, action):
 
 def test_isomorphism_search_leaves_no_reference_cycles():
     z = named("Q8", "Z")
-    assert is_isomorphic(z, z)  # fills the memoised candidate tables
+    assert is_isomorphic(z, z)  # fills the catalog and the recognition memo
     gc.collect()
     gc.disable()
     try:
@@ -621,6 +719,10 @@ def test_search_limit_is_raised_on_every_call():
     for _ in range(2):
         with pytest.raises(IsomorphismSearchLimit, match="free rank"):
             match_expression(zz, "Z+Z")
+    f5 = expression_functor("K4", "F^5")
+    for check in (lambda: is_isomorphic(f5, f5), lambda: match_expression(f5, "F^5")) * 2:
+        with pytest.raises(IsomorphismSearchLimit, match="too large"):
+            check()
 
 
 def test_memo_never_grows_past_its_bound(monkeypatch):
@@ -889,7 +991,8 @@ def _agrees_with_the_enumeration(m: MackeyFunctor) -> None:
 def test_strip_g_agrees_with_the_enumeration_oracle(gname):
     for nm in sorted(catalog(gname)):
         for j in range(4):
-            _agrees_with_the_enumeration(expression_functor(gname, f"{nm}+g^{j}"))
+            expr = f"{nm}+g^{j}" if j else nm  # a power must be at least 1
+            _agrees_with_the_enumeration(expression_functor(gname, expr))
 
 
 @pytest.mark.parametrize("gname", ALL_GROUPS)
