@@ -40,7 +40,6 @@ from .exactalg import (
 )
 from .functors import (
     RECOGNITION,
-    LruMemo,
     MackeyFunctor,
     covering_pairs,
     is_isomorphic,
@@ -56,6 +55,7 @@ from .repcw import (
     point_complex,
     sphere_complex,
 )
+from .stats import COUNTS, LruMemo
 
 
 class AxiomFailure(Exception):
@@ -63,7 +63,7 @@ class AxiomFailure(Exception):
 
 
 # content keys of the validated coefficients
-_VALIDATED_COEFFS = LruMemo(64)
+_VALIDATED_COEFFS = LruMemo("validation memo", 64)
 
 
 def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
@@ -128,8 +128,6 @@ class _Level:
 # levels by (primal, dual, level, coefficient content below the level), each
 # while some engine holds it
 _LEVELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# levels built and reused, and induced structure maps reused, so far
-LEVEL_SHARING = {"built": 0, "reused": 0, "maps reused": 0}
 
 
 @cache
@@ -189,15 +187,10 @@ class MackeyHomology:
         self._homs: dict[tuple, tuple] = {}  # orbit components by (kind, a, b, u)
         self._levels: dict[str, _Level] = {}
         self._functor_cache: dict[int, MackeyFunctor] = {}
-        # per-degree structure chain maps built so far, by kind
-        self._maps_built = {"res": 0, "tr": 0, "weyl": 0}
-        # degrees answered by the shared zero functor so far: with no level's
-        # core in the degree, or with every level's homology found zero
-        self.zero_degrees = {"skipped": 0, "found": 0}
         for h in self.levels:
             key = (primal.content_key, dual.content_key, h, coeff.content_key_below(h))
             level = _LEVELS.get(key)
-            LEVEL_SHARING["built" if level is None else "reused"] += 1
+            COUNTS["levels built" if level is None else "levels reused"] += 1
             self._levels[h] = _LEVELS[key] = self._build_level(h) if level is None else level
         # the degrees in which some level's core has a generator: no other
         # degree has homology at any level, and none is taken there
@@ -303,7 +296,7 @@ class MackeyHomology:
         kind "tr": covariant along G/h_from -> G/h_to (h_from <= h_to);
         kind "weyl": covariant along right translation of G/h by elem.
         """
-        self._maps_built[kind] += 1
+        COUNTS[f"{kind} chain maps built"] += 1
         u = self.g.identity if elem is None else self.g.inv(elem)
         # restriction's blocks are indexed by the h_to-side orbits
         mode, h, c = ("con", h_to, h_from) if kind == "res" else ("cov", h_from, h_to)
@@ -325,27 +318,30 @@ class MackeyHomology:
             return AbHom.zero(src.group, tgt.group)
         maps = self._levels[h_to if kind == "tr" else h_from].maps
         key = (h_from, h_to, kind, elem, t)
-        LEVEL_SHARING["maps reused"] += key in maps
+        COUNTS["structure maps reused"] += key in maps
         if key not in maps:
             maps[key] = induced_on_homology(self._level_map(*key), src, tgt)
         return maps[key]
 
-    @property
-    def _complex(self) -> dict[str, ReducedComplex]:
-        """Each level's reduced complex."""
-        return {h: level.complex for h, level in self._levels.items()}
-
-    def level_sizes(self) -> dict[str, tuple[int, int, int]]:
-        """Per level: chain generators, core generators left by the
-        reduction, and the largest absolute value of a core entry."""
-        return {h: c.sizes() for h, c in self._complex.items()}
-
-    def assembly_sizes(self) -> tuple[dict[int, int], int, dict[str, int]]:
-        """Cell pairs per degree (the same at every level), the distinct
-        orbit-map blocks built so far, and the per-degree res, tr and Weyl
-        chain maps built so far."""
-        return ({t: len(ps) for t, ps in sorted(self._pairs.items())}, len(self._blocks),
-                dict(self._maps_built))
+    def sizes(self) -> dict[str, int]:
+        """The engine's sizes by name: the cells of each complex, in all and
+        per degree; each level's chain generators, the core generators its
+        reduction left and the largest absolute value of a core entry; the
+        cell pairs, in all and per degree (the same at every level); the
+        distinct orbit-map blocks built so far; and the levels some engine
+        holds."""
+        out = {}
+        for side, c in (("primal", self.primal), ("dual", self.dual)):
+            out[f"{side} cells"] = c.ncells()
+            out |= {f"{side} cells in degree {n}": len(cs) for n, cs in sorted(c.cells.items())}
+        for h, level in self._levels.items():
+            out |= zip((f"level {h} chain generators", f"level {h} core generators",
+                        f"level {h} largest core entry"), level.complex.sizes())
+        out["cell pairs"] = sum(map(len, self._pairs.values()))
+        out |= {f"cell pairs in degree {t}": len(ps) for t, ps in sorted(self._pairs.items())}
+        out["orbit-map blocks"] = len(self._blocks)
+        out["live levels"] = len(_LEVELS)
+        return out
 
     # -- homology -------------------------------------------------------------
 
@@ -367,12 +363,12 @@ class MackeyHomology:
         t = n - self.offset
         g = self.g
         if t not in self._core_degrees:
-            self.zero_degrees["skipped"] += 1
+            COUNTS["zero degrees skipped"] += 1
             return _zero(self.group_name, self.coeff.is_zmodule)
         data = {h: self.homology_raw(h, n) for h in self.levels}
         levels = {h: data[h].group for h in self.levels}
         if all(lvl.is_trivial for lvl in levels.values()):
-            self.zero_degrees["found"] += 1
+            COUNTS["zero degrees found"] += 1
             return _zero(self.group_name, self.coeff.is_zmodule)
         res, tr = {}, {}
         for low, high in covering_pairs(g):
@@ -459,7 +455,7 @@ def _named(f: MackeyFunctor) -> tuple[MackeyFunctor, str | None]:
 
 
 # engines by the content of their coefficients and complexes, and offset
-_ENGINE_CACHE = LruMemo(64)
+_ENGINE_CACHE = LruMemo("engine cache", 64)
 
 
 def cached_engine(coeff: MackeyFunctor, primal: BurnsideComplex | None = None,

@@ -14,7 +14,6 @@ import sys
 import time
 from functools import partial
 
-from . import bredon, repcw
 from .bredon import (
     cached_engine,
     cohomology_mackey,
@@ -26,8 +25,6 @@ from .bredon import (
 from .catalog import named
 from .chart import golden_page, render_ascii, render_svg, validate_differentials
 from .functors import (
-    EXPRESSIONS,
-    RECOGNITION,
     MackeyFunctor,
     check_axioms,
     covering_pairs,
@@ -41,6 +38,7 @@ from .grouplat import canonical_group_name, group
 from .inflation import phi_inflate, psi_inflate, q_push, quotient_onto
 from .repcw import parse_rep, sphere_complex
 from .slices import e2_page, r_tower, slice_list, slice_tower
+from .stats import COUNTS
 
 
 def functor_json(m: MackeyFunctor) -> dict:
@@ -136,44 +134,9 @@ def _print_graded(results, as_json: bool) -> None:
 
 
 def _print_stats(eng) -> None:
-    """Cells per degree of the engine's complexes, each level's chain and
-    reduced-core sizes, its cell pairs, orbit-map blocks and per-degree
-    res/tr/Weyl chain maps, then the levels built, reused and live, the
-    induced maps reused, the engine's zero degrees, and the hits, misses and
-    entries of the sphere cache, the recognition memo and the coefficient
-    memos (expressions built, coefficients validated), all so far, on stderr."""
-    for side, c in (("primal", eng.primal), ("dual", eng.dual)):
-        per_degree = " ".join(f"{n}:{len(cs)}" for n, cs in sorted(c.cells.items()))
-        print(f"{side} cells per degree: {per_degree} ({c.ncells()} in all)",
-              file=sys.stderr)
-    for h, (chain, core, top) in eng.level_sizes().items():
-        print(
-            f"level {h}: {chain} chain generators, {core} core generators, "
-            f"largest core entry {top}",
-            file=sys.stderr,
-        )
-    pairs, blocks, maps = eng.assembly_sizes()
-    per_degree = " ".join(f"{t}:{k}" for t, k in pairs.items())
-    print(f"cell pairs per level: {sum(pairs.values())} (by degree {per_degree})",
-          file=sys.stderr)
-    print(f"distinct orbit-map blocks built: {blocks}", file=sys.stderr)
-    print(f"per-degree structure chain maps built: res {maps['res']}, tr {maps['tr']}, "
-          f"Weyl {maps['weyl']}", file=sys.stderr)
-    shared = bredon.LEVEL_SHARING
-    print(f"level sharing: {shared['built']} levels built, {shared['reused']} reused, "
-          f"{shared['maps reused']} structure maps reused, {len(bredon._LEVELS)} live",
-          file=sys.stderr)
-    zero = eng.zero_degrees
-    print(f"zero degrees: {zero['skipped']} skipped without homology, {zero['found']} "
-          "found zero after homology", file=sys.stderr)
-    print(f"sphere cache: {_memo_counts(repcw._SPHERE_CACHE)}", file=sys.stderr)
-    print(f"recognition memo: {_memo_counts(RECOGNITION)}", file=sys.stderr)
-    print(f"coefficient memos: expressions {_memo_counts(EXPRESSIONS)}; "
-          f"validated {_memo_counts(bredon._VALIDATED_COEFFS)}", file=sys.stderr)
-
-
-def _memo_counts(memo) -> str:
-    return f"{memo.hits} hits, {memo.misses} misses, {len(memo)} entries"
+    """The engine's sizes and every count so far, as name: value lines on stderr."""
+    for name, value in {**eng.sizes(), **COUNTS}.items():
+        print(f"{name}: {value}", file=sys.stderr)
 
 
 def cmd_homology(args) -> int:
@@ -418,13 +381,8 @@ def cmd_verify(args) -> int:
 def _add_stats_flag(s: argparse.ArgumentParser) -> None:
     s.add_argument(
         "--stats", action="store_true",
-        help="print the cells per degree of the complexes, each level's "
-        "chain and reduced-core sizes, the cell pairs per level, the "
-        "orbit-map blocks and per-degree res/tr/Weyl chain maps built, the "
-        "levels built and reused, the structure maps reused and the live "
-        "levels, the zero degrees skipped and found, "
-        "and the hits, misses and entries of the sphere cache, the "
-        "recognition memo and the coefficient memos to stderr",
+        help="print the engine's sizes and the counts so far to stderr, one "
+        "name: value line each",
     )
 
 

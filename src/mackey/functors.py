@@ -35,6 +35,7 @@ from .exactalg import (
     zeros,
 )
 from .grouplat import Group, Subgroup, canonical_group_name, group, orbit_table, subgroup_iso
+from .stats import LruMemo
 
 
 class Mismatch(Exception):
@@ -534,50 +535,14 @@ def ses_check(i: MackeyMorphism, p: MackeyMorphism) -> bool:
 # ---------------------------------------------------------------------------
 # memos
 
-_MISSING = object()
-
-
-class LruMemo:
-    """Values by key, least recently used first, at most ``size`` of them,
-    with counts of hits and misses."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def recall(self, key, compute):
-        """The value stored under key; otherwise compute() is stored and
-        returned.  An exception from compute is not stored, so it is raised
-        again on the next call."""
-        value = self._entries.pop(key, _MISSING)
-        if value is _MISSING:
-            self.misses += 1
-            value = compute()
-        else:
-            self.hits += 1
-        self._entries[key] = value  # now the most recently used
-        while len(self._entries) > self.size:
-            del self._entries[next(iter(self._entries))]
-        return value
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = self.misses = 0
-
-
 # Results of strip_g_summands, is_isomorphic, bredon.identify and the
 # expected side of match_expression.  Keys are built from content keys, never
 # from id() or a name, so equal functors share one result; functors are
 # values, so a stored result stays true of its key.
-RECOGNITION = LruMemo(1024)
+RECOGNITION = LruMemo("recognition memo", 1024)
 
 # Values of expression_functor by (canonical group name, expression text).
-EXPRESSIONS = LruMemo(256)
+EXPRESSIONS = LruMemo("expression memo", 256)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +766,13 @@ def strip_g_summands(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
 
     def compute():
         k, red = _strip_g(m)
-        return (0, None) if k == 0 else (k, red)
+        if k == 0:
+            return (0, None)
+        # k is maximal, so the complement has no g summand: recognition,
+        # which strips it again, finds that here (a zero one strips at no cost)
+        if not red.is_trivial():
+            RECOGNITION.recall(("strip", red.content_key), lambda: (0, None))
+        return (k, red)
 
     k, red = RECOGNITION.recall(("strip", m.content_key), compute)
     return (0, m) if k == 0 else (k, red)

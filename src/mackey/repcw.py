@@ -37,8 +37,8 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .functors import LruMemo
 from .grouplat import Group, group, orbit_table, subgroup_iso, subgroup_image_under_iso
+from .stats import LruMemo
 
 
 class TrivialRep(Exception):
@@ -646,7 +646,7 @@ PERIODIC = frozenset({("Q8", "H"), ("C4", "lambda")})
 # PERIODIC, which every splice of V starts from; values, so safe to share.
 # A perfbench workload builds 39 to 67 of them, and the kρ rows of Q8 and K4
 # to k = 12 and of C4 to k = 8 about 70.
-_SPHERE_CACHE = LruMemo(256)
+_SPHERE_CACHE = LruMemo("sphere cache", 256)
 
 
 def sphere_complex(rep: VirtualRep | str, group_name: str | None = None) -> BurnsideComplex:

@@ -29,6 +29,10 @@ class Unsupported(Exception):
     pass
 
 
+class BadBookkeeping(ValueError):
+    """A slice whose dimension breaks the bookkeeping rule it must obey."""
+
+
 @dataclass(frozen=True)
 class SliceDescriptor:
     group_name: str
@@ -65,9 +69,10 @@ class SliceDescriptor:
 
         f = expression_functor(self.group_name, self.coeff)
         if not f.levels["e"].is_trivial:
-            assert self.t == self.dim, self
-        else:
-            assert self.t % 2 == 0, self
+            if self.t != self.dim:
+                raise BadBookkeeping(f"{self}: a bottom slice has t = dim = {self.dim}")
+        elif self.t % 2:
+            raise BadBookkeeping(f"{self}: a slice with trivial underlying level has even t")
 
 
 @dataclass
@@ -415,23 +420,19 @@ def r_tower(r: int, j: int) -> SliceTower:
 # E2 pages
 
 
-def e2_page(group_name: str, n: int, max_degree: int | None = None):
+def e2_page(group_name: str, n: int):
     """Entries of the slice spectral sequence page for the n-fold
     suspension: pi_k of each slice at chart position (k, t - k)."""
     from .bredon import suspension_engine, identify
-    from .catalog import named
     from .chart import ChartPage, golden_differentials
+    from .functors import expression_functor
 
     gname = canonical_group_name(group_name)
     entries: dict[tuple[int, int], list[str]] = {}
     for d in slice_list(gname, n):
-        coeff = _coeff_functor(gname, d.coeff)
+        coeff = expression_functor(gname, d.coeff)
         eng = suspension_engine(gname, d.rep if d.rep else "0", coeff)
-        lo = d.shift
-        hi = d.dim
-        if max_degree is not None:
-            hi = min(hi, max_degree)
-        for k in range(min(lo, 0), hi + 1):
+        for k in range(min(d.shift, 0), d.dim + 1):
             f = eng.functor(k - d.shift)
             if f.is_trivial():
                 continue
@@ -445,9 +446,3 @@ def e2_page(group_name: str, n: int, max_degree: int | None = None):
                 cell.append(nm)
     diffs = golden_differentials(gname, n)
     return ChartPage(gname, n, entries, diffs)
-
-
-def _coeff_functor(gname: str, coeff: str):
-    from .functors import expression_functor
-
-    return expression_functor(gname, coeff)

@@ -28,7 +28,6 @@ from mackey.bredon import (
 from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian, induced_on_homology
 from mackey.functors import (
-    LruMemo,
     MackeyFunctor,
     box_dual,
     check_axioms,
@@ -57,6 +56,7 @@ from mackey.repcw import (
     underlying_homology_ranks,
     unit_sphere_complex,
 )
+from mackey.stats import LruMemo
 
 
 def check_rows(group_name, filename, *keys):
@@ -273,7 +273,7 @@ def test_coefficients_changed_after_validation_are_checked_again():
 
 
 def test_invalid_coefficients_raise_on_every_engine(monkeypatch):
-    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo(64))
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo("validation memo", 64))
     # a Weyl map at Z that is not an action: W(j) = -1 but W(i) = 1
     z = expression_functor("Q8", "Z")
     lvl = z.levels["Z"]
@@ -345,7 +345,7 @@ def _count_engines(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MackeyHomology, "__init__", counting_init)
-    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(bredon._ENGINE_CACHE.size))
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo("engine cache", bredon._ENGINE_CACHE.size))
     return built
 
 
@@ -427,7 +427,7 @@ def test_dropped_engine_is_freed_without_the_cycle_collector():
         eng = MackeyHomology(coeff, primal=c)
         for n in range(5):
             eng.functor(n)
-        refs = [weakref.ref(rc) for rc in eng._complex.values()]
+        refs = [weakref.ref(level.complex) for level in eng._levels.values()]
         del eng
         assert len(refs) == 6
         assert [r() for r in refs] == [None] * 6
@@ -443,7 +443,7 @@ def test_validated_coefficients_are_bounded_and_evicted_ones_checked_again(monke
         return check_axioms(coeff)
 
     monkeypatch.setattr("mackey.functors.check_axioms", counting_check)
-    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo(2))
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo("validation memo", 2))
     z, zstar, f = (named("C2", nm) for nm in ("Z", "Z*", "F"))
     for coeff in (z, zstar, z, f):
         MackeyHomology(coeff)
@@ -478,16 +478,15 @@ def test_least_fill_pivots_leave_a_smaller_core():
     # 355 and least-fill pivots leave 225
     primal = _balanced_sphere("Q8", "rhoK+2rhoQ")
     eng = MackeyHomology(expression_functor("Q8", "Z"), primal=primal)
-    chain, core, _ = eng.level_sizes()["e"]
-    assert chain == 1007
-    assert core <= 225
+    sizes = eng.sizes()
+    assert sizes["level e chain generators"] == 1007
+    assert sizes["level e core generators"] <= 225
 
 
 def test_the_folded_sphere_keeps_level_e_small():
     # the same row on the sphere sphere_complex builds now (49 cells)
     eng = suspension_engine("Q8", "rhoK+2rhoQ", expression_functor("Q8", "Z"))
-    chain, _, _ = eng.level_sizes()["e"]
-    assert chain <= 223
+    assert eng.sizes()["level e chain generators"] <= 223
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +782,7 @@ def test_memoised_weyl_action_equals_word_by_word_composition():
     assert nontrivial
 
 
-def test_a_source_without_homology_builds_no_chain_map(monkeypatch):
+def test_a_source_without_homology_builds_no_chain_map(monkeypatch, stats):
     zero_sources = 0
     for cached in _block_engines():
         # an engine with levels of its own, which has induced no map yet
@@ -793,13 +792,13 @@ def test_a_source_without_homology_builds_no_chain_map(monkeypatch):
         g = eng.g
         for t in eng._pairs:
             n = t + eng.offset
-            before = eng.assembly_sizes()[2]
+            stats.mark()
             f = eng.functor(n)
-            after = eng.assembly_sizes()[2]
+            grew = stats.grew()
             data = {h: eng.homology_raw(h, n) for h in eng.levels}
             # the full build: every res, tr and Weyl chain map of the degree
             # is built and induced, whatever its source
-            want = dict.fromkeys(before, 0)
+            want = dict.fromkeys(("res", "tr", "weyl"), 0)
             maps = [("res", high, low, None, f.res[(low, high)])
                     for low, high in covering_pairs(g)]
             maps += [("tr", low, high, None, f.tr[(low, high)])
@@ -813,7 +812,7 @@ def test_a_source_without_homology_builds_no_chain_map(monkeypatch):
                     zero_sources += 1
                 else:
                     want[kind] += 1
-            assert {k: after[k] - before[k] for k in want} == want, n
+            assert {k: grew[f"{k} chain maps built"] for k in want} == want, n
     assert zero_sources
 
 
@@ -824,7 +823,7 @@ def test_a_map_that_is_not_a_chain_map_into_zero_homology_is_refused(monkeypatch
     eng = MackeyHomology(named("C4", "Z"), primal=sphere_complex(parse_rep("C4", "lambda+sigma")))
     src, tgt = eng.homology_raw("C2", 1), eng.homology_raw("C4", 1)
     assert not src.group.is_trivial and tgt.group.is_trivial
-    core = eng._complex["C4"]
+    core = eng._levels["C4"].complex
     j = next(j for _, j in core.d[1] if core.alive[1][j])
     c, _ = src.generator_lifts[0][0]
     real = eng._level_map
@@ -1026,10 +1025,10 @@ def _assembled_the_slow_way(eng, n):
 @pytest.mark.parametrize("rep, found", [
     ("rhoQ", {3, 5, 7}), ("rhoQ-2", {1, 3, 5}), ("-rhoQ", {-6, -4}),
 ])
-def test_zero_degrees_answer_like_the_full_assembly(monkeypatch, rep, found):
+def test_zero_degrees_answer_like_the_full_assembly(monkeypatch, stats, rep, found):
     # below the complex, above it, and with a core but no homology
     monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
-    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo(64))
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo("engine cache", 64))
     eng = suspension_engine("Q8", rep, named("Q8", "Z"))
     zero = bredon._zero("Q8", True)
     core = {t + eng.offset for t in eng._core_degrees}
@@ -1046,4 +1045,6 @@ def test_zero_degrees_answer_like_the_full_assembly(monkeypatch, rep, found):
         assert f.content_key == _assembled_the_slow_way(eng, n).content_key, n
     assert found < core and {n for n in degrees if eng.functor(n) is zero} == (
         set(degrees) - core) | found
-    assert eng.zero_degrees == {"skipped": len(set(degrees) - core), "found": len(found)}
+    grew = stats.grew()
+    assert (grew["zero degrees skipped"], grew["zero degrees found"]) == (
+        len(set(degrees) - core), len(found))

@@ -14,7 +14,6 @@ from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian, NonComposable, homology_at
 from mackey.bredon import identify, suspension_homotopy
 from mackey.functors import (
-    EXPRESSIONS,
     RECOGNITION,
     AxiomReport,
     BadExpression,
@@ -596,16 +595,16 @@ def test_memoised_recognition_agrees_on_a_slice_grid_row():
     assert any(strip_g_summands(got[n][0])[0] for n in degrees)
 
 
-def test_memo_is_keyed_on_content_not_on_the_object_or_name():
+def test_memo_is_keyed_on_content_not_on_the_object_or_name(stats):
     z = named("Q8", "Z")
     assert identify(z) == "Z" and strip_g_summands(z)[1] is z and is_isomorphic(z, z)
-    misses = RECOGNITION.misses
+    stats.mark()
     for same in (expression_functor("Q8", "Z"), z.with_name("renamed")):
         assert same is not z and same.content_key == z.content_key
         assert identify(same) == "Z"
         assert strip_g_summands(same)[1] is same
         assert is_isomorphic(same, z)
-    assert RECOGNITION.misses == misses
+    assert stats.grew()["recognition memo misses"] == 0
 
 
 def _with_res(m, key, h):
@@ -725,7 +724,27 @@ def test_search_limit_is_raised_on_every_call():
             check()
 
 
-def test_memo_never_grows_past_its_bound(monkeypatch):
+def test_identify_strips_each_complement_once(monkeypatch):
+    # strip_g_summands records that the complement it returns is g-free, so
+    # recognising the complement does not strip it again
+    RECOGNITION.clear()
+    complements, again = set(), []
+
+    def counting_strip(m):
+        if m.content_key in complements:
+            again.append(m)
+        k, red = _strip_g(m)
+        if k:
+            complements.add(red.content_key)
+        return k, red
+
+    monkeypatch.setattr("mackey.functors._strip_g", counting_strip)
+    m = expression_functor("Q8", "Z(3,2)+g+g")
+    assert identify(m) == "Z(3,2)+g^2"
+    assert complements and again == []
+
+
+def test_memo_never_grows_past_its_bound(monkeypatch, stats):
     monkeypatch.setattr(RECOGNITION, "size", 5)
     table = catalog("K4")
     for nm in sorted(table):
@@ -736,12 +755,12 @@ def test_memo_never_grows_past_its_bound(monkeypatch):
             assert len(RECOGNITION) <= 5
     assert len(RECOGNITION) == 5
     # least recently used first out: the last pair asked is still there
-    hits = RECOGNITION.hits
+    stats.mark()
     is_isomorphic(table[nm], table[other])
-    assert RECOGNITION.hits == hits + 1
+    assert stats.grew()["recognition memo hits"] == 1
 
 
-def test_identify_answers_from_the_catalog_in_use(monkeypatch):
+def test_identify_answers_from_the_catalog_in_use(monkeypatch, stats):
     # identify reads the catalog when it computes; the catalog is a fixed,
     # read-only table, so an answer is memoised on the content alone
     RECOGNITION.clear()
@@ -750,8 +769,9 @@ def test_identify_answers_from_the_catalog_in_use(monkeypatch):
     monkeypatch.undo()
     RECOGNITION.clear()
     assert identify(expression_functor("C2", "Z")) == "Z"
-    misses = RECOGNITION.misses
-    assert identify(named("C2", "Z")) == "Z" and RECOGNITION.misses == misses
+    stats.mark()
+    assert identify(named("C2", "Z")) == "Z"
+    assert stats.grew()["recognition memo misses"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1039,12 +1059,13 @@ def test_degree_24_of_the_twelfth_regular_suspension_gets_a_name(gname, rep):
     assert identify(f) is not None
 
 
-def test_expression_functor_is_built_once_per_canonical_group_name():
+def test_expression_functor_is_built_once_per_canonical_group_name(stats):
     z = expression_functor("Q8", "Z")
-    hits, misses = EXPRESSIONS.hits, EXPRESSIONS.misses
+    stats.mark()
     for spelling in ("Q8", "q8", "q"):
         assert expression_functor(spelling, "Z") is z
-    assert (EXPRESSIONS.hits, EXPRESSIONS.misses) == (hits + 3, misses)
+    grew = stats.grew()
+    assert (grew["expression memo hits"], grew["expression memo misses"]) == (3, 0)
     assert z.group_name == "Q8" and is_isomorphic(z, named("Q8", "Z"))
     # another text of the same sum is another entry, with an equal value
     other = expression_functor("q8", "Z ")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mackey import repcw
 from mackey.bredon import homology_mackey
 from mackey.catalog import named
-from mackey.functors import LruMemo, is_isomorphic
+from mackey.functors import is_isomorphic
 from mackey.golden import degree_table
 from mackey.grouplat import group
 from mackey.repcw import (
@@ -37,6 +37,7 @@ from mackey.repcw import (
     unit_sphere_complex,
 )
 from mackey.slices import slice_list
+from mackey.stats import LruMemo
 
 
 def test_parse_rep():
@@ -169,7 +170,7 @@ def _built(monkeypatch, make):
         return real_smash(c, d)
 
     with monkeypatch.context() as m:
-        m.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
+        m.setattr(repcw, "_SPHERE_CACHE", LruMemo("sphere cache", 256))
         m.setattr(repcw, "smash", counting_smash)
         return make(), smashed
 
@@ -209,20 +210,25 @@ def test_every_fixture_and_slice_sphere_equals_the_fold():
 _KRHO_ROWS = [("Q8", "rhoQ", 12), ("K4", "rhoK", 12), ("C4", "rho", 8)]
 
 
-def test_the_krho_rows_equal_the_fold_and_a_second_pass_builds_none(monkeypatch):
-    cache = LruMemo(256)
+def test_the_krho_rows_equal_the_fold_and_a_second_pass_builds_none(monkeypatch, stats):
+    cache = LruMemo("sphere cache", 256)
     monkeypatch.setattr(repcw, "_SPHERE_CACHE", cache)
     rows = [parse_rep(g, f"{k}{rho}") for g, rho, top in _KRHO_ROWS for k in range(1, top + 1)]
     assert len(rows) == 32
+    misses = 0  # the fold's own spheres go to a cache of the same name
     for rep in rows:
-        assert sphere_complex(rep).content_key == _folded_sphere(rep).content_key, str(rep)
+        stats.mark()
+        built = sphere_complex(rep)
+        misses += stats.grew()["sphere cache misses"]
+        assert built.content_key == _folded_sphere(rep).content_key, str(rep)
     # each row and its nontrivial part, and the unit spheres of H and
     # lambda; the fold built 496 spheres for these rows, more than the 256
     # entries hold, so a second pass built them all again
-    assert cache.misses == len(cache) == 66
+    assert misses == len(cache) == 66
+    stats.mark()
     for rep in rows:
         sphere_complex(rep)
-    assert cache.misses == 66
+    assert stats.grew()["sphere cache misses"] == 0
 
 
 @pytest.mark.parametrize("group_name, texts", [
@@ -291,14 +297,16 @@ def test_a_sphere_is_one_smash_per_block_after_the_first(monkeypatch):
     assert len(smashed) == 3
 
 
-def test_only_the_spheres_asked_for_are_cached(monkeypatch):
-    cache = LruMemo(256)
+def test_only_the_spheres_asked_for_are_cached(monkeypatch, stats):
+    cache = LruMemo("sphere cache", 256)
     monkeypatch.setattr(repcw, "_SPHERE_CACHE", cache)
     sphere_complex("2H+2sigmaL+sigmaR", "Q8")
     # the sphere and the unit sphere of H, which its block splices; no prefix
-    assert (cache.misses, len(cache)) == (2, 2)
+    grew = stats.grew()
+    assert (grew["sphere cache misses"], len(cache)) == (2, 2)
     sphere_complex("H", "Q8")
-    assert (cache.hits, cache.misses) == (1, 2)
+    grew = stats.grew()
+    assert (grew["sphere cache hits"], grew["sphere cache misses"]) == (1, 2)
 
 
 def test_each_public_constructor_checks_its_complex_once(monkeypatch):
@@ -310,7 +318,7 @@ def test_each_public_constructor_checks_its_complex_once(monkeypatch):
         real_check(c)
 
     monkeypatch.setattr(repcw, "check_boundary", counting_check)
-    monkeypatch.setattr(repcw, "_SPHERE_CACHE", LruMemo(256))
+    monkeypatch.setattr(repcw, "_SPHERE_CACHE", LruMemo("sphere cache", 256))
     h = unit_sphere_complex("Q8", "H")
     cone = cone_of_unit_sphere(h)
     s_h, s_l = sphere_complex("H", "Q8"), sphere_complex("sigmaL", "Q8")

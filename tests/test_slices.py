@@ -7,7 +7,10 @@ from mackey.bredon import suspension_homotopy
 from mackey.chart import golden_page
 from mackey.functors import expression_functor
 from mackey.golden import slice_table
+from mackey import slices
 from mackey.slices import (
+    BadBookkeeping,
+    SliceDescriptor,
     Unsupported,
     e2_page,
     r_tower,
@@ -53,6 +56,20 @@ def test_unsupported_groups():
         slice_list("K4", 5)
     with pytest.raises(ValueError):
         slice_list("Q8", -1)
+
+
+@pytest.mark.parametrize("bad", [
+    SliceDescriptor("Q8", 5, 0, "rhoQ", "Z"),  # a bottom slice of dimension 8
+    SliceDescriptor("Q8", 5, 0, "rhoQ", "g"),  # trivial underlying level, odd t
+])
+def test_a_slice_that_breaks_the_bookkeeping_is_refused(monkeypatch, bad):
+    # a typed error naming the slice, which python -O does not strip
+    with pytest.raises(BadBookkeeping, match="t=5"):
+        bad.check_bookkeeping()
+    good = slices._slice_list_q8(8)
+    monkeypatch.setattr(slices, "_slice_list_q8", lambda n: good + [bad])
+    with pytest.raises(BadBookkeeping, match="t=5"):
+        slice_list("Q8", 8)
 
 
 def test_towers_cover_slice_lists():
