@@ -126,12 +126,8 @@ def _constant(group_name: str, modulus: int = 0) -> MackeyFunctor:
     return MackeyFunctor(group_name, levels, res, tr, {}, True)
 
 
-def _top_only(group_name: str, modulus: int = 2) -> MackeyFunctor:
-    g = group(group_name)
-    top = g.top().name
-    levels = {s.name: _f2(0) for s in g.subgroups()}
-    levels[top] = FgAbelian((modulus,))
-    return _mod2_functor(group_name, {top: 1}, {}, {})
+def _top_only(group_name: str) -> MackeyFunctor:
+    return _mod2_functor(group_name, {group(group_name).top().name: 1}, {}, {})
 
 
 def _mgw() -> MackeyFunctor:

@@ -56,10 +56,14 @@ def golden_chart(group_name: str, n: int) -> ChartPage:
 
 
 def golden_differentials(group_name: str, n: int) -> list[Differential]:
-    try:
-        return list(golden_chart(group_name, n).differentials)
-    except (KeyError, ValueError):
+    """The recorded differentials, or [] where no chart is recorded: a
+    fixture that does not parse raises."""
+    from .golden import chart_table
+
+    if canonical_group_name(group_name) != "Q8":
         return []
+    page = chart_table("charts_q8.txt", "Q8").get(n)
+    return list(page.differentials) if page else []
 
 
 # ---------------------------------------------------------------------------

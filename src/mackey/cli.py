@@ -165,8 +165,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_slices(args) -> int:
-    gname = canonical_group_name(args.group)
-    slices = slice_list(gname, args.n)
+    slices = slice_list(canonical_group_name(args.group), args.n)
     if args.json:
         print(json.dumps([
             {"t": d.t, "suspension": d.suspension(), "coefficient": d.coeff}
@@ -175,10 +174,6 @@ def cmd_slices(args) -> int:
         return 0
     for d in slices:
         print(f"  P^{d.t} = {d.expression()}")
-    if args.tower and gname == "Q8" and args.n in (5, 6, 7, 8):
-        print("tower stages:")
-        for layer, stage in slice_tower(gname, args.n).layers:
-            print(f"  P^{layer.t} = {layer.expression()}   over {stage}")
     return 0
 
 
@@ -429,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("slices", help="slice list of an integer suspension")
     s.add_argument("--group", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--tower", action="store_true")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_slices)
 

@@ -609,37 +609,6 @@ def homology_at(d_in: AbHom | None, d_out: AbHom | None) -> HomologyClassData:
     )
 
 
-@dataclass
-class ChainComplexAb:
-    """A chain complex of f.g. abelian groups, indexed by integer degrees.
-
-    ``diff[n]`` is the boundary C_n -> C_{n-1}.  Degrees not present are 0.
-    """
-
-    groups: dict[int, FgAbelian]
-    diff: dict[int, AbHom]
-
-    def __post_init__(self):
-        for n, d in self.diff.items():
-            if d.dom.orders != self.groups.get(n, FgAbelian(())).orders:
-                raise ValueError(f"differential at {n} has wrong domain")
-            if d.cod.orders != self.groups.get(n - 1, FgAbelian(())).orders:
-                raise ValueError(f"differential at {n} has wrong codomain")
-
-    def check(self) -> None:
-        for n in self.diff:
-            above = self.diff.get(n + 1)
-            if above is not None and not self.diff[n].compose(above).is_zero():
-                raise NotAComplex(f"d.d != 0 at degree {n + 1}")
-
-    def homology(self, n: int) -> HomologyClassData:
-        d_in = self.diff.get(n + 1)
-        d_out = self.diff.get(n)
-        if d_in is None and d_out is None:
-            d_out = AbHom.zero(self.groups.get(n, FgAbelian(())), FgAbelian(()))
-        return homology_at(d_in, d_out)
-
-
 class ReducedComplex:
     """A chain complex of f.g. abelian groups with unit entries swept out.
 

@@ -34,7 +34,7 @@ from .exactalg import (
     snf_full,
     zeros,
 )
-from .grouplat import Group, Subgroup, canonical_group_name, group, orbit_table, subgroup_iso
+from .grouplat import Group, Subgroup, canonical_group_name, group, subgroup_iso
 from .stats import LruMemo
 
 
@@ -244,8 +244,7 @@ def data_equal(a: MackeyFunctor, b: MackeyFunctor) -> bool:
 def _double_cosets_within(g: Group, h: Subgroup, k1: Subgroup, k2: Subgroup):
     """Representatives of K1 \\ H / K2 inside the subgroup h: the double
     cosets K1\\G/K2 that lie in h, each by its least element."""
-    reps, _, _ = orbit_table(g.name, (k1.name, k2.name))
-    return [y for _, y in reps if y in h]
+    return [y for y, _ in g.double_cosets(k1, k2) if y in h]
 
 
 @dataclass

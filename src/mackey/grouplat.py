@@ -30,6 +30,11 @@ class NotProperNontrivial(Exception):
     pass
 
 
+class BadGroupTable(ValueError):
+    """A hardcoded table that is not a group, or a listed subgroup that is
+    not a normal subgroup."""
+
+
 @dataclass(frozen=True)
 class Subgroup:
     parent: str  # group name
@@ -112,25 +117,23 @@ class Group:
         return self._index[x]
 
     def _check_table(self) -> None:
-        es = self.elements
+        es, one, mul = self.elements, self.identity, self.mul
         for x in es:
-            assert self.table[(self.identity, x)] == x
-            assert self.table[(x, self.identity)] == x
-            assert x in self.inverse
-        for x in es:
-            for y in es:
-                for z in es:
-                    assert self.mul(self.mul(x, y), z) == self.mul(x, self.mul(y, z))
+            if mul(one, x) != x or mul(x, one) != x:
+                raise BadGroupTable(f"{self.name}: {one} is not an identity at {x}")
+            if x not in self.inverse:
+                raise BadGroupTable(f"{self.name}: {x} has no inverse")
+        for x, y, z in itertools.product(es, repeat=3):
+            if mul(mul(x, y), z) != mul(x, mul(y, z)):
+                raise BadGroupTable(f"{self.name}: ({x}{y}){z} != {x}({y}{z})")
         for sub in self.subgroup_by_name.values():
-            for x in sub.elements:
-                assert self.inv(x) in sub.elements
-                for y in sub.elements:
-                    assert self.mul(x, y) in sub.elements
+            elems = sub.elements
+            if any(self.inv(x) not in elems or mul(x, y) not in elems
+                   for x in elems for y in elems):
+                raise BadGroupTable(f"{sub} is not a subgroup")
             # normality is a standing assumption downstream
-            for gx in es:
-                for x in sub.elements:
-                    conj = self.mul(self.mul(gx, x), self.inv(gx))
-                    assert conj in sub.elements, f"{sub} is not normal"
+            if any(mul(mul(gx, x), self.inv(gx)) not in elems for gx in es for x in elems):
+                raise BadGroupTable(f"{sub} is not normal")
 
     # -- subgroup lattice ----------------------------------------------------
 
@@ -164,13 +167,6 @@ class Group:
             if s.elements == common:
                 return s
         raise ValueError("intersection is not a listed subgroup")
-
-    def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        prod = {self.mul(x, y) for x in a.elements for y in b.elements}
-        for s in self.subgroups():
-            if s.elements == prod:
-                return s
-        raise ValueError("product is not a subgroup")
 
     def coset(self, g: str, sub: Subgroup) -> str:
         """Canonical representative (minimal element) of g.sub."""
@@ -358,10 +354,6 @@ def canonical_group_name(name: str) -> str:
     return aliases.get(name.lower(), name)
 
 
-def subgroups(name: str) -> list[Subgroup]:
-    return group(name).subgroups()
-
-
 @lru_cache(maxsize=None)
 def orbit_table(group_name: str, stabs: tuple[str, ...]):
     """Orbits of G/A x G/B x ..., one factor per name in ``stabs``, under
@@ -393,16 +385,6 @@ def orbit_table(group_name: str, stabs: tuple[str, ...]):
     return tuple(reps), index, stab.name
 
 
-def double_cosets(h: Subgroup, k: Subgroup) -> list[tuple[str, Subgroup]]:
-    if h.parent != k.parent:
-        raise ParentMismatch(f"{h} and {k} live in different groups")
-    return group(h.parent).double_cosets(h, k)
-
-
-def is_bottleneck(name: str, n: Subgroup) -> bool:
-    return group(name).is_bottleneck(n)
-
-
 # quotient targets: (source, kernel) -> (target, projection rule)
 @lru_cache(maxsize=None)
 def _quotient_map(source: str, kernel: str) -> QuotientMap:
@@ -430,10 +412,6 @@ def _quotient_map(source: str, kernel: str) -> QuotientMap:
         proj = {x: "1" if x in n.elements else "s" for x in g.elements}
         return QuotientMap(source, kernel, "C2", proj)
     raise ValueError(f"no quotient table for {source}/{kernel}")
-
-
-def quotient(name: str, n: Subgroup) -> QuotientMap:
-    return group(name).quotient(n)
 
 
 # isomorphisms from each subgroup onto its canonical abstract group,

@@ -847,23 +847,18 @@ def check_boundary(c: BurnsideComplex) -> None:
 
 def underlying_homology_ranks(c: BurnsideComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Integer homology (rank, torsion) of the underlying complex."""
-    from .exactalg import AbHom, FgAbelian, ChainComplexAb, mat, zeros
+    from .exactalg import ReducedComplex
 
     sizes, mats = expand_level_e(c)
-    groups = {n: FgAbelian((0,) * sizes[n]) for n in sizes}
-    diffs = {}
-    for n, cols in mats.items():
-        if n - 1 not in sizes:
-            groups[n - 1] = FgAbelian(())
-        rows = sizes.get(n - 1, 0)
-        m = [[0] * sizes[n] for _ in range(rows)]
-        for j, col in cols.items():
-            for r, v in col.items():
-                m[r][j] = v
-        diffs[n] = AbHom(groups[n], groups.get(n - 1, FgAbelian(())), mat(m))
-    cx = ChainComplexAb(groups, diffs)
+    orders = {n: (0,) * size for n, size in sizes.items()}
+    for n in mats:
+        orders.setdefault(n - 1, ())
+    rc = ReducedComplex(orders, {
+        n: {(r, j): v for j, col in cols.items() for r, v in col.items()}
+        for n, cols in mats.items()
+    })
     out = {}
-    for n in sorted(groups):
-        h = cx.homology(n).group
+    for n in sorted(orders):
+        h = rc.homology(n).group
         out[n] = (h.rank, h.invariant_factors)
     return out

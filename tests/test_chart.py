@@ -1,13 +1,20 @@
 """Differential-pattern validation and rendering."""
 
+import shutil
+
+import pytest
+
+from mackey import golden as golden_mod
 from mackey.chart import (
     ChartPage,
     Differential,
+    golden_differentials,
     golden_page,
     render_ascii,
     render_svg,
     validate_differentials,
 )
+from mackey.slices import e2_page
 
 
 def test_golden_patterns_validate():
@@ -96,3 +103,30 @@ def test_render_svg_deterministic_and_wellformed():
     xml.dom.minidom.parseString(svg1)
     assert svg1.startswith("<?xml")
     assert "<svg" in svg1 and "polygon" in svg1
+
+
+def test_differentials_are_empty_only_where_no_chart_is_recorded():
+    assert len(golden_differentials("Q8", 5)) == 2
+    assert golden_differentials("K4", 5) == []
+    assert golden_differentials("Q8", 99) == []
+
+
+def test_a_malformed_chart_fixture_raises(tmp_path, monkeypatch):
+    # the r field of the first diff line (n = 5) no longer parses: the page
+    # must not come out with no differentials
+    dst = tmp_path / "golden"
+    shutil.copytree(golden_mod.golden_dir(), dst)
+    target = dst / "charts_q8.txt"
+    text = target.read_text()
+    assert "\ndiff 4 2,3 1,7\n" in text
+    target.write_text(text.replace("\ndiff 4 2,3 1,7\n", "\ndiff four 2,3 1,7\n", 1))
+    monkeypatch.setenv("MACKEY_GOLDEN_DIR", str(dst))
+    golden_mod.chart_table.cache_clear()
+    try:
+        with pytest.raises(ValueError):
+            golden_differentials("Q8", 5)
+        with pytest.raises(ValueError):
+            e2_page("Q8", 5)
+    finally:
+        monkeypatch.delenv("MACKEY_GOLDEN_DIR")
+        golden_mod.chart_table.cache_clear()

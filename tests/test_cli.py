@@ -15,6 +15,7 @@ from mackey.catalog import named
 from mackey.cli import main
 from mackey.functors import covering_pairs
 from mackey.repcw import point_complex, sphere_complex
+from mackey.slices import r_tower, slice_tower
 from mackey.stats import COUNTS, LruMemo
 
 
@@ -73,6 +74,21 @@ def test_slices_command(capsys):
     code, out = run(capsys, "slices", "--group", "q8", "--n", "6", "--json")
     data = json.loads(out)
     assert [d["t"] for d in data] == [6, 12, 16]
+
+
+@pytest.mark.parametrize("argv, tower", [
+    (("--r", "4", "--j", "1"), lambda: r_tower(4, 1)),
+    (("--group", "q8", "--n", "8"), lambda: slice_tower("Q8", 8)),
+])
+def test_tower_command_prints_every_layer(capsys, argv, tower):
+    code, out = run(capsys, "tower", *argv)
+    assert code == 0
+    layers = tower().layers
+    assert len(layers) > 1
+    assert out.splitlines() == [
+        f"  P^{d.t} = {d.expression()}" + (f"   over {stage}" if stage else "")
+        for d, stage in layers
+    ]
 
 
 def test_inflate_command(capsys):

@@ -4,18 +4,20 @@ Double-coset assertions are frozen from a brute-force partition oracle
 (enumerate all of G and group elements into H g K classes by hand below).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from mackey import grouplat
 from mackey.functors import _double_cosets_within
 from mackey.grouplat import (
     NotProperNontrivial,
     ParentMismatch,
-    double_cosets,
     group,
-    is_bottleneck,
-    quotient,
     subgroup_iso,
-    subgroups,
 )
 
 
@@ -36,10 +38,10 @@ def brute_double_cosets(g, h, k, inside=None):
 
 
 def test_subgroup_lists():
-    assert [s.name for s in subgroups("Q8")] == ["e", "Z", "L", "D", "R", "Q8"]
-    assert [s.name for s in subgroups("K4")] == ["e", "L", "D", "R", "K4"]
-    assert [s.name for s in subgroups("T")] == ["e"]
-    assert [s.name for s in subgroups("C4")] == ["e", "C2", "C4"]
+    assert [s.name for s in group("Q8").subgroups()] == ["e", "Z", "L", "D", "R", "Q8"]
+    assert [s.name for s in group("K4").subgroups()] == ["e", "L", "D", "R", "K4"]
+    assert [s.name for s in group("T").subgroups()] == ["e"]
+    assert [s.name for s in group("C4").subgroups()] == ["e", "C2", "C4"]
 
 
 def test_lagrange():
@@ -61,7 +63,7 @@ def test_quaternion_relations():
 def test_double_cosets_z_z():
     q = group("Q8")
     z = q.subgroup("Z")
-    dcs = double_cosets(z, z)
+    dcs = q.double_cosets(z, z)
     assert len(dcs) == 4
     assert all(stab.name == "Z" for _, stab in dcs)
     assert brute_double_cosets(q, z, z) == [
@@ -72,14 +74,14 @@ def test_double_cosets_z_z():
 def test_double_cosets_full_group():
     for name in ("C2", "C4", "K4", "Q8"):
         g = group(name)
-        dcs = double_cosets(g.top(), g.bottom())
+        dcs = g.double_cosets(g.top(), g.bottom())
         assert len(dcs) == 1
         assert dcs[0][1].name == "e"
 
 
 def test_double_cosets_k4_l_d():
     g = group("K4")
-    dcs = double_cosets(g.subgroup("L"), g.subgroup("D"))
+    dcs = g.double_cosets(g.subgroup("L"), g.subgroup("D"))
     assert len(dcs) == 1
     assert dcs[0][1].name == "e"
     assert brute_double_cosets(g, g.subgroup("L"), g.subgroup("D")) == [
@@ -111,24 +113,25 @@ def test_double_cosets_partition_count():
 
 def test_parent_mismatch():
     with pytest.raises(ParentMismatch):
-        double_cosets(group("Q8").subgroup("Z"), group("K4").subgroup("L"))
+        group("Q8").double_cosets(group("Q8").subgroup("Z"), group("K4").subgroup("L"))
 
 
 def test_bottlenecks():
     q = group("Q8")
-    assert is_bottleneck("Q8", q.subgroup("Z")) is True
+    assert q.is_bottleneck(q.subgroup("Z")) is True
     for nm in ("L", "D", "R"):
-        assert is_bottleneck("Q8", q.subgroup(nm)) is False
+        assert q.is_bottleneck(q.subgroup(nm)) is False
     k = group("K4")
-    assert is_bottleneck("K4", k.subgroup("L")) is False
-    assert is_bottleneck("C4", group("C4").subgroup("C2")) is True
+    assert k.is_bottleneck(k.subgroup("L")) is False
+    c4 = group("C4")
+    assert c4.is_bottleneck(c4.subgroup("C2")) is True
     with pytest.raises(NotProperNontrivial):
-        is_bottleneck("Q8", q.subgroup("e"))
+        q.is_bottleneck(q.subgroup("e"))
 
 
 def test_quotient_q8_to_k4():
     q = group("Q8")
-    qm = quotient("Q8", q.subgroup("Z"))
+    qm = q.quotient(q.subgroup("Z"))
     assert qm.target == "K4"
     assert qm("i") == "a" and qm("j") == "b" and qm("k") == "ab"
     # subgroup names survive the identification
@@ -138,11 +141,12 @@ def test_quotient_q8_to_k4():
 
 def test_small_quotients():
     c4 = group("C4")
-    assert quotient("C4", c4.subgroup("C2")).target == "C2"
+    assert c4.quotient(c4.subgroup("C2")).target == "C2"
     k4 = group("K4")
-    assert quotient("K4", k4.subgroup("L")).target == "C2"
-    assert quotient("Q8", group("Q8").subgroup("Q8")).target == "T"
-    assert quotient("Q8", group("Q8").subgroup("e")).target == "Q8"
+    assert k4.quotient(k4.subgroup("L")).target == "C2"
+    q = group("Q8")
+    assert q.quotient(q.subgroup("Q8")).target == "T"
+    assert q.quotient(q.subgroup("e")).target == "Q8"
 
 
 def test_subgroup_isos_are_isos():
@@ -156,3 +160,35 @@ def test_subgroup_isos_are_isos():
             for x in s.elements:
                 for y in s.elements:
                     assert iso[g.mul(x, y)] == t.mul(iso[x], iso[y])
+
+
+# a C2 table in which s has no inverse, and C4 with {1, g} listed as a
+# subgroup: under python -O each must still raise BadGroupTable
+_BROKEN_TABLES = """
+from mackey.grouplat import BadGroupTable, Group, group
+
+c2, c4 = group("C2"), group("C4")
+no_inverse = {**c2.table, ("s", "s"): "s"}
+cases = [
+    ("C2", c2.elements, no_inverse, {"e": ["1"], "C2": c2.elements}, ["e", "C2"]),
+    ("C4", c4.elements, c4.table, {"e": ["1"], "C2": ["1", "g"], "C4": c4.elements},
+     ["e", "C2", "C4"]),
+]
+print(__debug__)
+for name, elems, table, subs, order in cases:
+    try:
+        Group(name, list(elems), table, subs, order)
+    except BadGroupTable as exc:
+        print(exc)
+"""
+
+
+def test_a_broken_table_raises_under_python_O():
+    src = str(Path(grouplat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_TABLES], capture_output=True, text=True,
+        check=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.splitlines() == ["False", "C2: s has no inverse", "C4:C2 is not a subgroup"]
+

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mackey import repcw
 from mackey.bredon import homology_mackey
 from mackey.catalog import named
+from mackey.exactalg import AbHom, FgAbelian, homology_at, mat
 from mackey.functors import is_isomorphic
 from mackey.golden import degree_table
 from mackey.grouplat import group
@@ -107,6 +108,55 @@ def test_sphere_has_the_homology_of_a_sphere_of_its_dimension(group_name, text):
     h = underlying_homology_ranks(sphere_complex(rep))
     assert h.get(rep.dim) == (1, ())
     assert all(v == (0, ()) for n, v in h.items() if n != rep.dim)
+
+
+# the integer homology of the underlying complex against a dense oracle, on
+# 41 complexes: k rho spheres, mixed spheres, S(H), its cone, and restrictions
+_ORACLE_SPHERES = (
+    [("Q8", f"{k}rhoQ") for k in range(1, 7)]
+    + [(g, f"{k}{rho}") for g, rho in (("K4", "rhoK"), ("C4", "rho"), ("C2", "rho"))
+       for k in range(1, 9)]
+    + [("Q8", "rhoK+2rhoQ"), ("Q8", "1+rhoK"), ("Q8", "H+sigmaL"), ("Q8", "2+rhoK+rhoQ"),
+       ("C4", "2rho+lambda"), ("C4", "lambda+2sigma"), ("K4", "sigmaL+2sigmaD")]
+)
+_ORACLE_COMPLEXES = {
+    **{f"{g} {text}": lambda g=g, text=text: sphere_complex(text, g)
+       for g, text in _ORACLE_SPHERES},
+    "S(H)": lambda: unit_sphere_complex("Q8", "H"),
+    "cone of S(H)": lambda: cone_of_unit_sphere(unit_sphere_complex("Q8", "H")),
+    **{f"2rhoQ restricted to {sub}": lambda sub=sub: restrict_complex(
+        sphere_complex("2rhoQ", "Q8"), sub) for sub in ("L", "Z")},
+}
+
+
+def _dense_homology_ranks(c: BurnsideComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """expand_level_e's columns as dense matrices, and homology_at per degree."""
+    sizes, cols_by_degree = expand_level_e(c)
+
+    def free(n):
+        return FgAbelian((0,) * sizes.get(n, 0))
+
+    diff = {}
+    for n, cols in cols_by_degree.items():
+        m = [[0] * sizes[n] for _ in range(sizes.get(n - 1, 0))]
+        for j, col in cols.items():
+            for r, v in col.items():
+                m[r][j] = v
+        diff[n] = AbHom(free(n), free(n - 1), mat(m))
+    out = {}
+    for n in sorted(set(sizes) | {n - 1 for n in diff}):
+        d_in, d_out = diff.get(n + 1), diff.get(n)
+        if d_in is None and d_out is None:
+            d_out = AbHom.zero(free(n), FgAbelian(()))
+        h = homology_at(d_in, d_out).group
+        out[n] = (h.rank, h.invariant_factors)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_COMPLEXES))
+def test_underlying_homology_ranks_match_the_dense_oracle(name):
+    c = _ORACLE_COMPLEXES[name]()
+    assert underlying_homology_ranks(c) == _dense_homology_ranks(c)
 
 
 @pytest.mark.parametrize("text, most", [
