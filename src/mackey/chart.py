@@ -45,16 +45,6 @@ class ChartPage:
     flags: dict[tuple[int, int, int], set[str]] = field(default_factory=dict)
 
 
-def golden_chart(group_name: str, n: int) -> ChartPage:
-    """The recorded page, shared with every caller: golden_page copies it."""
-    from .golden import chart_table
-
-    gname = canonical_group_name(group_name)
-    if gname != "Q8":
-        raise ValueError("chart fixtures are recorded for the quaternion group")
-    return chart_table("charts_q8.txt", gname)[n]
-
-
 def golden_differentials(group_name: str, n: int) -> list[Differential]:
     """The recorded differentials, or [] where no chart is recorded: a
     fixture that does not parse raises."""
@@ -468,6 +458,12 @@ def _svg_glyph(cx: float, cy: float, name: str, scale: int) -> str:
 
 
 def golden_page(group_name: str, n: int) -> ChartPage:
-    page = golden_chart(group_name, n)
+    """The recorded page, as the caller's own copy of the shared fixture."""
+    from .golden import chart_table
+
+    gname = canonical_group_name(group_name)
+    if gname != "Q8":
+        raise ValueError("chart fixtures are recorded for the quaternion group")
+    page = chart_table("charts_q8.txt", gname)[n]
     return replace(page, entries=dict(page.entries),
                    differentials=list(page.differentials), flags=dict(page.flags))

@@ -222,6 +222,8 @@ def parse_rep(group_name: str, text: str) -> VirtualRep:
         sign = 1
         if token.startswith("-"):
             sign, token = -1, token[1:]
+            if not token:
+                raise ValueError(f"representation {text!r}: a sign with nothing after it")
         num = ""
         while token and (token[0].isdigit()):
             num += token[0]

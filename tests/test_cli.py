@@ -91,6 +91,20 @@ def test_tower_command_prints_every_layer(capsys, argv, tower):
     ]
 
 
+def test_tower_takes_either_n_or_r(capsys):
+    for argv in (["--group", "q8", "--n", "8", "--r", "4"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["tower", *argv])
+        assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_a_bare_sign_in_a_representation_exits_one(capsys):
+    code = main(["homology", "--group", "q8", "--rep", "rhoQ-"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ValueError:") and "'rhoQ-'" in err
+
+
 def test_inflate_command(capsys):
     code, out = run(
         capsys, "inflate", "--kind", "psi", "--from", "k4", "--to", "q8",

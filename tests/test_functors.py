@@ -4,15 +4,21 @@ functor, duality, the seven short exact sequences, and isomorphism search.
 
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from functools import reduce
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian, NonComposable, homology_at
 from mackey.bredon import identify, suspension_homotopy
+from mackey.cli import _span
 from mackey.functors import (
     RECOGNITION,
     AxiomReport,
@@ -236,6 +242,70 @@ def test_match_expression():
     assert not is_isomorphic(
         named("Q8", "m").direct_sum(named("Q8", "g")), named("Q8", "phi_Z(F)")
     )
+
+
+def _two_step_match(m, expr):
+    """match_expression in two steps: strip m, strip the sum of expr's terms
+    other than g, compare the powers of g, then search the complements."""
+    terms = parse_expression(expr)
+    rest = [named(m.group_name, nm) for nm, mult in terms if nm != "g" for _ in range(mult)]
+    k_b, red_b = _strip_g(reduce(MackeyFunctor.direct_sum, rest, zero_functor(m.group_name)))
+    k_m, red_m = _strip_g(m)
+    g_count = sum(mult for nm, mult in terms if nm == "g")
+    return k_m == g_count + k_b and find_isomorphism(red_m, red_b) is not None
+
+
+@pytest.mark.parametrize("gname, filename", [
+    ("Q8", "qrho_grid.txt"), ("K4", "krho_grid.txt"), ("K4", "krho_mod2_grid.txt"),
+])
+def test_match_expression_agrees_with_the_two_step_definition(gname, filename):
+    # every cell over its row's span, against its fixture expression, that
+    # expression plus g, and g^9
+    verdicts = []
+    for key, row in degree_table(filename).items():
+        rep, coeff = key.split()
+        got = suspension_homotopy(gname, rep, expression_functor(gname, coeff), _span(gname, rep))
+        for n, (f, _) in got.items():
+            want = row.get(n, "0")
+            want = "" if want == "0" else want
+            for expr in (want, f"{want}+g", "g^9"):
+                verdict = match_expression(f, expr)
+                assert verdict is _two_step_match(f, expr), (key, n, expr)
+                verdicts.append(verdict)
+    assert verdicts.count(True) == len(verdicts) // 3
+
+
+def test_a_composite_map_needs_a_contained_pair():
+    z = named("Q8", "Z")
+    for composite in (z.res_map, z.tr_map):
+        with pytest.raises(ValueError, match="L is not contained in D"):
+            composite("L", "D")
+
+
+_AXIOM_REPORTS = """
+import hashlib
+from mackey.catalog import catalog
+from mackey.functors import check_axioms
+for gname in ("T", "C2", "C4", "K4", "Q8"):
+    for nm, f in sorted(catalog(gname).items()):
+        checked = "\\n".join(check_axioms(f).checked).encode()
+        print(gname, nm, hashlib.sha256(checked).hexdigest())
+"""
+
+
+def test_axiom_reports_do_not_depend_on_the_string_hash_seed():
+    src = str(Path(check_axioms.__code__.co_filename).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _AXIOM_REPORTS], capture_output=True, text=True,
+            check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        ).stdout.splitlines()
+        for seed in ("0", "1")
+    ]
+    assert len(runs[0]) == sum(len(catalog(g)) for g in ALL_GROUPS)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("expr", ["g^-1", "Z^0", "Z^x"])
@@ -754,10 +824,12 @@ def test_memo_never_grows_past_its_bound(monkeypatch, stats):
             is_isomorphic(table[nm], table[other])
             assert len(RECOGNITION) <= 5
     assert len(RECOGNITION) == 5
-    # least recently used first out: the last pair asked is still there
+    # least recently used first out: the last pair asked is still there,
+    # its two strips and the search on their complements
     stats.mark()
     is_isomorphic(table[nm], table[other])
-    assert stats.grew()["recognition memo hits"] == 1
+    assert stats.grew()["recognition memo hits"] == 3
+    assert stats.grew()["recognition memo misses"] == 0
 
 
 def test_identify_answers_from_the_catalog_in_use(monkeypatch, stats):

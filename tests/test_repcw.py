@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,21 @@ def test_parse_rep():
     assert parse_rep("Q8", "sigma1").mult_dict() == {"sigmaL": 1}
     with pytest.raises(ValueError):
         parse_rep("C4", "rhoQ")
+
+
+@pytest.mark.parametrize("text", ["rhoQ-", "-", "rhoQ--H", "1+-"])
+def test_a_sign_with_nothing_after_it_is_refused(text):
+    with pytest.raises(ValueError, match=re.escape(f"representation {text!r}")):
+        parse_rep("Q8", text)
+
+
+def test_a_leading_or_inner_minus_keeps_its_meaning():
+    q = parse_rep("Q8", "rhoQ")
+    neg = parse_rep("Q8", "-rhoQ")
+    assert neg.mult_dict() == {k: -v for k, v in q.mult_dict().items()}
+    assert parse_rep("Q8", "-1+rhoQ").shift == -1
+    assert parse_rep("Q8", "rhoK-H").mult_dict() == {
+        "1": 1, "sigmaL": 1, "sigmaD": 1, "sigmaR": 1, "H": -1}
 
 
 def test_unit_sphere_shapes():
