@@ -14,9 +14,9 @@ Assembly goes by cell pairs: a chain group is a list of blocks, one per
 (dual cell, primal cell) pair, each holding the pair's orbits.  The image
 of one orbit map on a whole block depends only on the cells' stabilizers,
 the level, the slot it moves, the target stabilizer and the translation,
-so it is built once per engine as sparse entries; boundaries and the
-res/tr/Weyl chain maps add integer multiples of these blocks at cell-pair
-corners.
+so it is built once per coefficient system, in its memo; boundaries and
+the res/tr/Weyl chain maps add integer multiples of these sparse blocks at
+cell-pair corners.
 
 Homology in a fixed degree is then an honest Mackey functor; the engine
 computes it levelwise with the exact integer homology machinery, induces
@@ -182,9 +182,6 @@ class MackeyHomology:
                     self._pairs.setdefault(q - p, []).extend(itertools.product(
                         (p,), range(len(dual.cells[p])), (q,), range(len(primal.cells[q]))))
         self._diff_by_source = (_by_source(primal), _by_source(dual))
-        self._triple_orders: dict[tuple[str, str, str], tuple[int, ...]] = {}
-        self._blocks: dict[tuple, tuple] = {}
-        self._homs: dict[tuple, tuple] = {}  # orbit components by (kind, a, b, u)
         self._levels: dict[str, _Level] = {}
         self._functor_cache: dict[int, MackeyFunctor] = {}
         for h in self.levels:
@@ -206,10 +203,11 @@ class MackeyHomology:
     def _block_orders(self, triple: tuple[str, str, str]) -> tuple[int, ...]:
         """Generator orders of a cell pair's block: M(stab) once per orbit,
         every orbit having the one stabilizer stab (grouplat.orbit_table)."""
-        out = self._triple_orders.get(triple)
+        memo, key = self.coeff._map_memo, ("block orders", triple)
+        out = memo.get(key)
         if out is None:
             reps, _, stab = orbit_table(self.group_name, triple)
-            out = self._triple_orders[triple] = self.coeff.levels[stab].orders * len(reps)
+            out = memo[key] = self.coeff.levels[stab].orders * len(reps)
         return out
 
     def _build_level(self, h: str) -> _Level:
@@ -261,9 +259,10 @@ class MackeyHomology:
         of ``triple`` and of its image triple: sparse (row, col, x) entries,
         every orbit's component at its offset.  The orbits of ``triple`` are
         the columns of a covariant block and the rows of a contravariant one.
+        A block reads only the coefficients and the group: it is theirs.
         """
-        key = (kind, triple, slot, c, u)
-        block = self._blocks.get(key)
+        memo, key = self.coeff._map_memo, ("block", kind, triple, slot, c, u)
+        block = memo.get(key)
         if block is not None:
             return block
         g, m = self.g, self.coeff
@@ -275,14 +274,14 @@ class MackeyHomology:
         for i, rep in enumerate(reps):
             j, w = index[rep[:slot] + (g.coset(g.mul(rep[slot], u), sub),) + rep[slot + 1:]]
             r0, c0 = (j * wb, i * wa) if kind == "cov" else (i * wa, j * wb)
-            hom = self._homs.get((kind, a, b, w))
+            hom = memo.get(("orbit hom", kind, a, b, w))
             if hom is None:
-                hom = self._homs[(kind, a, b, w)] = (
+                hom = memo[("orbit hom", kind, a, b, w)] = (
                     m.tr_map(a, b).compose(m.weyl_action(a, w)) if kind == "cov"
                     else m.weyl_action(a, g.inv(w)).compose(m.res_map(a, b))).matrix
             out.extend((r, col, x) for r, row in enumerate(hom, r0)
                        for col, x in enumerate(row, c0) if x)
-        block = self._blocks[key] = tuple(out)
+        block = memo[key] = tuple(out)
         return block
 
     # -- structure chain maps -----------------------------------------------
@@ -328,8 +327,8 @@ class MackeyHomology:
         per degree; each level's chain generators, the core generators its
         reduction left and the largest absolute value of a core entry; the
         cell pairs, in all and per degree (the same at every level); the
-        distinct orbit-map blocks built so far; and the levels some engine
-        holds."""
+        distinct orbit-map blocks built so far for its coefficient system,
+        by this engine or another; and the levels some engine holds."""
         out = {}
         for side, c in (("primal", self.primal), ("dual", self.dual)):
             out[f"{side} cells"] = c.ncells()
@@ -339,7 +338,7 @@ class MackeyHomology:
                         f"level {h} largest core entry"), level.complex.sizes())
         out["cell pairs"] = sum(map(len, self._pairs.values()))
         out |= {f"cell pairs in degree {t}": len(ps) for t, ps in sorted(self._pairs.items())}
-        out["orbit-map blocks"] = len(self._blocks)
+        out["orbit-map blocks"] = sum(k[0] == "block" for k in self.coeff._map_memo)
         out["live levels"] = len(_LEVELS)
         return out
 
@@ -379,10 +378,22 @@ class MackeyHomology:
             if levels[h].is_trivial:
                 continue
             # induce the generators only; other elements are their products,
-            # by word: the map of the word's prefix, then its last letter's
-            gen_maps = {e: self._induced(h, h, "weyl", e, t, data) for e in g.generators}
+            # by word: the map of the word's prefix, then its last letter's.
+            # Every subgroup is normal, so right translation of G/H by an
+            # element of H is the identity, and two generators in one coset
+            # eH translate every orbit alike: one chain map per coset.
             acts = {(): AbHom.identity(levels[h])}
             sub = g.subgroup(h)
+            gen_maps, by_coset = {}, {}
+            for e in g.generators:
+                if e in sub.elements:
+                    COUNTS["weyl maps taken as identity"] += 1
+                    gen_maps[e] = acts[()]
+                elif (coset := g.coset(e, sub)) in by_coset:
+                    COUNTS["weyl maps shared by coset"] += 1
+                    gen_maps[e] = by_coset[coset]
+                else:
+                    gen_maps[e] = by_coset[coset] = self._induced(h, h, "weyl", e, t, data)
             for e in g.elements:
                 if e in sub.elements:
                     continue

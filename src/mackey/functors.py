@@ -51,7 +51,7 @@ class UnknownName(Exception):
 
 
 class BadExpression(ValueError):
-    """A sum of named functors with a power that is not an integer >= 1."""
+    """A sum of named functors with an empty term, or a power not an integer >= 1."""
 
 
 class IsomorphismSearchLimit(Exception):
@@ -77,7 +77,7 @@ class MackeyFunctor:
         object.__setattr__(self, "group_name", canonical_group_name(self.group_name))
         for f in ("levels", "res", "tr"):
             object.__setattr__(self, f, MappingProxyType(dict(getattr(self, f))))
-        object.__setattr__(self, "_map_memo", {})  # composites, identities, keys below
+        object.__setattr__(self, "_map_memo", {})  # composites, identities, keys below, blocks
         g = self.group()
         for s in g.subgroups():
             if s.name not in self.levels:
@@ -882,7 +882,7 @@ def parse_expression(expr: str) -> list[tuple[str, int]]:
     for raw in expr.split("+"):
         t = raw.strip()
         if not t:
-            continue
+            raise BadExpression(f"{expr!r}: an empty term")
         if "^" in t:
             base, _, p = t.partition("^")
             p = p.strip()

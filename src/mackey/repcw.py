@@ -215,15 +215,15 @@ def parse_rep(group_name: str, text: str) -> VirtualRep:
     g = group(group_name).name
     mults: dict[str, int] = {}
     shift = 0
-    s = text.replace(" ", "").replace("-", "+-")
-    for token in s.split("+"):
-        if not token:
-            continue
+    s = text.replace(" ", "")
+    terms = s.replace("-", "+-").split("+")
+    # a leading sign leaves an empty first term that is none
+    for token in terms[1:] if s[:1] in ("+", "-") else terms:
         sign = 1
         if token.startswith("-"):
             sign, token = -1, token[1:]
-            if not token:
-                raise ValueError(f"representation {text!r}: a sign with nothing after it")
+        if not token:
+            raise ValueError(f"representation {text!r}: an empty term")
         num = ""
         while token and (token[0].isdigit()):
             num += token[0]
@@ -335,17 +335,6 @@ def _h_unit_sphere() -> BurnsideComplex:
          [[(-1, e)], [(-1, "i")]],
          [[(1, e)], [(1, "k")]],
          [[(-1, e)], [(-1, e)]]])
-
-
-def small_h_unit_sphere() -> BurnsideComplex:
-    """A smaller free model of the same three-sphere, for cross-checks."""
-    e = "1"
-    return _free_q8_complex(
-        [[[(1, "i"), (-1, e)], [(1, "j"), (-1, e)]]],
-        [[[(1, e), (1, "i")], [(1, e), (1, "k")]],
-         [[(-1, e), (-1, "j")], [(-1, e), (1, "i")]]],
-        [[[(1, "i"), (-1, e)]],
-         [[(1, e), (-1, "k")]]])
 
 
 def _free_q8_complex(*mats) -> BurnsideComplex:

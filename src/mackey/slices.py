@@ -81,9 +81,6 @@ class SliceTower:
     n: int
     layers: list[tuple[SliceDescriptor, str]]  # (slice, stage label)
 
-    def slice_dims(self) -> list[int]:
-        return [d.t for d, _ in self.layers]
-
 
 def _sd(group, t, shift, rep, coeff) -> SliceDescriptor:
     return SliceDescriptor(group, t, shift, rep, coeff)

@@ -13,6 +13,7 @@ from collections import Counter
 COUNTS: Counter = Counter(dict.fromkeys((
     "levels built", "levels reused", "structure maps reused",
     "res chain maps built", "tr chain maps built", "weyl chain maps built",
+    "weyl maps taken as identity", "weyl maps shared by coset",
     "zero degrees skipped", "zero degrees found",
 ), 0))
 

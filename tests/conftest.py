@@ -1,7 +1,9 @@
-"""The one helper the stats tests share: counts as before/after differences."""
+"""The helpers tests share: counts as before/after differences, for the
+stats tests, and a second free model of the unit sphere of H."""
 
 import pytest
 
+from mackey import repcw
 from mackey.cli import main
 from mackey.stats import COUNTS
 
@@ -38,3 +40,16 @@ class Stats:
 @pytest.fixture
 def stats() -> Stats:
     return Stats()
+
+
+@pytest.fixture
+def small_h_unit_sphere():
+    """A smaller free model of the three-sphere S(H) than
+    ``unit_sphere_complex("Q8", "H")``, for cross-checks."""
+    e = "1"
+    return repcw._free_q8_complex(
+        [[[(1, "i"), (-1, e)], [(1, "j"), (-1, e)]]],
+        [[[(1, e), (1, "i")], [(1, e), (1, "k")]],
+         [[(-1, e), (-1, "j")], [(-1, e), (1, "i")]]],
+        [[[(1, "i"), (-1, e)]],
+         [[(1, e), (-1, "k")]]])

@@ -160,7 +160,7 @@ def test_criterion_8_slices(runs):
     assert _run(runs, "slices")[0] == []
     for n in (5, 6, 7, 8):
         tower = slice_tower("Q8", n)
-        assert sorted(tower.slice_dims()) == sorted(
+        assert sorted(d.t for d, _ in tower.layers) == sorted(
             d.t for d in slice_list("Q8", n)
         )
     # each slice layer family has the stated homotopy, one to three

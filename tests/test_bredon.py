@@ -49,7 +49,6 @@ from mackey.repcw import (
     point_complex,
     reduce_complex,
     restrict_complex,
-    small_h_unit_sphere,
     smash,
     sphere_complex,
     suspend,
@@ -113,10 +112,10 @@ def test_krho_rows():
     )
 
 
-def test_small_h_model_same_mackey_homology():
+def test_small_h_model_same_mackey_homology(small_h_unit_sphere):
     coeff = named("Q8", "Z")
     big = unit_sphere_complex("Q8", "H")
-    small = small_h_unit_sphere()
+    small = small_h_unit_sphere
     for n in range(0, 4):
         a, _ = homology_mackey(big, coeff, n)
         b, _ = homology_mackey(small, coeff, n)
@@ -416,9 +415,11 @@ def test_suspension_and_cohomology_of_a_sphere_stay_distinct_engines(monkeypatch
     assert cached_engine(coeff, dual=c) is not eng
 
 
-def test_dropped_engine_is_freed_without_the_cycle_collector():
+def test_dropped_engine_is_freed_without_the_cycle_collector(monkeypatch):
     # homology data is plain data with no closure over its ReducedComplex,
-    # so the complexes go with the last reference to the engine
+    # so the complexes go with the last reference to the engine; its levels
+    # are its own, not shared with an engine an earlier test cached
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
     coeff = named("Q8", "Z")
     c = sphere_complex(parse_rep("Q8", "rhoQ"))
     gc.collect()
@@ -782,6 +783,52 @@ def test_memoised_weyl_action_equals_word_by_word_composition():
     assert nontrivial
 
 
+def _weyl_rule_engines() -> list[MackeyHomology]:
+    """Primal, dual and two-sided engines over C2, C4, K4 and Q8."""
+    out = []
+    for gname, p, d in (("C2", "2rho", "rho"), ("C4", "lambda+sigma", "rho"),
+                        ("K4", "rhoK", "sigmaL+sigmaD"), ("Q8", "rhoK", "H")):
+        primal, dual = (sphere_complex(parse_rep(gname, r)) for r in (p, d))
+        coeff = named(gname, "Z")
+        out += [MackeyHomology(coeff, primal=primal), MackeyHomology(coeff, dual=dual),
+                MackeyHomology(coeff, primal=primal, dual=dual)]
+    return out
+
+
+def test_a_weyl_map_is_the_identity_inside_h_and_one_map_per_coset(monkeypatch):
+    # each generator's map built and induced on its own, as the assembly
+    # did before it took the identity inside H and one map per coset eH
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
+    inside = shared = 0
+    for eng in _weyl_rule_engines():
+        g = eng.g
+        for t in eng._pairs:
+            n = t + eng.offset
+            f = eng.functor(n)
+            data = {h: eng.homology_raw(h, n) for h in eng.levels}
+            for h in eng.levels:
+                if data[h].group.is_trivial:
+                    continue
+                sub = g.subgroup(h)
+                for e in g.generators:
+                    got = eng._induced(h, h, "weyl", e, t, data)
+                    assert got.equals(f.weyl_action(h, e)), (g.name, n, h, e)
+                    if e in sub.elements:
+                        assert got.equals(AbHom.identity(data[h].group)), (g.name, n, h, e)
+                        inside += 1
+                    else:
+                        rep = g.coset(e, sub)
+                        assert got.equals(eng._induced(h, h, "weyl", rep, t, data))
+                        shared += rep != e
+    assert inside and shared
+
+
+def _generator_cosets(g, h: str) -> set[frozenset]:
+    """The cosets eH of the generators e of G outside H, as sets of elements."""
+    sub = g.subgroup(h).elements
+    return {frozenset(g.mul(e, x) for x in sub) for e in g.generators if e not in sub}
+
+
 def test_a_source_without_homology_builds_no_chain_map(monkeypatch, stats):
     zero_sources = 0
     for cached in _block_engines():
@@ -810,8 +857,11 @@ def test_a_source_without_homology_builds_no_chain_map(monkeypatch, stats):
                 assert got == full, (n, kind, a, b, elem)
                 if data[a].group.is_trivial:
                     zero_sources += 1
-                else:
+                elif kind != "weyl":
                     want[kind] += 1
+            # a Weyl chain map per coset eH of the generators outside H
+            want["weyl"] = sum(len(_generator_cosets(g, h)) for h in eng.levels
+                               if not data[h].group.is_trivial)
             assert {k: grew[f"{k} chain maps built"] for k in want} == want, n
     assert zero_sources
 
@@ -864,7 +914,8 @@ def test_every_orbit_has_the_triples_one_stabilizer():
     assert orbits == {2: 125, 3: 1505}
 
 
-def test_dropped_engine_and_its_block_caches_are_freed_without_the_cycle_collector():
+def test_dropped_engine_and_its_caches_are_freed_without_the_cycle_collector(monkeypatch):
+    monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())  # levels of its own
     coeff = named("Q8", "Z")
     c = sphere_complex(parse_rep("Q8", "rhoQ"))
     gc.collect()
@@ -875,11 +926,21 @@ def test_dropped_engine_and_its_block_caches_are_freed_without_the_cycle_collect
             eng.functor(n)
         # each cache held by the engine alone, as lone is by its one name
         lone = {0: 0}
-        caches = (eng._blocks, eng._homs, eng._triple_orders, eng._levels,
-                  eng._diff_by_source, lone)
+        caches = (eng._levels, eng._diff_by_source, eng._functor_cache, lone)
         assert all(caches)
         counts = [sys.getrefcount(x) for x in caches]
         assert counts == [counts[-1]] * len(counts)
+        # the orbit-map blocks are shared on the coefficients and outlive the
+        # engine; nothing they hold is an engine or one of its levels
+        shared = [(k, v) for k, v in coeff._map_memo.items()
+                  if k[0] in ("block", "orbit hom", "block orders")]
+        assert {k[0] for k, _ in shared} == {"block", "orbit hom", "block orders"}
+        todo = list(shared)
+        while todo:
+            x = todo.pop()
+            assert not isinstance(x, (MackeyHomology, bredon._Level))
+            if isinstance(x, (tuple, list, dict)):
+                todo.extend(gc.get_referents(x))
         ref = weakref.ref(eng)
         del eng, caches
         assert ref() is None

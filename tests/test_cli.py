@@ -105,6 +105,19 @@ def test_a_bare_sign_in_a_representation_exits_one(capsys):
     assert code == 1 and err.startswith("error: ValueError:") and "'rhoQ-'" in err
 
 
+@pytest.mark.parametrize("option, text, error", [
+    ("--rep", "rhoQ+", "ValueError"), ("--rep", "rhoQ++H", "ValueError"),
+    ("--coeff", "Z+", "BadExpression"), ("--coeff", "mg++g", "BadExpression"),
+])
+def test_an_empty_term_exits_one(capsys, option, text, error):
+    argv = ["homology", "--group", "q8", "--rep", "rhoQ", "--coeff", "Z"]
+    argv[argv.index(option) + 1] = text
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ") and repr(text) in captured.err
+
+
 def test_inflate_command(capsys):
     code, out = run(
         capsys, "inflate", "--kind", "psi", "--from", "k4", "--to", "q8",
@@ -280,6 +293,12 @@ def test_stats_count_the_sphere_cache(capsys, stats, monkeypatch):
     assert second["sphere cache misses"] == 0 and len(repcw._SPHERE_CACHE) == 2
 
 
+def _generator_cosets(g, h: str) -> set[frozenset]:
+    """The cosets eH of the generators e of G outside H, as sets of elements."""
+    sub = g.subgroup(h).elements
+    return {frozenset(g.mul(e, x) for x in sub) for e in g.generators if e not in sub}
+
+
 def test_stats_count_one_chain_map_per_nonzero_source(capsys, stats, monkeypatch):
     monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo("engine cache", 64))  # a fresh engine
     monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())  # fresh levels
@@ -288,14 +307,23 @@ def test_stats_count_one_chain_map_per_nonzero_source(capsys, stats, monkeypatch
     eng = suspension_engine("Q8", "rhoQ", named("Q8", "Z"))  # the one the command cached
     g = eng.g
     want = {"res": 0, "tr": 0, "weyl": 0}
+    weyl_skipped = {"weyl maps taken as identity": 0, "weyl maps shared by coset": 0}
     for n in range(5):
         f = eng.functor(n)
         nonzero = {h for h, lv in f.levels.items() if not lv.is_trivial}
         for low, high in covering_pairs(g):
             want["res"] += high in nonzero
             want["tr"] += low in nonzero
-        want["weyl"] += len(g.generators) * len(nonzero)
+        for h in nonzero:
+            # one Weyl chain map per coset eH of the generators outside H
+            inside = sum(e in g.subgroup(h).elements for e in g.generators)
+            cosets = len(_generator_cosets(g, h))
+            want["weyl"] += cosets
+            weyl_skipped["weyl maps taken as identity"] += inside
+            weyl_skipped["weyl maps shared by coset"] += len(g.generators) - inside - cosets
     assert {kind: grew[f"{kind} chain maps built"] for kind in want} == want
+    assert {name: grew[name] for name in weyl_skipped} == weyl_skipped
+    assert all(weyl_skipped.values())
     # a map for every level and degree would be many more
     every = 5 * (2 * len(covering_pairs(g)) + len(g.generators) * len(eng.levels))
     assert 0 < sum(want.values()) < every / 2
@@ -317,7 +345,7 @@ def test_stats_count_the_levels_two_coefficients_share(capsys, stats, monkeypatc
         nonzero = {h for h, lv in eng.functor(n).levels.items() if not lv.is_trivial}
         for low, high in covering_pairs(g):
             below_top += (high in nonzero) + (low in nonzero) if high != "Q8" else 0
-        below_top += len(g.generators) * len(nonzero - {"Q8"})
+        below_top += sum(len(_generator_cosets(g, h)) for h in nonzero - {"Q8"})
     assert below_top > 0
     _, printed, grew = stats.run(capsys, *argv, "--coeff", "Z(3,2)")
     assert [grew[name] for name in sharing] == [1, 5, below_top]

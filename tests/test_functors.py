@@ -268,7 +268,7 @@ def test_match_expression_agrees_with_the_two_step_definition(gname, filename):
         for n, (f, _) in got.items():
             want = row.get(n, "0")
             want = "" if want == "0" else want
-            for expr in (want, f"{want}+g", "g^9"):
+            for expr in (want, f"{want}+g" if want else "g", "g^9"):
                 verdict = match_expression(f, expr)
                 assert verdict is _two_step_match(f, expr), (key, n, expr)
                 verdicts.append(verdict)
@@ -315,6 +315,13 @@ def test_a_power_below_one_is_a_bad_expression(expr):
     with pytest.raises(BadExpression):
         match_expression(zero_functor("Q8"), f"{expr}+g")
     assert issubclass(BadExpression, ValueError)
+
+
+@pytest.mark.parametrize("expr", ["Z+", "mg++g", "+Z", "Z + "])
+def test_an_empty_term_is_a_bad_expression(expr):
+    with pytest.raises(BadExpression, match="an empty term"):
+        parse_expression(expr)
+    assert parse_expression("mg + g^2") == [("mg", 1), ("g", 2)]
 
 
 def test_expression_functor_sum_levels():

@@ -44,6 +44,16 @@ def test_subgroup_lists():
     assert [s.name for s in group("C4").subgroups()] == ["e", "C2", "C4"]
 
 
+@pytest.mark.parametrize("name", ["T", "C2", "C4", "K4", "Q8"])
+def test_every_subgroup_is_normal(name):
+    # the premise of the engine's Weyl maps: right translation of G/H by an
+    # element of H is the identity, and two elements of one coset eH agree
+    g = group(name)
+    for s in g.subgroups():
+        for x in g.elements:
+            assert {g.mul(g.mul(x, y), g.inv(x)) for y in s.elements} == s.elements, (s, x)
+
+
 def test_lagrange():
     for name in ("T", "C2", "C4", "K4", "Q8"):
         g = group(name)

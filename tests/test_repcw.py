@@ -32,7 +32,6 @@ from mackey.repcw import (
     reduce_complex,
     restrict_complex,
     sign_sphere,
-    small_h_unit_sphere,
     smash,
     sphere_complex,
     underlying_homology_ranks,
@@ -58,9 +57,11 @@ def test_parse_rep():
         parse_rep("C4", "rhoQ")
 
 
-@pytest.mark.parametrize("text", ["rhoQ-", "-", "rhoQ--H", "1+-"])
+@pytest.mark.parametrize("text", ["rhoQ-", "-", "rhoQ--H", "1+-",
+                                  "rhoQ+", "rhoQ++H", "+-rhoQ", "rhoQ+-H", ""])
 def test_a_sign_with_nothing_after_it_is_refused(text):
-    with pytest.raises(ValueError, match=re.escape(f"representation {text!r}")):
+    # an empty term, after a sign or between two
+    with pytest.raises(ValueError, match=re.escape(f"representation {text!r}: an empty term")):
         parse_rep("Q8", text)
 
 
@@ -93,8 +94,8 @@ def test_unit_sphere_h_is_three_sphere():
     assert h[3] == (1, ())
 
 
-def test_small_h_model_matches():
-    h = underlying_homology_ranks(small_h_unit_sphere())
+def test_small_h_model_matches(small_h_unit_sphere):
+    h = underlying_homology_ranks(small_h_unit_sphere)
     assert h[0] == (1, ()) and h[3] == (1, ())
     assert h[1] == (0, ()) and h[2] == (0, ())
 
@@ -390,7 +391,6 @@ def test_each_public_constructor_checks_its_complex_once(monkeypatch):
     s_h, s_l = sphere_complex("H", "Q8"), sphere_complex("sigmaL", "Q8")
     constructors = {
         "unit_sphere_complex": lambda: unit_sphere_complex("Q8", "H"),
-        "small_h_unit_sphere": small_h_unit_sphere,
         "cone_of_unit_sphere": lambda: cone_of_unit_sphere(h),
         "reduce_complex": lambda: reduce_complex(cone),
         "smash": lambda: smash(s_h, s_l),

@@ -75,7 +75,7 @@ def test_a_slice_that_breaks_the_bookkeeping_is_refused(monkeypatch, bad):
 def test_towers_cover_slice_lists():
     for n in (5, 6, 7, 8):
         tower = slice_tower("Q8", n)
-        dims = sorted(tower.slice_dims())
+        dims = sorted(d.t for d, _ in tower.layers)
         assert dims == sorted(d.t for d in slice_list("Q8", n))
 
 
