@@ -11,10 +11,22 @@ Names follow the conventions used throughout the computation:
 * ``m``, ``m*``, ``w``, ``w*``, ``mg``, ``mg*`` are the Klein-four F2
   functors with one-sided maps; ``mgw`` is the quaternion functor gluing
   ``mg`` to ``w`` through sign copies of Z/4 at the index-2 levels.
-* ``phi_Z(X)`` and ``phi_LDR(X)`` are geometric inflations.  Over Q8, a
-  bare Klein-four name such as ``mg`` abbreviates its inflation along
-  Q8 -> K4, which is unambiguous because those functors vanish at the
-  bottom level.
+* ``phi(X)``, ``phi_Z(X)`` and ``phi_LDR(X)`` are geometric inflations:
+  over C4 of a C2 functor along C4 -> C4/C2, over Q8 of a K4 functor along
+  Q8 -> Q8/Z, and over K4 the direct sum of the inflations of a C2 functor
+  along K4 -> K4/N for N = L, D, R.
+* Over Q8, a bare ``m``, ``m*``, ``w``, ``w*``, ``mg``, ``mg*``,
+  ``phi_LDR(F)``, ``phi_LDR(F*)`` or ``phi_LDR(f)`` means ``phi_Z`` of that
+  K4 name.  The list is explicit, since vanishing at K4's bottom level is
+  not the rule: ``w`` and ``w*`` do not vanish there, and ``B(2,0)`` does
+  but is no alias, as the banded ``B(2,0)`` read on Q8's lattice would be
+  nonzero at Z, where ``phi_Z(B(2,0))`` is zero (so too ``Z``, ``F`` and
+  ``Z(2,1)`` name functors over Q8 itself).
+
+A name is a term.  Each group's base table holds only the functors that
+no other name defines; ``X*`` is ``box_dual(X)``, ``g`` is built the same
+way over every group, and the inflations evaluate their argument over the
+smaller group.
 
 Every catalog entry passes the full axiom check, cohomological condition
 included; the test suite enforces this.
@@ -22,21 +34,15 @@ included; the test suite enforces this.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import re
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Mapping
 
 from .exactalg import AbHom, FgAbelian, identity, mat
 from .functors import MackeyFunctor, box_dual, covering_pairs, UnknownName
-from .grouplat import canonical_group_name, group
-
-
-def _log2(n: int) -> int:
-    e = 0
-    while n > 1:
-        n //= 2
-        e += 1
-    return e
+from .grouplat import group
+from .inflation import phi_inflate
 
 
 def _banded_z(group_name: str, hi: int, lo: int) -> MackeyFunctor:
@@ -61,7 +67,7 @@ def _banded_quotient(group_name: str, hi: int, lo: int) -> MackeyFunctor:
     g = group(group_name)
     factor = {}
     for s in g.subgroups():
-        e = _log2(s.order)
+        e = s.order.bit_length() - 1  # orders are powers of 2
         factor[s.name] = 2 ** max(0, min(e, hi) - lo)
     levels = {
         nm: FgAbelian(() if f == 1 else (f,)) for nm, f in factor.items()
@@ -89,26 +95,18 @@ def _mod2_functor(
     group_name: str,
     levels: dict[str, int],
     res: dict[tuple[str, str], list[list[int]]],
-    tr: dict[tuple[str, str], list[list[int]]],
 ) -> MackeyFunctor:
-    """Assemble an F2-level functor; unspecified maps are zero."""
+    """Assemble an F2-level functor; unspecified restrictions and every
+    transfer are zero."""
     g = group(group_name)
     lv = {s.name: _f2(levels.get(s.name, 0)) for s in g.subgroups()}
-    rmaps = {}
-    tmaps = {}
+    rmaps, tmaps = {}, {}
     for low, high in covering_pairs(g):
         rm = res.get((low, high))
-        tm = tr.get((low, high))
         rmaps[(low, high)] = (
-            AbHom(lv[high], lv[low], mat(rm))
-            if rm is not None
-            else AbHom.zero(lv[high], lv[low])
-        )
-        tmaps[(low, high)] = (
-            AbHom(lv[low], lv[high], mat(tm))
-            if tm is not None
-            else AbHom.zero(lv[low], lv[high])
-        )
+            AbHom.zero(lv[high], lv[low]) if rm is None
+            else AbHom(lv[high], lv[low], mat(rm)))
+        tmaps[(low, high)] = AbHom.zero(lv[low], lv[high])
     return MackeyFunctor(group_name, lv, rmaps, tmaps, {}, True)
 
 
@@ -127,7 +125,7 @@ def _constant(group_name: str, modulus: int = 0) -> MackeyFunctor:
 
 
 def _top_only(group_name: str) -> MackeyFunctor:
-    return _mod2_functor(group_name, {group(group_name).top().name: 1}, {}, {})
+    return _mod2_functor(group_name, {group(group_name).top().name: 1}, {})
 
 
 def _mgw() -> MackeyFunctor:
@@ -168,168 +166,124 @@ def _mgw() -> MackeyFunctor:
 
 
 # ---------------------------------------------------------------------------
-# per-group tables
+# names as terms
+
+_MIDS = ("L", "D", "R")
+
+# the functors of each group that no other name defines
+_BASE = {
+    "T": ("Z", "F"),
+    "C2": ("Z", "F", "f", "B(1,0)"),
+    "C4": ("Z", "Z(2,1)", "B(2,0)"),
+    "K4": ("Z", "F", "Z(2,1)", "B(2,0)", "m", "w", "mg"),
+    "Q8": ("Z", "F", "Z(3,2)", "Z(3,1)", "Z(2,1)", "Z(1,0)", "Z(2,0)",
+           "B(3,0)", "mgw"),
+}
+
+_MOD2 = {
+    "f": lambda: _mod2_functor("C2", {"e": 1}, {}),
+    "m": lambda: _mod2_functor(
+        "K4", dict.fromkeys(("K4",) + _MIDS, 1), {(s, "K4"): [[1]] for s in _MIDS}
+    ),
+    "w": lambda: _mod2_functor(
+        "K4", dict.fromkeys(_MIDS + ("e",), 1), {("e", s): [[1]] for s in _MIDS}
+    ),
+    "mg": lambda: _mod2_functor("K4", {"K4": 2, "L": 1, "D": 1, "R": 1}, {
+        ("L", "K4"): [[1, 0]], ("D", "K4"): [[1, 1]], ("R", "K4"): [[0, 1]]}),
+    "mgw": _mgw,
+}
+
+# geometric inflation operators: (group, operator) -> (the group of the
+# argument, the kernels whose inflations are summed)
+_INFLATIONS = {
+    ("C4", "phi"): ("C2", ("C2",)),
+    ("K4", "phi_LDR"): ("C2", _MIDS),
+    ("Q8", "phi_Z"): ("K4", ("Z",)),
+}
+
+# over Q8 each of these bare names means phi_Z of the K4 name (the module
+# docstring says why the list is explicit)
+_Q8_FROM_K4 = ("m", "m*", "w", "w*", "mg", "mg*",
+               "phi_LDR(F)", "phi_LDR(F*)", "phi_LDR(f)")
+
+# every catalog entry, in table order
+_NAMES = {
+    "T": ("Z", "F", "Z*", "g"),
+    "C2": ("Z", "F", "g", "f", "B(1,0)", "Z*", "F*"),
+    "C4": ("Z", "Z(2,1)", "B(2,0)", "g", "phi(F)", "phi(F*)", "phi(f)", "Z*"),
+    "K4": ("Z", "F", "Z(2,1)", "B(2,0)", "g", "m", "w", "mg", "phi_LDR(F)",
+           "phi_LDR(f)", "Z*", "F*", "m*", "w*", "mg*", "phi_LDR(F*)"),
+}
+_NAMES["Q8"] = (
+    _BASE["Q8"] + ("Z*", "F*")
+    + tuple(f"phi_Z({nm})" for nm in _NAMES["K4"]) + ("g",) + _Q8_FROM_K4
+)
+
+_BAND = re.compile(r"([ZB])\((\d),(\d)\)")
+_OPERATOR = re.compile(r"(phi\w*)\((.+)\)")
 
 
-def _c2_catalog() -> dict[str, MackeyFunctor]:
-    out = {
-        "Z": _constant("C2"),
-        "F": _constant("C2", 2),
-        "g": _top_only("C2"),
-        "f": _mod2_functor("C2", {"e": 1}, {}, {}),
-        "B(1,0)": _banded_quotient("C2", 1, 0),
-    }
-    out["Z*"] = box_dual(out["Z"])
-    out["F*"] = box_dual(out["F"])
-    return out
+def _base(group_name: str, name: str) -> MackeyFunctor:
+    band = _BAND.fullmatch(name)
+    if band:
+        build = _banded_z if band[1] == "Z" else _banded_quotient
+        return build(group_name, int(band[2]), int(band[3]))
+    if name in ("Z", "F"):
+        return _constant(group_name, 0 if name == "Z" else 2)
+    return _MOD2[name]()
 
 
-def _c4_catalog() -> dict[str, MackeyFunctor]:
-    from .inflation import phi_inflate
-
-    qm = group("C4").quotient(group("C4").subgroup("C2"))
-    c2 = _c2_catalog()
-    out = {
-        "Z": _constant("C4"),
-        "Z(2,1)": _banded_z("C4", 2, 1),
-        "B(2,0)": _banded_quotient("C4", 2, 0),
-        "g": _top_only("C4"),
-        "phi(F)": phi_inflate(qm, c2["F"]),
-        "phi(F*)": phi_inflate(qm, c2["F*"]),
-        "phi(f)": phi_inflate(qm, c2["f"]),
-    }
-    out["Z*"] = box_dual(out["Z"])
-    return out
-
-
-def _k4_catalog() -> dict[str, MackeyFunctor]:
-    mids = ("L", "D", "R")
-    out = {
-        "Z": _constant("K4"),
-        "F": _constant("K4", 2),
-        "Z(2,1)": _banded_z("K4", 2, 1),
-        "B(2,0)": _banded_quotient("K4", 2, 0),
-        "g": _top_only("K4"),
-        "m": _mod2_functor(
-            "K4",
-            {"K4": 1, "L": 1, "D": 1, "R": 1},
-            {(s, "K4"): [[1]] for s in mids},
-            {},
-        ),
-        "w": _mod2_functor(
-            "K4",
-            {"L": 1, "D": 1, "R": 1, "e": 1},
-            {("e", s): [[1]] for s in mids},
-            {},
-        ),
-        "mg": _mod2_functor(
-            "K4",
-            {"K4": 2, "L": 1, "D": 1, "R": 1},
-            {
-                ("L", "K4"): [[1, 0]],
-                ("D", "K4"): [[1, 1]],
-                ("R", "K4"): [[0, 1]],
-            },
-            {},
-        ),
-        "phi_LDR(F)": _mod2_functor(
-            "K4",
-            {"K4": 3, "L": 1, "D": 1, "R": 1},
-            {
-                ("L", "K4"): [[1, 0, 0]],
-                ("D", "K4"): [[0, 1, 0]],
-                ("R", "K4"): [[0, 0, 1]],
-            },
-            {},
-        ),
-        "phi_LDR(f)": _mod2_functor(
-            "K4", {"L": 1, "D": 1, "R": 1}, {}, {}
-        ),
-    }
-    out["Z*"] = box_dual(out["Z"])
-    out["F*"] = box_dual(out["F"])
-    out["m*"] = box_dual(out["m"])
-    out["w*"] = box_dual(out["w"])
-    out["mg*"] = box_dual(out["mg"])
-    out["phi_LDR(F*)"] = box_dual(out["phi_LDR(F)"])
-    return out
-
-
-def _q8_catalog() -> dict[str, MackeyFunctor]:
-    from .inflation import phi_inflate
-
-    qm = group("Q8").quotient(group("Q8").subgroup("Z"))
-    k4 = _k4_catalog()
-    out = {
-        "Z": _constant("Q8"),
-        "F": _constant("Q8", 2),
-        "Z(3,2)": _banded_z("Q8", 3, 2),
-        "Z(3,1)": _banded_z("Q8", 3, 1),
-        "Z(2,1)": _banded_z("Q8", 2, 1),
-        "Z(1,0)": _banded_z("Q8", 1, 0),
-        "Z(2,0)": _banded_z("Q8", 2, 0),
-        "B(3,0)": _banded_quotient("Q8", 3, 0),
-        "mgw": _mgw(),
-    }
-    out["Z*"] = box_dual(out["Z"])
-    out["F*"] = box_dual(out["F"])
-    # inflations of the Klein-four library; torsion names keep their bare
-    # names, the rest are explicitly tagged
-    for nm, f in k4.items():
-        out[f"phi_Z({nm})"] = phi_inflate(qm, f)
-    for nm in ("g", "m", "m*", "w", "w*", "mg", "mg*",
-               "phi_LDR(F)", "phi_LDR(F*)", "phi_LDR(f)"):
-        out[nm] = out[f"phi_Z({nm})"]
-    return out
-
-
-def _t_catalog() -> dict[str, MackeyFunctor]:
-    out = {"Z": _constant("T"), "F": _constant("T", 2)}
-    out["Z*"] = out["Z"]
-    out["g"] = out["F"]
-    return out
+@lru_cache(maxsize=None)
+def _named(group_name: str, term: str) -> MackeyFunctor:
+    """The functor a canonical term names over a canonical group, carrying
+    the term as its name; raises UnknownName for anything else."""
+    if group_name == "Q8" and term in _Q8_FROM_K4:
+        f = _named("Q8", f"phi_Z({term})")
+    elif term in _BASE[group_name]:
+        f = _base(group_name, term)
+    elif term == "g":
+        f = _top_only(group_name)
+    elif term.endswith("*"):
+        f = box_dual(_named(group_name, term[:-1]))
+    elif (op := _OPERATOR.fullmatch(term)) and (group_name, op[1]) in _INFLATIONS:
+        source, kernels = _INFLATIONS[group_name, op[1]]
+        inner = _named(source, op[2])
+        g = group(group_name)
+        f = reduce(MackeyFunctor.direct_sum, (
+            phi_inflate(g.quotient(g.subgroup(k)), inner) for k in kernels))
+    else:
+        raise UnknownName(term)
+    return f.with_name(term)
 
 
 def catalog(group_name: str) -> Mapping[str, MackeyFunctor]:
     """The group's named functors, as a read-only table, built once per
-    group however its name is spelled."""
-    return _catalog(canonical_group_name(group_name))
+    group however its name is spelled.  These are the names recognition
+    searches; named() also evaluates terms outside the table."""
+    return _catalog(group(group_name).name)
 
 
 @lru_cache(maxsize=None)
 def _catalog(name: str) -> Mapping[str, MackeyFunctor]:
-    builders = {
-        "T": _t_catalog,
-        "C2": _c2_catalog,
-        "C4": _c4_catalog,
-        "K4": _k4_catalog,
-        "Q8": _q8_catalog,
-    }
-    table = builders[name]()
-    return MappingProxyType({nm: f.with_name(nm) for nm, f in table.items()})
+    return MappingProxyType({nm: _named(name, nm) for nm in _NAMES[name]})
 
 
 def canonical_name(raw: str) -> str:
     """Normalize user spellings of catalog names."""
     s = raw.strip().replace(" ", "")
     s = s.replace("φ", "phi").replace("Ψ", "psi").replace("∗", "*")
-    s = s.replace("phi*_Z", "phi_Z").replace("phi^*_Z", "phi_Z")
-    s = s.replace("phi*_LDR", "phi_LDR").replace("phi^*_LDR", "phi_LDR")
-    s = s.replace("phi*", "phi")
-    if s.startswith("phi_Z") and not s.startswith("phi_Z("):
-        s = "phi_Z(" + s[len("phi_Z"):] + ")"
-    if s.startswith("phi_LDR") and not s.startswith("phi_LDR("):
-        s = "phi_LDR(" + s[len("phi_LDR"):] + ")"
-    return s
+    s = re.sub(r"phi\^?\*", "phi", s)
+    return re.sub(r"^(phi_(?:Z|LDR))([^(].*)$", r"\1(\2)", s)
 
 
 def named(group_name: str, name: str) -> MackeyFunctor:
-    """Look up a catalog entry; raises UnknownName for anything else."""
-    table = catalog(group_name)
-    key = canonical_name(name)
-    if key not in table:
-        raise UnknownName(f"no Mackey functor named {name!r} over {group_name}")
-    return table[key]
+    """The functor a name denotes, evaluated once per group and canonical
+    name; raises UnknownName for anything that is not a term."""
+    try:
+        return _named(group(group_name).name, canonical_name(name))
+    except UnknownName:
+        raise UnknownName(
+            f"no Mackey functor named {name!r} over {group_name}") from None
 
 
 def names(group_name: str) -> list[str]:

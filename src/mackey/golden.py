@@ -29,6 +29,8 @@ def _case_blocks(filename: str) -> dict[str, list[str]]:
             continue
         if line.startswith("case "):
             current = line[5:].strip()
+            if current in blocks:
+                raise ValueError(f"{filename}: case {current!r} is repeated")
             blocks[current] = []
         elif line == "end":
             current = None
@@ -47,6 +49,8 @@ def degree_table(filename: str) -> dict[str, dict[int, str]]:
         row: dict[int, str] = {}
         for line in lines:
             deg, name = line.split(None, 1)
+            if int(deg) in row:
+                raise ValueError(f"{filename}: case {key!r} repeats degree {deg}")
             row[int(deg)] = name.strip()
         out[key] = row
     return out
@@ -89,8 +93,8 @@ def chart_table(filename: str, group_name: str):
                     flags.setdefault((x, y, idx), set()).add(flag)
             elif parts[0] == "diff":
                 r = int(parts[1])
-                src = _coord(parts[2])
-                tgt = _coord(parts[3])
+                src = _coord(parts[2], line)
+                tgt = _coord(parts[3], line)
                 rs = rt = None
                 for extra in parts[4:]:
                     if extra.startswith("src="):
@@ -104,8 +108,12 @@ def chart_table(filename: str, group_name: str):
     return out
 
 
-def _coord(text: str) -> tuple[int, int, int]:
+def _coord(text: str, line: str) -> tuple[int, int, int]:
+    """x,y or x,y,i: the i-th class (i >= 1, by default 1) of cell (x, y)."""
     parts = [int(x) for x in text.split(",")]
     if len(parts) == 2:
-        return (parts[0], parts[1], 1)
+        parts.append(1)
+    if len(parts) != 3 or parts[2] < 1:
+        raise ValueError(f"bad chart line {line!r}: expected x,y or x,y,i "
+                         f"with i >= 1, not {text!r}")
     return tuple(parts)  # type: ignore[return-value]

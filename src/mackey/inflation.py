@@ -1,19 +1,20 @@
 """Inflation of Mackey functors along a quotient q: G -> G/N.
 
-Three constructions are provided, all at the level of finite data and all
-restricted to bottleneck kernels (a nontrivial proper normal subgroup
-comparable with every subgroup), where they are determined by two facts:
-pushing forward recovers the original functor, and the restriction to N is
-constant at the bottom value.
+Three constructions are provided:
 
 * ``q_push``: levels over G/N read off the levels of G at preimages.
-* ``psi_inflate``: the module-level inflation; constant at M(e) on levels
-  inside N, with identity restrictions and index transfers there.
-* ``phi_inflate``: the geometric inflation; zero strictly below N.
+* ``psi_inflate``: the module-level inflation, along a bottleneck kernel
+  (a nontrivial proper normal subgroup comparable with every subgroup),
+  where it is determined by two facts: pushing forward recovers the
+  original functor, and the restriction to N is constant at the bottom
+  value.  It is constant at M(e) on levels inside N, with identity
+  restrictions and index transfers there.
+* ``phi_inflate``: the geometric inflation, along any nontrivial proper
+  normal kernel; zero on every subgroup that does not contain N.
 
 Each reads its input through ``functors.pull_back`` and changes only what
 is its own: ``psi_inflate`` the transfers inside N, ``phi_inflate`` the
-levels and maps strictly below N.
+levels and maps on the subgroups that do not contain N.
 
 ``psi_inflate`` requires its input to satisfy the cohomological condition;
 ``q_push . psi_inflate`` is the identity on the nose, not merely up to
@@ -45,13 +46,18 @@ class NoQuotient(Exception):
 
 def quotient_onto(source: str, target: str) -> QuotientMap:
     """The quotient map of source onto target by a nontrivial proper normal
-    subgroup; raises NoQuotient if there is none."""
+    subgroup; raises NoQuotient if there is none, or more than one."""
     big = group(source)
-    for n in big.subgroups():
-        if 1 < n.order < big.order and big.quotient(n).target == target:
-            return big.quotient(n)
-    raise NoQuotient(f"{source} has no quotient {target} by a nontrivial "
-                     "proper normal subgroup")
+    maps = [big.quotient(n) for n in big.subgroups()
+            if 1 < n.order < big.order and big.quotient(n).target == target]
+    if len(maps) > 1:
+        kernels = ", ".join(qm.kernel for qm in maps)
+        raise NoQuotient(f"{source} has {len(maps)} quotients {target}, with "
+                         f"kernels {kernels}")
+    if not maps:
+        raise NoQuotient(f"{source} has no quotient {target} by a nontrivial "
+                         "proper normal subgroup")
+    return maps[0]
 
 
 def q_push(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
@@ -66,33 +72,30 @@ def q_push(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
     return MackeyFunctor(qm.target, *pull_back(m, qm.target, pre, section), m.is_zmodule)
 
 
-def _require_bottleneck(qm: QuotientMap) -> None:
-    src = qm.source_group()
-    n = qm.kernel_subgroup()
-    if n.order in (1, src.order) or not src.is_bottleneck(n):
-        raise NotBottleneck(f"{qm.kernel} is not a bottleneck subgroup of {qm.source}")
-
-
 def _inflate(qm: QuotientMap, m: MackeyFunctor) -> tuple[list[str], tuple[dict, ...]]:
-    """The subgroups inside the kernel N, and m read along qm: a subgroup
-    containing N at its image, one inside N at the bottom, e."""
+    """The subgroups that do not contain the kernel N, and m read along qm:
+    a subgroup containing N at its image, any other at the bottom, e."""
     if m.group_name != qm.target:
         raise ValueError("functor is not over the target of the quotient")
-    _require_bottleneck(qm)
+    if qm.kernel_subgroup().order in (1, qm.source_group().order):
+        raise NotBottleneck(f"{qm.kernel} is not a nontrivial proper subgroup "
+                            f"of {qm.source}")
     n = qm.kernel_subgroup().elements
-    pre, inside = {}, []
+    pre, outside = {}, []
     for s in qm.source_group().subgroups():
         if n <= s.elements:
             pre[s.name] = qm.image_subgroup(s).name
         else:
             pre[s.name] = "e"
-            inside.append(s.name)
-    return inside, pull_back(m, qm.source, pre, qm.projection)
+            outside.append(s.name)
+    return outside, pull_back(m, qm.source, pre, qm.projection)
 
 
 def psi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
     """Module inflation: copy above N, constant at m(e) on and below N."""
     inside, (levels, res, tr, weyl) = _inflate(qm, m)
+    if not qm.source_group().is_bottleneck(qm.kernel_subgroup()):
+        raise NotBottleneck(f"{qm.kernel} is not a bottleneck subgroup of {qm.source}")
     if not m.is_zmodule:
         raise NotZModule("module inflation needs the cohomological condition")
     src = qm.source_group()
@@ -105,21 +108,24 @@ def psi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
 
 
 def phi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
-    """Geometric inflation: copy above N, zero strictly below it."""
-    inside, (levels, res, tr, weyl) = _inflate(qm, m)
+    """Geometric inflation: copy on the subgroups containing N, zero on the
+    others."""
+    outside, (levels, res, tr, weyl) = _inflate(qm, m)
     zero = FgAbelian(())
-    for s in inside:
+    for s in outside:
         levels[s] = zero
-    for low, high in covering_pairs(qm.source_group()):
-        if low in inside:
+    src = qm.source_group()
+    zmod = m.is_zmodule
+    for low, high in covering_pairs(src):
+        if low in outside:
             res[(low, high)] = AbHom.zero(levels[high], zero)
             tr[(low, high)] = AbHom.zero(zero, levels[high])
-    weyl = {key: w for key, w in weyl.items() if key[0] not in inside}
-    # the cohomological condition survives iff |N| kills the bottom value
-    n = qm.kernel_subgroup()
-    zmod = m.is_zmodule and all(
-        o != 0 and n.order % o == 0 for o in m.levels["e"].orders
-    )
+            # tr . res is zero here, so the cohomological condition needs
+            # the index to kill the level above
+            index = src.subgroup(high).order // src.subgroup(low).order
+            zmod = zmod and all(o != 0 and index % o == 0
+                                for o in levels[high].orders)
+    weyl = {key: w for key, w in weyl.items() if key[0] not in outside}
     return MackeyFunctor(qm.source, levels, res, tr, weyl, zmod)
 
 

@@ -1,9 +1,12 @@
 """The helpers tests share: counts as before/after differences, for the
-stats tests, and a second free model of the unit sphere of H."""
+stats tests, a second free model of the unit sphere of H, and a writable
+copy of the golden fixtures."""
+
+import shutil
 
 import pytest
 
-from mackey import repcw
+from mackey import golden, repcw
 from mackey.cli import main
 from mackey.stats import COUNTS
 
@@ -53,3 +56,27 @@ def small_h_unit_sphere():
          [[(-1, e), (-1, "j")], [(-1, e), (1, "i")]]],
         [[[(1, "i"), (-1, e)]],
          [[(1, e), (-1, "k")]]])
+
+
+@pytest.fixture
+def edit_golden(tmp_path, monkeypatch):
+    """edit(filename, old, new) replaces the first old, which must be there,
+    by new in a copy of the golden fixtures that is read instead of the
+    shipped ones (through MACKEY_GOLDEN_DIR); every loader's cache is
+    cleared before and after the test."""
+    dst = tmp_path / "golden"
+    shutil.copytree(golden.golden_dir(), dst)
+    loaders = (golden.degree_table, golden.slice_table, golden.chart_table)
+    monkeypatch.setenv("MACKEY_GOLDEN_DIR", str(dst))
+    for loader in loaders:
+        loader.cache_clear()
+
+    def edit(filename, old, new):
+        text = (dst / filename).read_text()
+        assert old in text
+        (dst / filename).write_text(text.replace(old, new, 1))
+
+    yield edit
+    monkeypatch.delenv("MACKEY_GOLDEN_DIR")
+    for loader in loaders:
+        loader.cache_clear()

@@ -1,6 +1,4 @@
-"""Differential-pattern validation and rendering."""
-
-import shutil
+"""Differential-pattern validation and rendering, and the fixture loader."""
 
 import pytest
 
@@ -111,22 +109,38 @@ def test_differentials_are_empty_only_where_no_chart_is_recorded():
     assert golden_differentials("Q8", 99) == []
 
 
-def test_a_malformed_chart_fixture_raises(tmp_path, monkeypatch):
+def test_a_malformed_chart_fixture_raises(edit_golden):
     # the r field of the first diff line (n = 5) no longer parses: the page
     # must not come out with no differentials
-    dst = tmp_path / "golden"
-    shutil.copytree(golden_mod.golden_dir(), dst)
-    target = dst / "charts_q8.txt"
-    text = target.read_text()
-    assert "\ndiff 4 2,3 1,7\n" in text
-    target.write_text(text.replace("\ndiff 4 2,3 1,7\n", "\ndiff four 2,3 1,7\n", 1))
-    monkeypatch.setenv("MACKEY_GOLDEN_DIR", str(dst))
-    golden_mod.chart_table.cache_clear()
-    try:
-        with pytest.raises(ValueError):
-            golden_differentials("Q8", 5)
-        with pytest.raises(ValueError):
-            e2_page("Q8", 5)
-    finally:
-        monkeypatch.delenv("MACKEY_GOLDEN_DIR")
-        golden_mod.chart_table.cache_clear()
+    edit_golden("charts_q8.txt", "\ndiff 4 2,3 1,7\n", "\ndiff four 2,3 1,7\n")
+    with pytest.raises(ValueError):
+        golden_differentials("Q8", 5)
+    with pytest.raises(ValueError):
+        e2_page("Q8", 5)
+
+
+@pytest.mark.parametrize("coord", ["1,7,2,9", "1,7,0", "1,7,-1", "1"])
+def test_a_diff_coordinate_is_a_cell_or_one_of_its_classes(edit_golden, coord):
+    # x,y or x,y,i with i >= 1; anything else would fail later, in rendering
+    edit_golden("charts_q8.txt", "\ndiff 4 2,3 1,7\n", f"\ndiff 4 2,3 {coord}\n")
+    with pytest.raises(ValueError, match=rf"^bad chart line 'diff 4 2,3 {coord}': "
+                                         rf"expected x,y or x,y,i with i >= 1"):
+        golden_differentials("Q8", 5)
+
+
+def test_a_repeated_case_raises(edit_golden):
+    edit_golden("sphere_h.txt", "case S^H homology", "case S(H) homology")
+    with pytest.raises(ValueError,
+                       match=r"^sphere_h.txt: case 'S\(H\) homology' is repeated$"):
+        golden_mod.degree_table("sphere_h.txt")
+    edit_golden("slices_q8.txt", "case n=4\n", "case n=3\n")
+    with pytest.raises(ValueError, match=r"^slices_q8.txt: case 'n=3' is repeated$"):
+        golden_mod.slice_table("slices_q8.txt")
+
+
+def test_a_repeated_degree_raises(edit_golden):
+    edit_golden("sphere_h.txt", "3 Z\n1 mgw\n", "3 Z\n3 Z*\n1 mgw\n")
+    with pytest.raises(
+        ValueError, match=r"^sphere_h.txt: case 'S\(H\) homology' repeats degree 3$"
+    ):
+        golden_mod.degree_table("sphere_h.txt")

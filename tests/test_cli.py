@@ -42,6 +42,20 @@ def test_show_unknown_name_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("group, name", [("q8", "phi_Z(mg)"), ("k4", "phi_LDR(F*)")])
+def test_show_evaluates_a_term(capsys, group, name):
+    code, out = run(capsys, "show", "--group", group, "--name", name)
+    assert code == 0 and out.startswith(f"{name} over ")
+
+
+def test_show_a_term_with_an_unknown_argument_exits_one(capsys):
+    code = main(["show", "--group", "q8", "--name", "phi_Z(nonsense)"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: UnknownName: no Mackey functor named 'phi_Z(nonsense)' over q8\n")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["homology"])
@@ -138,6 +152,20 @@ def test_inflate_without_a_quotient_names_both_groups(capsys, kind, src, tgt):
     )
 
 
+@pytest.mark.parametrize("kind, src, tgt, big", [
+    ("push", "k4", "c2", "K4"), ("phi", "c2", "k4", "K4"),
+    ("push", "q8", "c2", "Q8"), ("psi", "c2", "q8", "Q8"),
+])
+def test_inflate_along_one_of_several_kernels_is_refused(capsys, kind, src, tgt, big):
+    # K4 and Q8 each have three quotients C2, with kernels L, D and R
+    name = "F" if src == "c2" else "Z"
+    code = main(["inflate", "--kind", kind, "--from", src, "--to", tgt, "--name", name])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"error: NoQuotient: {big} has 3 quotients C2, with kernels L, D, R\n")
+
+
 def test_chart_svg_output(tmp_path, capsys):
     out_file = tmp_path / "page.svg"
     code, out = run(
@@ -167,30 +195,12 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
-def test_verify_detects_corrupted_fixture(tmp_path, capsys, monkeypatch):
+def test_verify_detects_corrupted_fixture(edit_golden, capsys):
     # verify must exit nonzero and print the diff when a fixture disagrees
-    import shutil
-    from mackey import golden as golden_mod
-    from mackey.golden import golden_dir
-
-    dst = tmp_path / "golden"
-    shutil.copytree(golden_dir(), dst)
-    target = dst / "sphere_h.txt"
-    text = target.read_text().replace("3 Z\n", "3 Z*\n", 1)
-    target.write_text(text)
-    monkeypatch.setenv("MACKEY_GOLDEN_DIR", str(dst))
-    golden_mod.degree_table.cache_clear()
-    golden_mod.slice_table.cache_clear()
-    golden_mod.chart_table.cache_clear()
-    try:
-        code, out = run(capsys, "verify", "--suite", "sphere-h")
-        assert code == 1
-        assert "expected" in out
-    finally:
-        monkeypatch.delenv("MACKEY_GOLDEN_DIR")
-        golden_mod.degree_table.cache_clear()
-        golden_mod.slice_table.cache_clear()
-        golden_mod.chart_table.cache_clear()
+    edit_golden("sphere_h.txt", "3 Z\n", "3 Z*\n")
+    code, out = run(capsys, "verify", "--suite", "sphere-h")
+    assert code == 1
+    assert "expected" in out
 
 
 def _check_sizes(printed, eng, sides, sign):

@@ -6,6 +6,7 @@ import gc
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from mackey.catalog import catalog, named
+from mackey.inflation import phi_inflate
 from mackey.exactalg import AbHom, FgAbelian, NonComposable, homology_at
 from mackey.bredon import identify, suspension_homotopy
 from mackey.cli import _span
@@ -90,6 +92,36 @@ def test_expected_catalog_contents():
 def test_name_normalization():
     assert named("Q8", "φ*_Z F") is named("Q8", "phi_Z(F)")
     assert named("q8", "B(3,0)").name == "B(3,0)"
+
+
+def test_each_catalog_entry_is_its_name_evaluated():
+    assert [len(catalog(g)) for g in ALL_GROUPS] == [4, 7, 8, 16, 37]
+    for gname in ALL_GROUPS:
+        for nm, f in catalog(gname).items():
+            assert f is named(gname, nm) and f.name == nm
+    # over Q8 a bare name of the explicit list is phi_Z of the K4 name
+    q8 = group("Q8")
+    along_z = q8.quotient(q8.subgroup("Z"))
+    for nm in ("m", "m*", "w", "w*", "mg", "mg*", "phi_LDR(F)", "phi_LDR(F*)",
+               "phi_LDR(f)", "g"):
+        want = phi_inflate(along_z, named("K4", nm)).content_key
+        assert named("Q8", nm).content_key == want, nm
+        assert named("Q8", f"phi_Z({nm})").content_key == want, nm
+
+
+def test_a_term_outside_the_catalog_is_evaluated():
+    c4 = group("C4")
+    phi_z = named("C4", "phi(Z)")
+    assert "phi(Z)" not in catalog("C4") and phi_z.name == "phi(Z)"
+    assert data_equal(phi_z, phi_inflate(c4.quotient(c4.subgroup("C2")), named("C2", "Z")))
+    assert named("K4", "mg**").content_key == named("K4", "mg").content_key
+    for gname, term in (("Q8", "phi_Z(nonsense)"), ("Q8", "B(2,0)"),
+                        ("Q8", "phi_LDR(Z)"), ("K4", "phi(F)"), ("C4", "F")):
+        with pytest.raises(UnknownName, match=rf"^no Mackey functor named "
+                                              rf"{re.escape(repr(term))} over {gname}$"):
+            named(gname, term)
+    with pytest.raises(ValueError, match=r"^unknown group 'c8'$"):
+        named("c8", "Z")
 
 
 def test_constant_z_shape():

@@ -1,5 +1,6 @@
-"""Change of group: restriction, pushforward and the two inflations along
-bottleneck quotients."""
+"""Change of group: restriction, pushforward, the module inflation along
+bottleneck quotients and the geometric inflation along any proper
+nontrivial quotient."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from mackey.catalog import catalog, named
 from mackey.exactalg import AbHom, FgAbelian
 from mackey.functors import (
     MackeyFunctor,
+    box_dual,
     check_axioms,
     covering_pairs,
     data_equal,
@@ -237,8 +239,11 @@ def phi_inflate_copy(qm, m):
             w = m.weyl_action(img, qm(e))
             if not w.equals(AbHom.identity(levels[s.name])):
                 weyl[(s.name, e)] = w
+    # the cohomological condition, read off the data just built
     zmod = m.is_zmodule and all(
-        o != 0 and n.order % o == 0 for o in m.levels["e"].orders
+        tr[(low, high)].compose(res[(low, high)]).equals(AbHom.scalar(
+            levels[high], src.subgroup(high).order // src.subgroup(low).order))
+        for low, high in covering_pairs(src)
     )
     return MackeyFunctor(qm.source, levels, res, tr, weyl, zmod)
 
@@ -270,3 +275,68 @@ def test_change_of_group_matches_the_copies(gname, count):
         assert data_equal(built, copy), label
         assert built.content_key == copy.content_key, label
     assert len(cases) == count
+
+
+def _constant_z4_over_c2():
+    z4 = FgAbelian((4,))
+    pair = ("e", "C2")
+    return MackeyFunctor("C2", {"e": z4, "C2": z4}, {pair: AbHom(z4, z4, ((1,),))},
+                         {pair: AbHom(z4, z4, ((2,),))}, {}, True)
+
+
+@pytest.mark.parametrize("source, kernel", [
+    (src, n) for src in ("K4", "Q8") for n in ("L", "D", "R")])
+def test_phi_inflate_along_a_kernel_that_is_no_bottleneck(source, kernel):
+    # K4/N and Q8/N are C2 for N = L, D, R; no such N is comparable with
+    # every subgroup, so only the geometric inflation is defined.  The
+    # inflation of constant Z/4 is no Z-module: the index 2 of a covering
+    # pair leaving N does not kill Z/4, though over Q8 |N| = 4 does.
+    qm = qmap(source, kernel)
+    assert qm.target == "C2"
+    cases = {**catalog("C2"), "Z/4": _constant_z4_over_c2()}
+    for nm, f in cases.items():
+        built = phi_inflate(qm, f)
+        copy = phi_inflate_copy(qm, f)
+        assert data_equal(built, copy), nm
+        assert built.content_key == copy.content_key, nm
+        assert check_axioms(built).ok, nm
+        with pytest.raises(NotBottleneck):
+            psi_inflate(qm, f)
+    assert not phi_inflate(qm, cases["Z/4"]).is_zmodule
+
+
+# ---------------------------------------------------------------------------
+# oracle: the hand-built K4 tables that phi_LDR(F) and phi_LDR(f) were
+# before they became sums of three geometric inflations
+
+
+def _mod2_table(levels, res):
+    g = group("K4")
+    lv = {s.name: FgAbelian((2,) * levels.get(s.name, 0)) for s in g.subgroups()}
+    rmaps, tmaps = {}, {}
+    for low, high in covering_pairs(g):
+        rm = res.get((low, high))
+        rmaps[(low, high)] = (AbHom(lv[high], lv[low], tuple(map(tuple, rm)))
+                              if rm is not None else AbHom.zero(lv[high], lv[low]))
+        tmaps[(low, high)] = AbHom.zero(lv[low], lv[high])
+    return MackeyFunctor("K4", lv, rmaps, tmaps, {}, True)
+
+
+PHI_LDR_F = _mod2_table(
+    {"K4": 3, "L": 1, "D": 1, "R": 1},
+    {("L", "K4"): [[1, 0, 0]], ("D", "K4"): [[0, 1, 0]], ("R", "K4"): [[0, 0, 1]]},
+)
+PHI_LDR_SMALL_F = _mod2_table({"L": 1, "D": 1, "R": 1}, {})
+
+
+def test_phi_ldr_is_the_hand_built_table():
+    assert named("K4", "phi_LDR(F)").content_key == PHI_LDR_F.content_key
+    assert named("K4", "phi_LDR(f)").content_key == PHI_LDR_SMALL_F.content_key
+    assert (named("K4", "phi_LDR(F*)").content_key
+            == box_dual(PHI_LDR_F).content_key)
+    # the sum of the three inflations, in the order L, D, R
+    k4 = group("K4")
+    parts = [phi_inflate(k4.quotient(k4.subgroup(n)), named("C2", "F"))
+             for n in ("L", "D", "R")]
+    total = parts[0].direct_sum(parts[1]).direct_sum(parts[2])
+    assert total.content_key == PHI_LDR_F.content_key
