@@ -10,7 +10,8 @@ side of the engine.
     python scripts/homotopy_grid.py --group k4 --coeff F --max-k 2
 
 A cell the catalog cannot name prints as ``(unrecognized)``, and the exit
-status is then 1.
+status is then 1.  Each row's wall time goes to standard error, so the
+standard output of two runs of one tree is the same.
 """
 
 import argparse
@@ -45,7 +46,8 @@ def main() -> int:
         t0 = time.time()
         row = suspension_homotopy(gname, rep, coeff, degrees)
         cells = {n: nm for n, (f, nm) in row.items() if nm != "0"}
-        print(f"k={k} ({time.time() - t0:.1f}s)")
+        print(f"k={k}")
+        print(f"k={k} ({time.time() - t0:.1f}s)", file=sys.stderr)
         for n in sorted(cells, reverse=True):
             if cells[n] is None:
                 unnamed += 1

@@ -14,7 +14,7 @@ Assembly goes by cell pairs: a chain group is a list of blocks, one per
 (dual cell, primal cell) pair, each holding the pair's orbits.  The image
 of one orbit map on a whole block depends only on the cells' stabilizers,
 the level, the slot it moves, the target stabilizer and the translation,
-so it is built once per coefficient system, in its memo; boundaries and
+so it is built once per coefficient system, in its tables; boundaries and
 the res/tr/Weyl chain maps add integer multiples of these sparse blocks at
 cell-pair corners.
 
@@ -62,21 +62,23 @@ class AxiomFailure(Exception):
     pass
 
 
-# content keys of the validated coefficients
+# the block tables of each validated coefficient system, by its content key
 _VALIDATED_COEFFS = LruMemo("validation memo", 64)
 
 
-def _require_valid_coefficients(coeff: MackeyFunctor) -> None:
+def _require_valid_coefficients(coeff: MackeyFunctor) -> dict:
     """Coefficient systems must satisfy the Mackey axioms; checked once per
-    content while that content is among the most recently validated."""
+    content while that content is among the most recently validated.
+    Returns the coefficients' block tables, which engines fill."""
     from .functors import check_axioms
 
     def check():
         report = check_axioms(coeff)
         if not report.ok:
             raise AxiomFailure(str(report))
+        return {}
 
-    _VALIDATED_COEFFS.recall(coeff.content_key, check)
+    return _VALIDATED_COEFFS.recall(coeff.content_key, check)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +133,9 @@ _LEVELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @cache
-def _zero(group_name: str, is_zmodule: bool) -> MackeyFunctor:
+def _zero(group_name: str) -> MackeyFunctor:
     """The unnamed zero functor: the functor of a degree with no homology."""
-    return zero_functor(group_name, is_zmodule, None)
+    return zero_functor(group_name, None)
 
 
 class MackeyHomology:
@@ -168,7 +170,9 @@ class MackeyHomology:
             dual = point_complex(self.group_name)
         if primal.group_name != self.group_name or dual.group_name != self.group_name:
             raise GroupMismatch("complexes and coefficients over different groups")
-        _require_valid_coefficients(coeff)
+        # orbit-map blocks, their components and block orders, shared by
+        # every engine over coefficients with this content
+        self._tables = _require_valid_coefficients(coeff)
         self.coeff = coeff
         self.primal = primal
         self.dual = dual
@@ -203,7 +207,7 @@ class MackeyHomology:
     def _block_orders(self, triple: tuple[str, str, str]) -> tuple[int, ...]:
         """Generator orders of a cell pair's block: M(stab) once per orbit,
         every orbit having the one stabilizer stab (grouplat.orbit_table)."""
-        memo, key = self.coeff._map_memo, ("block orders", triple)
+        memo, key = self._tables, ("block orders", triple)
         out = memo.get(key)
         if out is None:
             reps, _, stab = orbit_table(self.group_name, triple)
@@ -259,9 +263,10 @@ class MackeyHomology:
         of ``triple`` and of its image triple: sparse (row, col, x) entries,
         every orbit's component at its offset.  The orbits of ``triple`` are
         the columns of a covariant block and the rows of a contravariant one.
-        A block reads only the coefficients and the group: it is theirs.
+        A block reads only the coefficients' content and the group: it is
+        kept in the coefficients' tables.
         """
-        memo, key = self.coeff._map_memo, ("block", kind, triple, slot, c, u)
+        memo, key = self._tables, ("block", kind, triple, slot, c, u)
         block = memo.get(key)
         if block is not None:
             return block
@@ -338,7 +343,7 @@ class MackeyHomology:
                         f"level {h} largest core entry"), level.complex.sizes())
         out["cell pairs"] = sum(map(len, self._pairs.values()))
         out |= {f"cell pairs in degree {t}": len(ps) for t, ps in sorted(self._pairs.items())}
-        out["orbit-map blocks"] = sum(k[0] == "block" for k in self.coeff._map_memo)
+        out["orbit-map blocks"] = sum(k[0] == "block" for k in self._tables)
         out["live levels"] = len(_LEVELS)
         return out
 
@@ -363,12 +368,12 @@ class MackeyHomology:
         g = self.g
         if t not in self._core_degrees:
             COUNTS["zero degrees skipped"] += 1
-            return _zero(self.group_name, self.coeff.is_zmodule)
+            return _zero(self.group_name)
         data = {h: self.homology_raw(h, n) for h in self.levels}
         levels = {h: data[h].group for h in self.levels}
         if all(lvl.is_trivial for lvl in levels.values()):
             COUNTS["zero degrees found"] += 1
-            return _zero(self.group_name, self.coeff.is_zmodule)
+            return _zero(self.group_name)
         res, tr = {}, {}
         for low, high in covering_pairs(g):
             res[(low, high)] = self._induced(high, low, "res", None, t, data)
@@ -402,7 +407,7 @@ class MackeyHomology:
                     if word[:k] not in acts:
                         acts[word[:k]] = acts[word[:k - 1]].compose(gen_maps[word[k - 1]])
                 weyl[(h, e)] = acts[word]
-        return MackeyFunctor(self.group_name, levels, res, tr, weyl, self.coeff.is_zmodule)
+        return MackeyFunctor(self.group_name, levels, res, tr, weyl)
 
 
 # ---------------------------------------------------------------------------

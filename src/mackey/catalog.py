@@ -28,8 +28,9 @@ no other name defines; ``X*`` is ``box_dual(X)``, ``g`` is built the same
 way over every group, and the inflations evaluate their argument over the
 smaller group.
 
-Every catalog entry passes the full axiom check, cohomological condition
-included; the test suite enforces this.
+Every catalog entry passes the axiom check, and every one is cohomological
+but ``phi_Z(X)`` where 2 does not kill X's bottom level (``phi_Z(Z)``,
+``phi_Z(Z*)``, ``phi_Z(Z(2,1))``); the test suite enforces both.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _banded_z(group_name: str, hi: int, lo: int) -> MackeyFunctor:
         r, t = (2, 1) if in_band else (1, 2)
         res[(low, high)] = AbHom(z, z, ((r,),))
         tr[(low, high)] = AbHom(z, z, ((t,),))
-    return MackeyFunctor(group_name, levels, res, tr, {}, True)
+    return MackeyFunctor(group_name, levels, res, tr)
 
 
 def _banded_quotient(group_name: str, hi: int, lo: int) -> MackeyFunctor:
@@ -78,7 +79,7 @@ def _banded_quotient(group_name: str, hi: int, lo: int) -> MackeyFunctor:
         a, b = levels[low], levels[high]
         res[(low, high)] = AbHom(b, a, _scalar_block(b, a, 1))
         tr[(low, high)] = AbHom(a, b, _scalar_block(a, b, 2))
-    return MackeyFunctor(group_name, levels, res, tr, {}, True)
+    return MackeyFunctor(group_name, levels, res, tr)
 
 
 def _scalar_block(dom: FgAbelian, cod: FgAbelian, c: int):
@@ -107,7 +108,7 @@ def _mod2_functor(
             AbHom.zero(lv[high], lv[low]) if rm is None
             else AbHom(lv[high], lv[low], mat(rm)))
         tmaps[(low, high)] = AbHom.zero(lv[low], lv[high])
-    return MackeyFunctor(group_name, lv, rmaps, tmaps, {}, True)
+    return MackeyFunctor(group_name, lv, rmaps, tmaps)
 
 
 def _constant(group_name: str, modulus: int = 0) -> MackeyFunctor:
@@ -121,7 +122,7 @@ def _constant(group_name: str, modulus: int = 0) -> MackeyFunctor:
         index = g.subgroup(high).order // g.subgroup(low).order
         res[(low, high)] = AbHom(lvl, lvl, ((1,),))
         tr[(low, high)] = AbHom(lvl, lvl, ((index,),))
-    return MackeyFunctor(group_name, levels, res, tr, {}, True)
+    return MackeyFunctor(group_name, levels, res, tr)
 
 
 def _top_only(group_name: str) -> MackeyFunctor:
@@ -162,7 +163,7 @@ def _mgw() -> MackeyFunctor:
         for e in g.elements:
             if e not in sub.elements:
                 weyl[(nm, e)] = AbHom(z4, z4, ((-1,),))
-    return MackeyFunctor("Q8", levels, res, tr, weyl, True)
+    return MackeyFunctor("Q8", levels, res, tr, weyl)
 
 
 # ---------------------------------------------------------------------------

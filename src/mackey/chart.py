@@ -27,6 +27,10 @@ from functools import lru_cache
 from .grouplat import canonical_group_name, group
 
 
+class NoPage(LookupError):
+    """A chart page that is not recorded."""
+
+
 @dataclass(frozen=True)
 class Differential:
     r: int
@@ -464,6 +468,10 @@ def golden_page(group_name: str, n: int) -> ChartPage:
     gname = canonical_group_name(group_name)
     if gname != "Q8":
         raise ValueError("chart fixtures are recorded for the quaternion group")
-    page = chart_table("charts_q8.txt", gname)[n]
+    pages = chart_table("charts_q8.txt", gname)
+    if n not in pages:
+        raise NoPage(f"no chart page n={n} is recorded for Q8; the recorded "
+                     f"pages are n = {min(pages)}..{max(pages)}")
+    page = pages[n]
     return replace(page, entries=dict(page.entries),
                    differentials=list(page.differentials), flags=dict(page.flags))

@@ -36,7 +36,7 @@ from .golden import degree_table, slice_table
 from .grouplat import canonical_group_name, group
 from .inflation import check_psi_phi_agree, phi_inflate, psi_inflate, q_push, quotient_onto
 from .repcw import parse_rep, sphere_complex
-from .slices import e2_page, r_tower, slice_list, slice_tower
+from .slices import Unsupported, e2_page, r_tower, slice_list, slice_tower
 from .stats import COUNTS
 
 
@@ -177,10 +177,9 @@ def cmd_slices(args) -> int:
 
 
 def cmd_tower(args) -> int:
-    if args.r is not None:
-        tower = r_tower(args.r, args.j)
-    else:
-        tower = slice_tower(canonical_group_name(args.group), args.n)
+    if canonical_group_name(args.group) != "Q8":
+        raise Unsupported(f"slice towers are recorded for Q8 only, not {args.group}")
+    tower = r_tower(args.r, args.j) if args.n is None else slice_tower("Q8", args.n)
     for layer, stage in tower.layers:
         suffix = f"   over {stage}" if stage else ""
         print(f"  P^{layer.t} = {layer.expression()}{suffix}")

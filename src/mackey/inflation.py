@@ -16,9 +16,9 @@ Each reads its input through ``functors.pull_back`` and changes only what
 is its own: ``psi_inflate`` the transfers inside N, ``phi_inflate`` the
 levels and maps on the subgroups that do not contain N.
 
-``psi_inflate`` requires its input to satisfy the cohomological condition;
-``q_push . psi_inflate`` is the identity on the nose, not merely up to
-isomorphism, and the tests check exact data equality.
+``psi_inflate`` needs a cohomological input, as ``is_zmodule`` reads it off
+the res and tr.  ``q_push . psi_inflate`` is the identity on the nose, not
+merely up to isomorphism; the tests check exact data equality.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def q_push(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
     section = {}
     for e in qm.source_group().elements:
         section.setdefault(qm(e), e)
-    return MackeyFunctor(qm.target, *pull_back(m, qm.target, pre, section), m.is_zmodule)
+    return MackeyFunctor(qm.target, *pull_back(m, qm.target, pre, section))
 
 
 def _inflate(qm: QuotientMap, m: MackeyFunctor) -> tuple[list[str], tuple[dict, ...]]:
@@ -104,7 +104,7 @@ def psi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
             # inside the kernel: identity restriction, index transfer
             index = src.subgroup(high).order // src.subgroup(low).order
             tr[(low, high)] = AbHom.scalar(levels[low], index)
-    return MackeyFunctor(qm.source, levels, res, tr, weyl, True)
+    return MackeyFunctor(qm.source, levels, res, tr, weyl)
 
 
 def phi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
@@ -114,19 +114,12 @@ def phi_inflate(qm: QuotientMap, m: MackeyFunctor) -> MackeyFunctor:
     zero = FgAbelian(())
     for s in outside:
         levels[s] = zero
-    src = qm.source_group()
-    zmod = m.is_zmodule
-    for low, high in covering_pairs(src):
+    for low, high in covering_pairs(qm.source_group()):
         if low in outside:
             res[(low, high)] = AbHom.zero(levels[high], zero)
             tr[(low, high)] = AbHom.zero(zero, levels[high])
-            # tr . res is zero here, so the cohomological condition needs
-            # the index to kill the level above
-            index = src.subgroup(high).order // src.subgroup(low).order
-            zmod = zmod and all(o != 0 and index % o == 0
-                                for o in levels[high].orders)
     weyl = {key: w for key, w in weyl.items() if key[0] not in outside}
-    return MackeyFunctor(qm.source, levels, res, tr, weyl, zmod)
+    return MackeyFunctor(qm.source, levels, res, tr, weyl)
 
 
 def check_psi_phi_agree(qm: QuotientMap, m: MackeyFunctor) -> bool:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mackey import bredon, cli
+from mackey import catalog as catalog_module
 from mackey.bredon import (
     AxiomFailure,
     MackeyHomology,
@@ -455,6 +456,25 @@ def test_validated_coefficients_are_bounded_and_evicted_ones_checked_again(monke
     MackeyHomology(zstar)  # evicted, so validated again
     assert checked == ["Z", "Z*", "F", "Z*"]
     assert len(bredon._VALIDATED_COEFFS) == 2
+
+
+def test_block_tables_are_kept_for_the_last_64_coefficient_systems(monkeypatch):
+    # the constant functors Z/n over C2, n = 2..71: each engine fills its
+    # coefficients' block tables, and only the validation memo and the
+    # engine cache, 64 entries each, hold them
+    monkeypatch.setattr(bredon, "_VALIDATED_COEFFS", LruMemo("validation memo", 64))
+    monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo("engine cache", 64))
+    c = sphere_complex(parse_rep("C2", "2sigma"))
+    coeffs = [catalog_module._constant("C2", n) for n in range(2, 72)]
+    tables = [cached_engine(m, primal=c)._tables for m in coeffs]
+    assert all(any(k[0] == "block" for k in t) for t in tables)
+    assert len(bredon._VALIDATED_COEFFS) == 64
+    # the first six are freed: this list and getrefcount's argument hold them
+    assert all(sys.getrefcount(tables[i]) == 2 for i in range(6))
+    for m, t in zip(coeffs[6:], tables[6:]):
+        assert bredon._VALIDATED_COEFFS.recall(m.content_key, dict) is t
+    # the coefficients keep nothing of an engine's
+    assert {k[0] for m in coeffs for k in m._map_memo} <= {"res", "tr", "weyl_id", "below"}
 
 
 def _balanced_sphere(group_name, text):
@@ -930,10 +950,10 @@ def test_dropped_engine_and_its_caches_are_freed_without_the_cycle_collector(mon
         assert all(caches)
         counts = [sys.getrefcount(x) for x in caches]
         assert counts == [counts[-1]] * len(counts)
-        # the orbit-map blocks are shared on the coefficients and outlive the
-        # engine; nothing they hold is an engine or one of its levels
-        shared = [(k, v) for k, v in coeff._map_memo.items()
-                  if k[0] in ("block", "orbit hom", "block orders")]
+        # the orbit-map blocks are the coefficients' tables in the validation
+        # memo and outlive the engine; nothing they hold is an engine or level
+        assert bredon._VALIDATED_COEFFS.recall(coeff.content_key, dict) is eng._tables
+        shared = list(eng._tables.items())
         assert {k[0] for k, _ in shared} == {"block", "orbit hom", "block orders"}
         todo = list(shared)
         while todo:
@@ -992,7 +1012,7 @@ def test_every_shared_level_equals_a_freshly_assembled_one(monkeypatch, group_na
 
 def test_a_group_spelled_in_lower_case_is_the_same_group():
     z = named("Q8", "Z")
-    copy = MackeyFunctor("q8", z.levels, z.res, z.tr, z.weyl, z.is_zmodule)
+    copy = MackeyFunctor("q8", z.levels, z.res, z.tr, z.weyl)
     assert copy.group_name == zero_functor("q8").group_name == "Q8"
     assert copy.content_key == z.content_key
     assert bredon.identify(copy) == "Z"
@@ -1080,7 +1100,7 @@ def _assembled_the_slow_way(eng, n):
                 acc = acc.compose(eng._induced(h, h, "weyl", letter, t, data))
             if e not in g.subgroup(h) and not acc.equals(ident):
                 weyl[(h, e)] = acc
-    return MackeyFunctor(eng.group_name, levels, res, tr, weyl, eng.coeff.is_zmodule)
+    return MackeyFunctor(eng.group_name, levels, res, tr, weyl)
 
 
 @pytest.mark.parametrize("rep, found", [
@@ -1091,7 +1111,7 @@ def test_zero_degrees_answer_like_the_full_assembly(monkeypatch, stats, rep, fou
     monkeypatch.setattr(bredon, "_LEVELS", weakref.WeakValueDictionary())
     monkeypatch.setattr(bredon, "_ENGINE_CACHE", LruMemo("engine cache", 64))
     eng = suspension_engine("Q8", rep, named("Q8", "Z"))
-    zero = bredon._zero("Q8", True)
+    zero = bredon._zero("Q8")
     core = {t + eng.offset for t in eng._core_degrees}
     degrees = range(min(core) - 3, max(core) + 4)
     for n in degrees:

@@ -6,6 +6,7 @@ from mackey import golden as golden_mod
 from mackey.chart import (
     ChartPage,
     Differential,
+    NoPage,
     golden_differentials,
     golden_page,
     render_ascii,
@@ -19,6 +20,12 @@ def test_golden_patterns_validate():
     for n in range(0, 13):
         report = validate_differentials(golden_page("Q8", n))
         assert report.ok, (n, report.violations)
+
+
+@pytest.mark.parametrize("n", [-1, 14, 99])
+def test_a_page_that_is_not_recorded_raises_naming_the_recorded_ones(n):
+    with pytest.raises(NoPage, match=rf"n={n} .*the recorded pages are n = 0\.\.13$"):
+        golden_page("Q8", n)
 
 
 def test_n13_flags_the_printed_gap():

@@ -113,6 +113,25 @@ def test_tower_takes_either_n_or_r(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--group", "k4", "--r", "4", "--j", "1"), ("--group", "c4", "--n", "8"),
+])
+def test_a_tower_over_another_group_is_refused(capsys, argv):
+    # both forms: the recursive towers take no group, yet are Q8's alone
+    code = main(["tower", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: Unsupported:") and "Q8" in captured.err
+
+
+def test_a_chart_page_that_is_not_recorded_exits_one(capsys):
+    code = main(["chart", "--group", "q8", "--n", "99"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: NoPage: no chart page n=99 is recorded for Q8; "
+                            "the recorded pages are n = 0..13\n")
+
+
 def test_a_bare_sign_in_a_representation_exits_one(capsys):
     code = main(["homology", "--group", "q8", "--rep", "rhoQ-"])
     err = capsys.readouterr().err

@@ -67,10 +67,9 @@ def test_psi_preconditions():
     k4 = group("K4")
     with pytest.raises(NotBottleneck):
         psi_inflate(k4.quotient(k4.subgroup("L")), named("C2", "Z"))
-    zq = named("K4", "Z")
-    not_module = type(zq)(
-        zq.group_name, dict(zq.levels), dict(zq.res), dict(zq.tr), {}, False
-    )
+    # zero at e, so tr . res at e < L is zero, not the index 2 on Z
+    not_module = named("K4", "phi_LDR(Z)")
+    assert not not_module.is_zmodule
     with pytest.raises(NotZModule):
         psi_inflate(Q8_TO_K4, not_module)
 
@@ -150,7 +149,7 @@ def restrict_functor_copy(m, sub_name):
             w = m.weyl_action(pre[s.name], inv[e])
             if not w.equals(AbHom.identity(levels[s.name])):
                 weyl[(s.name, e)] = w
-    return MackeyFunctor(target, levels, res, tr, weyl, m.is_zmodule)
+    return MackeyFunctor(target, levels, res, tr, weyl)
 
 
 def q_push_copy(qm, m):
@@ -172,7 +171,7 @@ def q_push_copy(qm, m):
             w = m.weyl_action(pre[s.name], section[e])
             if not w.equals(AbHom.identity(levels[s.name])):
                 weyl[(s.name, e)] = w
-    return MackeyFunctor(qm.target, levels, res, tr, weyl, m.is_zmodule)
+    return MackeyFunctor(qm.target, levels, res, tr, weyl)
 
 
 def psi_inflate_copy(qm, m):
@@ -205,7 +204,7 @@ def psi_inflate_copy(qm, m):
             w = m.weyl_action(img, qm(e))
             if not w.equals(AbHom.identity(levels[s.name])):
                 weyl[(s.name, e)] = w
-    return MackeyFunctor(qm.source, levels, res, tr, weyl, True)
+    return MackeyFunctor(qm.source, levels, res, tr, weyl)
 
 
 def phi_inflate_copy(qm, m):
@@ -239,13 +238,7 @@ def phi_inflate_copy(qm, m):
             w = m.weyl_action(img, qm(e))
             if not w.equals(AbHom.identity(levels[s.name])):
                 weyl[(s.name, e)] = w
-    # the cohomological condition, read off the data just built
-    zmod = m.is_zmodule and all(
-        tr[(low, high)].compose(res[(low, high)]).equals(AbHom.scalar(
-            levels[high], src.subgroup(high).order // src.subgroup(low).order))
-        for low, high in covering_pairs(src)
-    )
-    return MackeyFunctor(qm.source, levels, res, tr, weyl, zmod)
+    return MackeyFunctor(qm.source, levels, res, tr, weyl)
 
 
 def _constructions(gname):
@@ -281,7 +274,7 @@ def _constant_z4_over_c2():
     z4 = FgAbelian((4,))
     pair = ("e", "C2")
     return MackeyFunctor("C2", {"e": z4, "C2": z4}, {pair: AbHom(z4, z4, ((1,),))},
-                         {pair: AbHom(z4, z4, ((2,),))}, {}, True)
+                         {pair: AbHom(z4, z4, ((2,),))})
 
 
 @pytest.mark.parametrize("source, kernel", [
@@ -319,7 +312,7 @@ def _mod2_table(levels, res):
         rmaps[(low, high)] = (AbHom(lv[high], lv[low], tuple(map(tuple, rm)))
                               if rm is not None else AbHom.zero(lv[high], lv[low]))
         tmaps[(low, high)] = AbHom.zero(lv[low], lv[high])
-    return MackeyFunctor("K4", lv, rmaps, tmaps, {}, True)
+    return MackeyFunctor("K4", lv, rmaps, tmaps)
 
 
 PHI_LDR_F = _mod2_table(
