@@ -22,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mackey.bredon import suspension_homotopy
-from mackey.functors import expression_functor
+from mackey.catalog import named
 from mackey.grouplat import canonical_group_name
 
 
@@ -36,7 +36,7 @@ def main() -> int:
     gname = canonical_group_name(args.group)
     rho = {"Q8": "rhoQ", "K4": "rhoK", "C4": "rho", "C2": "rho"}[gname]
     size = {"Q8": 8, "K4": 4, "C4": 4, "C2": 2}[gname]
-    coeff = expression_functor(gname, args.coeff)
+    coeff = named(gname, args.coeff)
     ks = range(1, args.max_k + 1)
     unnamed = 0
     for k in ks:

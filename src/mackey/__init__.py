@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .bredon import (  # noqa: F401
     cohomology_mackey,
     homology_mackey,
-    homology_table,
     identify,
     suspension_homotopy,
 )

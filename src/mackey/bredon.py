@@ -459,12 +459,6 @@ def cohomology_mackey(
     return _named(cached_engine(coeff, dual=c).functor(-n))
 
 
-def homology_table(
-    c: BurnsideComplex, coeff: MackeyFunctor, degrees
-) -> dict[int, tuple[MackeyFunctor, str | None]]:
-    return {n: homology_mackey(c, coeff, n) for n in degrees}
-
-
 def _named(f: MackeyFunctor) -> tuple[MackeyFunctor, str | None]:
     nm = identify(f)
     return (f.with_name(nm) if nm else f, nm)

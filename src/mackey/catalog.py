@@ -23,10 +23,11 @@ Names follow the conventions used throughout the computation:
   nonzero at Z, where ``phi_Z(B(2,0))`` is zero (so too ``Z``, ``F`` and
   ``Z(2,1)`` name functors over Q8 itself).
 
-A name is a term.  Each group's base table holds only the functors that
-no other name defines; ``X*`` is ``box_dual(X)``, ``g`` is built the same
-way over every group, and the inflations evaluate their argument over the
-smaller group.
+A name is a sum, split at each ``+`` outside parentheses, of terms ``X``
+or ``X^k`` (k >= 1); ``""`` and ``"0"`` are zero.  Each group's base table
+holds only the functors that no other name defines; ``X*`` is
+``box_dual(X)``, ``g`` is built the same way over every group, and the
+inflations evaluate their argument, a sum too, over the smaller group.
 
 Every catalog entry passes the axiom check, and every one is cohomological
 but ``phi_Z(X)`` where 2 does not kill X's bottom level (``phi_Z(Z)``,
@@ -37,11 +38,13 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping
 
 from .exactalg import AbHom, FgAbelian, identity, mat
-from .functors import MackeyFunctor, box_dual, covering_pairs, UnknownName
+from .functors import BadExpression, MackeyFunctor, UnknownName, box_dual
+from .functors import covering_pairs, zero_functor
 from .grouplat import group
 from .inflation import phi_inflate
 
@@ -222,6 +225,7 @@ _NAMES["Q8"] = (
 
 _BAND = re.compile(r"([ZB])\((\d),(\d)\)")
 _OPERATOR = re.compile(r"(phi\w*)\((.+)\)")
+_POWER = re.compile(r"(.+)\^([^()]*)")
 
 
 def _base(group_name: str, name: str) -> MackeyFunctor:
@@ -234,33 +238,51 @@ def _base(group_name: str, name: str) -> MackeyFunctor:
     return _MOD2[name]()
 
 
+def _terms(text: str) -> list[str]:
+    """text cut at every + outside parentheses."""
+    depth = accumulate((c == "(") - (c == ")") for c in text)
+    cuts = [i for i, (c, d) in enumerate(zip(text, depth)) if c == "+" and not d]
+    return [text[i + 1:j] for i, j in zip([-1] + cuts, cuts + [len(text)])]
+
+
 @lru_cache(maxsize=None)
-def _named(group_name: str, term: str) -> MackeyFunctor:
-    """The functor a canonical term names over a canonical group, carrying
-    the term as its name; raises UnknownName for anything else."""
-    if group_name == "Q8" and term in _Q8_FROM_K4:
-        f = _named("Q8", f"phi_Z({term})")
-    elif term in _BASE[group_name]:
-        f = _base(group_name, term)
-    elif term == "g":
+def _named(group_name: str, text: str) -> MackeyFunctor:
+    """The functor a canonical text names over a canonical group, carrying
+    the text as its name; raises BadExpression or UnknownName."""
+    terms = _terms(text)
+    if "" in terms:
+        raise BadExpression(f"{text!r}: an empty term")
+    if len(terms) > 1:
+        f = reduce(MackeyFunctor.direct_sum, (_named(group_name, t) for t in terms))
+    elif power := _POWER.fullmatch(text):
+        if not (power[2].isdecimal() and int(power[2]) >= 1):
+            raise BadExpression(f"{text!r}: a power must be an integer >= 1")
+        f = reduce(MackeyFunctor.direct_sum, [_named(group_name, power[1])] * int(power[2]))
+    elif text == "0":
+        f = zero_functor(group_name)
+    elif group_name == "Q8" and text in _Q8_FROM_K4:
+        f = _named("Q8", f"phi_Z({text})")
+    elif text in _BASE[group_name]:
+        f = _base(group_name, text)
+    elif text == "g":
         f = _top_only(group_name)
-    elif term.endswith("*"):
-        f = box_dual(_named(group_name, term[:-1]))
-    elif (op := _OPERATOR.fullmatch(term)) and (group_name, op[1]) in _INFLATIONS:
+    elif text.endswith("*"):
+        f = box_dual(_named(group_name, text[:-1]))
+    elif (op := _OPERATOR.fullmatch(text)) and (group_name, op[1]) in _INFLATIONS:
         source, kernels = _INFLATIONS[group_name, op[1]]
         inner = _named(source, op[2])
         g = group(group_name)
         f = reduce(MackeyFunctor.direct_sum, (
             phi_inflate(g.quotient(g.subgroup(k)), inner) for k in kernels))
     else:
-        raise UnknownName(term)
-    return f.with_name(term)
+        raise UnknownName(text)
+    return f.with_name(text)
 
 
 def catalog(group_name: str) -> Mapping[str, MackeyFunctor]:
     """The group's named functors, as a read-only table, built once per
     group however its name is spelled.  These are the names recognition
-    searches; named() also evaluates terms outside the table."""
+    searches; named() also evaluates every other name."""
     return _catalog(group(group_name).name)
 
 
@@ -270,16 +292,16 @@ def _catalog(name: str) -> Mapping[str, MackeyFunctor]:
 
 
 def canonical_name(raw: str) -> str:
-    """Normalize user spellings of catalog names."""
-    s = raw.strip().replace(" ", "")
+    """Normalize user spellings of names; the empty sum is "0"."""
+    s = raw.strip().replace(" ", "").replace("⊕", "+")
     s = s.replace("φ", "phi").replace("Ψ", "psi").replace("∗", "*")
     s = re.sub(r"phi\^?\*", "phi", s)
-    return re.sub(r"^(phi_(?:Z|LDR))([^(].*)$", r"\1(\2)", s)
+    return re.sub(r"(?:^|(?<=[+(]))(phi_(?:Z|LDR))([^(+)]+)", r"\1(\2)", s) or "0"
 
 
 def named(group_name: str, name: str) -> MackeyFunctor:
     """The functor a name denotes, evaluated once per group and canonical
-    name; raises UnknownName for anything that is not a term."""
+    name; raises BadExpression or UnknownName."""
     try:
         return _named(group(group_name).name, canonical_name(name))
     except UnknownName:

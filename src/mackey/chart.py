@@ -67,11 +67,9 @@ def golden_differentials(group_name: str, n: int) -> list[Differential]:
 @lru_cache(maxsize=None)
 def _order_vector(group_name: str, name: str):
     """Levelwise orders of a named functor; None marks an infinite level."""
-    from .functors import expression_functor
+    from .catalog import named
 
-    if name in ("0", None):
-        name = ""
-    f = expression_functor(group_name, name)
+    f = named(group_name, name)
     g = group(group_name)
     return tuple(f.levels[s.name].order() for s in g.subgroups())
 

@@ -292,10 +292,6 @@ class FgAbelian:
             raise ValueError("invariant factors are at least 2")
         return FgAbelian((0,) * rank + factors)
 
-    @staticmethod
-    def zero() -> "FgAbelian":
-        return FgAbelian(())
-
     @property
     def ngens(self) -> int:
         return len(self.orders)

@@ -7,14 +7,16 @@ our groups is normal, conjugation is exactly the Weyl action and double
 cosets are cosets of products, which keeps the axiom checks elementary.
 
 Only covering-pair maps are stored; maps along longer chains are composites
-(path independence is one of the checked axioms).
+(path independence is one of the checked axioms).  Names such as
+``mg+g^2`` are read by ``catalog.named`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import marshal
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import gcd, prod
 from operator import mul
@@ -166,7 +168,10 @@ class MackeyFunctor:
         return h
 
     def with_name(self, name: str) -> "MackeyFunctor":
-        return replace(self, name=name)
+        """A copy under another name that shares the content's cached values."""
+        twin = copy(self)
+        object.__setattr__(twin, "name", name)
+        return twin
 
     def is_trivial(self) -> bool:
         return all(v.is_trivial for v in self.levels.values())
@@ -516,9 +521,6 @@ def ses_check(i: MackeyMorphism, p: MackeyMorphism) -> bool:
 # values, so a stored result stays true of its key.
 RECOGNITION = LruMemo("recognition memo", 1024)
 
-# Values of expression_functor by (canonical group name, expression text).
-EXPRESSIONS = LruMemo("expression memo", 256)
-
 
 # ---------------------------------------------------------------------------
 # Hom and isomorphism testing
@@ -850,48 +852,18 @@ def _unit(n: int, j: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# formal sums of named functors
-
-
-def parse_expression(expr: str) -> list[tuple[str, int]]:
-    """Parse "mg + g^2" style sums into (name, multiplicity) terms."""
-    expr = expr.replace("⊕", "+").strip()
-    if expr in ("", "0"):
-        return []
-    terms = []
-    for raw in expr.split("+"):
-        t = raw.strip()
-        if not t:
-            raise BadExpression(f"{expr!r}: an empty term")
-        if "^" in t:
-            base, _, p = t.partition("^")
-            p = p.strip()
-            if not p.isdecimal() or int(p) < 1:
-                raise BadExpression(f"{t!r}: a power must be an integer >= 1")
-            terms.append((base.strip(), int(p)))
-        else:
-            terms.append((t, 1))
-    return terms
+# names
 
 
 def expression_functor(group_name: str, expr: str) -> MackeyFunctor:
-    """The direct sum named by expr, built once per canonical group name
-    and expression text and then handed out as the one frozen value."""
+    """The functor a name denotes; the same as catalog.named."""
     from .catalog import named
 
-    gname = canonical_group_name(group_name)
-
-    def build():
-        total = zero_functor(gname)
-        for nm, mult in parse_expression(expr):
-            f = named(gname, nm)
-            for _ in range(mult):
-                total = total.direct_sum(f)
-        return total
-
-    return EXPRESSIONS.recall((gname, expr), build)
+    return named(group_name, expr)
 
 
 def match_expression(m: MackeyFunctor, expr: str) -> bool:
-    """True iff m is isomorphic to the direct sum named by expr."""
-    return is_isomorphic(m, expression_functor(m.group_name, expr))
+    """True iff m is isomorphic to the functor expr names."""
+    from .catalog import named
+
+    return is_isomorphic(m, named(m.group_name, expr))

@@ -65,9 +65,9 @@ class SliceDescriptor:
         """Bottom slices carry the underlying class, so their dimension is
         the suspension dimension; all other layers have trivial underlying
         spectrum and even slice dimension."""
-        from .functors import expression_functor
+        from .catalog import named
 
-        f = expression_functor(self.group_name, self.coeff)
+        f = named(self.group_name, self.coeff)
         if not f.levels["e"].is_trivial:
             if self.t != self.dim:
                 raise BadBookkeeping(f"{self}: a bottom slice has t = dim = {self.dim}")
@@ -421,13 +421,13 @@ def e2_page(group_name: str, n: int):
     """Entries of the slice spectral sequence page for the n-fold
     suspension: pi_k of each slice at chart position (k, t - k)."""
     from .bredon import suspension_engine, identify
+    from .catalog import named
     from .chart import ChartPage, golden_differentials
-    from .functors import expression_functor
 
     gname = canonical_group_name(group_name)
     entries: dict[tuple[int, int], list[str]] = {}
     for d in slice_list(gname, n):
-        coeff = expression_functor(gname, d.coeff)
+        coeff = named(gname, d.coeff)
         eng = suspension_engine(gname, d.rep if d.rep else "0", coeff)
         for k in range(min(d.shift, 0), d.dim + 1):
             f = eng.functor(k - d.shift)

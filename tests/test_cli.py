@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mackey import bredon, repcw
+from mackey import bredon, cli, repcw
 from mackey.bredon import cached_engine, suspension_engine
 from mackey.catalog import named
 from mackey.cli import main
@@ -42,10 +42,28 @@ def test_show_unknown_name_exits_one(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("group, name", [("q8", "phi_Z(mg)"), ("k4", "phi_LDR(F*)")])
+@pytest.mark.parametrize("group, name", [
+    ("q8", "phi_Z(mg)"), ("k4", "phi_LDR(F*)"),
+    ("q8", "mg+g^2"), ("q8", "g^2"), ("q8", "phi_Z(m+g)"),
+])
 def test_show_evaluates_a_term(capsys, group, name):
     code, out = run(capsys, "show", "--group", group, "--name", name)
     assert code == 0 and out.startswith(f"{name} over ")
+
+
+def test_show_a_zero_power_exits_one(capsys):
+    code = main(["show", "--group", "q8", "--name", "g^0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: BadExpression: 'g^0': a power must be an integer >= 1\n")
+
+
+def test_a_sum_inside_an_operator_is_the_sum_of_the_operator(capsys):
+    argv = ["homology", "--group", "q8", "--rep", "rhoQ", "--degrees", "0..4", "--coeff"]
+    inside = run(capsys, *argv, "phi_Z(m+g)")
+    outside = run(capsys, *argv, "phi_Z(m)+phi_Z(g)")
+    assert inside == outside and inside[0] == 0 and "phi_LDR(F)" in inside[1]
 
 
 def test_show_a_term_with_an_unknown_argument_exits_one(capsys):
@@ -149,6 +167,17 @@ def test_an_empty_term_exits_one(capsys, option, text, error):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {error}: ") and repr(text) in captured.err
+
+
+def test_inflate_leaves_an_unrecognized_result_unnamed(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "identify", lambda f: calls.append(f) or bredon.identify(f))
+    argv = ("inflate", "--kind", "push", "--from", "q8", "--to", "k4", "--name", "mgw")
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["name"] is None
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.startswith("(unrecognized) over K4")
+    assert len(calls) == 2  # once per command
 
 
 def test_inflate_command(capsys):
@@ -292,8 +321,7 @@ def test_every_stats_line_is_a_name_of_its_own_and_its_value(capsys, stats, argv
     # stats.run checks the name: value form, that no name repeats and that
     # every count is printed
     _, printed, _ = stats.run(capsys, *argv)
-    memos = ("recognition memo", "expression memo", "sphere cache", "validation memo",
-             "engine cache")
+    memos = ("recognition memo", "sphere cache", "validation memo", "engine cache")
     assert {f"{m} {e}" for m in memos for e in ("hits", "misses", "evictions")} <= set(printed)
 
 
@@ -306,8 +334,8 @@ def test_stats_count_the_coefficient_memos(capsys, stats, monkeypatch):
     assert (first["validation memo hits"], first["validation memo misses"]) == (0, 1)
     _, _, second = stats.run(capsys, *argv)
     # the sum is built once and its engine validated it once: the second
-    # command finds both the expression and the engine
-    assert (second["expression memo hits"], second["expression memo misses"]) == (1, 0)
+    # command finds both the sum and the engine
+    assert named("q8", "mg+g^2") is named("Q8", "mg + g^2")
     assert (second["validation memo hits"], second["validation memo misses"]) == (0, 0)
     assert len(bredon._VALIDATED_COEFFS) == 1
 

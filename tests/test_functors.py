@@ -46,7 +46,6 @@ from mackey.functors import (
     hom_group,
     is_isomorphic,
     match_expression,
-    parse_expression,
     ses_check,
     strip_g_summands,
     zero_functor,
@@ -138,6 +137,49 @@ def test_a_term_outside_the_catalog_is_evaluated():
             named(gname, term)
     with pytest.raises(ValueError, match=r"^unknown group 'c8'$"):
         named("c8", "Z")
+
+
+def test_a_sum_inside_an_operator_is_the_sum_of_its_inflations():
+    for gname, inside, outside in (("Q8", "phi_Z(m+g)", "phi_Z(m)+phi_Z(g)"),
+                                   ("C4", "phi(F+g^2)", "phi(F)+phi(g)^2")):
+        f = named(gname, inside)
+        assert f.name == inside and f.content_key == named(gname, outside).content_key
+    assert named("Q8", "φ*_Z(m + g)") is named("Q8", "phi_Z(m+g)")
+    with pytest.raises(UnknownName, match=r"^no Mackey functor named "
+                                          r"'phi_Z\(m \+ bogus\)' over q8$"):
+        named("q8", "phi_Z(m + bogus)")
+    # the zero sum, spelled either way, is one value
+    assert named("Q8", "") is named("Q8", "0") is named("q8", " 0 ")
+    assert named("Q8", "0").is_trivial() and named("Q8", "0").name == "0"
+
+
+def test_a_named_copy_shares_the_values_cached_on_its_content():
+    f = zero_functor("Q8").direct_sum(named("Q8", "Z"))
+    key, _, composite = f.content_key, f.is_zmodule, f.res_map("e", "Q8")
+    twin = f.with_name("renamed")
+    assert twin is not f and (twin.name, f.name) == ("renamed", None)
+    assert {"content_key", "is_zmodule"} <= vars(twin).keys()
+    assert twin.content_key is key and twin._map_memo is f._map_memo
+    assert twin.res_map("e", "Q8") is composite
+
+
+def test_every_name_identify_gives_evaluates_to_a_match():
+    # a sum with a power, beyond the rows below
+    f = zero_functor("Q8").direct_sum(named("Q8", "m")).direct_sum(named("Q8", "g^2"))
+    assert identify(f) == "m+g^2" and match_expression(f, "m+g^2")
+    sums = set()
+    for gname, filename in (("Q8", "qrho_grid.txt"), ("K4", "krho_grid.txt"),
+                            ("Q8", "aux_mixed.txt")):
+        for key in degree_table(filename):
+            rep, coeff = key.split()
+            got = suspension_homotopy(gname, rep, named(gname, coeff), _span(gname, rep))
+            for n, (f, nm) in got.items():
+                assert nm == identify(f) and nm is not None, (key, n)
+                assert named(gname, nm).name == nm
+                assert match_expression(f, nm), (key, n, nm)
+                if "+" in nm or "^" in nm:
+                    sums.add(nm)
+    assert {"phi_LDR(F)+g", "g^3"} <= sums
 
 
 def test_constant_z_shape():
@@ -292,10 +334,17 @@ def test_match_expression():
     )
 
 
+def _fixture_terms(expr):
+    """(name, multiplicity) for each term of a fixture sum, whose operators
+    hold no sums."""
+    return [(nm, int(p or 1)) for nm, _, p in
+            (t.partition("^") for t in expr.split("+") if t)]
+
+
 def _two_step_match(m, expr):
     """match_expression in two steps: strip m, strip the sum of expr's terms
     other than g, compare the powers of g, then search the complements."""
-    terms = parse_expression(expr)
+    terms = _fixture_terms(expr)
     rest = [named(m.group_name, nm) for nm, mult in terms if nm != "g" for _ in range(mult)]
     k_b, red_b = _strip_g(reduce(MackeyFunctor.direct_sum, rest, zero_functor(m.group_name)))
     k_m, red_m = _strip_g(m)
@@ -359,7 +408,7 @@ def test_axiom_reports_do_not_depend_on_the_string_hash_seed():
 @pytest.mark.parametrize("expr", ["g^-1", "Z^0", "Z^x"])
 def test_a_power_below_one_is_a_bad_expression(expr):
     with pytest.raises(BadExpression):
-        parse_expression(expr)
+        named("Q8", expr)
     with pytest.raises(BadExpression):
         match_expression(zero_functor("Q8"), f"{expr}+g")
     assert issubclass(BadExpression, ValueError)
@@ -368,8 +417,12 @@ def test_a_power_below_one_is_a_bad_expression(expr):
 @pytest.mark.parametrize("expr", ["Z+", "mg++g", "+Z", "Z + "])
 def test_an_empty_term_is_a_bad_expression(expr):
     with pytest.raises(BadExpression, match="an empty term"):
-        parse_expression(expr)
-    assert parse_expression("mg + g^2") == [("mg", 1), ("g", 2)]
+        named("Q8", expr)
+    with pytest.raises(BadExpression, match="an empty term"):
+        named("Q8", f"phi_Z({expr})")
+    g = named("Q8", "g")
+    want = named("Q8", "mg").direct_sum(g.direct_sum(g))
+    assert named("Q8", "mg + g^2").content_key == want.content_key
 
 
 def test_expression_functor_sum_levels():
@@ -724,7 +777,7 @@ def test_memo_is_keyed_on_content_not_on_the_object_or_name(stats):
     z = named("Q8", "Z")
     assert identify(z) == "Z" and strip_g_summands(z)[1] is z and is_isomorphic(z, z)
     stats.mark()
-    for same in (expression_functor("Q8", "Z"), z.with_name("renamed")):
+    for same in (zero_functor("Q8").direct_sum(z), z.with_name("renamed")):
         assert same is not z and same.content_key == z.content_key
         assert identify(same) == "Z"
         assert strip_g_summands(same)[1] is same
@@ -1177,17 +1230,16 @@ def test_degree_24_of_the_twelfth_regular_suspension_gets_a_name(gname, rep):
     assert identify(f) is not None
 
 
-def test_expression_functor_is_built_once_per_canonical_group_name(stats):
+def test_expression_functor_is_built_once_per_canonical_group_name():
     z = expression_functor("Q8", "Z")
-    stats.mark()
     for spelling in ("Q8", "q8", "q"):
         assert expression_functor(spelling, "Z") is z
-    grew = stats.grew()
-    assert (grew["expression memo hits"], grew["expression memo misses"]) == (3, 0)
-    assert z.group_name == "Q8" and is_isomorphic(z, named("Q8", "Z"))
-    # another text of the same sum is another entry, with an equal value
-    other = expression_functor("q8", "Z ")
-    assert other is not z and other.content_key == z.content_key
+    assert z is named("Q8", "Z") and z.group_name == "Q8"
+    # every spelling of one sum is one value
+    s = expression_functor("q8", "mg+g^2")
+    for text in ("mg+g^2", " mg + g ^ 2", "mg⊕g^2"):
+        assert expression_functor("Q8", text) is s and named("q", text) is s
+    assert expression_functor("q8", "Z ") is z
     with pytest.raises(UnknownName):
         expression_functor("q8", "nonsense")
     with pytest.raises(UnknownName):  # a failed build is not stored
