@@ -321,21 +321,24 @@ _SVG_SHAPES = {
 }
 
 
-def render_svg(page: ChartPage, scale: int = 28) -> str:
+_SVG_SCALE = 28  # pixels per grid unit
+
+
+def render_svg(page: ChartPage) -> str:
     """SVG 1.1 rendering; output is byte-deterministic for fixed input."""
     if page.entries:
         x_hi = max(x for x, _ in page.entries) + 1
         y_hi = max(y for _, y in page.entries) + 1
     else:
         x_hi = y_hi = 1
-    w = (x_hi + 2) * scale
-    h = (y_hi + 2) * scale
+    w = (x_hi + 2) * _SVG_SCALE
+    h = (y_hi + 2) * _SVG_SCALE
 
     def px(x: float) -> float:
-        return round((x + 1) * scale, 2)
+        return round((x + 1) * _SVG_SCALE, 2)
 
     def py(y: float) -> float:
-        return round(h - (y + 1) * scale, 2)
+        return round(h - (y + 1) * _SVG_SCALE, 2)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -360,7 +363,7 @@ def render_svg(page: ChartPage, scale: int = 28) -> str:
             if "?" in page.flags.get((x, y, idx), set()):
                 out.append(_svg_text(cx, cy, "?"))
                 continue
-            out.append(_svg_glyph(cx, cy, nm, scale))
+            out.append(_svg_glyph(cx, cy, nm))
     for d in sorted(page.differentials, key=lambda d: (d.r, d.source)):
         sx, sy, si = d.source
         tx, ty, ti = d.target
@@ -380,8 +383,8 @@ def _svg_text(cx: float, cy: float, text: str) -> str:
     )
 
 
-def _svg_glyph(cx: float, cy: float, name: str, scale: int) -> str:
-    r = scale * 0.18
+def _svg_glyph(cx: float, cy: float, name: str) -> str:
+    r = _SVG_SCALE * 0.18
     if name.startswith("g^") or name == "g":
         k = name[2:] if name.startswith("g^") else "1"
         circle = (

@@ -249,8 +249,6 @@ def _normalize_orders(orders: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Invariant factors of a direct sum of cyclic groups Z/o (o=0 free)."""
     rank = sum(1 for o in orders if o == 0)
     torsion = [o for o in orders if o not in (0, 1)]
-    if any(o < 0 for o in orders):
-        raise ValueError("negative order")
     if not torsion:
         return rank, ()
     # repeatedly replace pairs by (gcd, lcm) until the chain divides
@@ -280,7 +278,10 @@ class FgAbelian:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(o) for o in self.orders))
+        orders = tuple(int(o) for o in self.orders)
+        if orders and min(orders) < 0:
+            raise ValueError(f"negative order in {orders}")
+        object.__setattr__(self, "orders", orders)
 
     @staticmethod
     def normal(rank: int, factors: Sequence[int] = ()) -> "FgAbelian":

@@ -26,7 +26,6 @@ from typing import Mapping
 from .exactalg import (
     AbHom,
     FgAbelian,
-    NonComposable,
     _is_identity,
     _reduce_matrix,
     _unchecked,
@@ -79,18 +78,35 @@ class MackeyFunctor:
         for f in ("levels", "res", "tr"):
             object.__setattr__(self, f, MappingProxyType(dict(getattr(self, f))))
         object.__setattr__(self, "_map_memo", {})  # composites, identities, keys below
+        # The one place that decides a functor's shape: a level at each
+        # subgroup, res and tr at each covering pair between those levels'
+        # presentations, and Weyl maps keyed by a subgroup and an element,
+        # each an endomorphism of its level.  A ValueError names the first
+        # map that is not.  The identity is what weyl_action supplies, so it
+        # is not stored.
         g = self.group()
-        for s in g.subgroups():
-            if s.name not in self.levels:
-                raise ValueError(f"missing level {s.name}")
-        # The one place that decides what is stored: the identity of its own
-        # level is what weyl_action supplies, so it is dropped; an identity
-        # onto another presentation is kept, for the checks to refuse.
         levels = self.levels
-        object.__setattr__(self, "weyl", MappingProxyType({
-            k: h for k, h in self.weyl.items()
-            if not (_is_identity(h) and k[0] in levels
-                    and h.dom.orders == levels[k[0]].orders)}))
+        pairs = covering_pairs(g)
+        for kind, given, want in (("level", levels, g.subgroup_by_name),
+                                  ("res", self.res, pairs), ("tr", self.tr, pairs)):
+            for k in want:
+                if k not in given:
+                    raise ValueError(f"missing {kind} {k if kind == 'level' else '<'.join(k)}")
+            if len(given) != len(want):
+                k = next(k for k in given if k not in want)
+                raise ValueError(f"no {kind} belongs at {k!r} over {g.name}")
+        for low, high in pairs:
+            lo, hi = levels[low].orders, levels[high].orders
+            _expect_shape(self.res[low, high], hi, lo, "res %s<%s", low, high)
+            _expect_shape(self.tr[low, high], lo, hi, "tr %s<%s", low, high)
+        weyl = {}
+        for (s, e), h in self.weyl.items():
+            if s not in levels or e not in g.elements:
+                raise ValueError(f"no weyl map belongs at {(s, e)!r} over {g.name}")
+            _expect_shape(h, levels[s].orders, levels[s].orders, "weyl map at %s,%s", s, e)
+            if not _is_identity(h):
+                weyl[s, e] = h
+        object.__setattr__(self, "weyl", MappingProxyType(weyl))
 
     @cached_property
     def content_key(self) -> bytes:
@@ -211,12 +227,16 @@ def zero_functor(group_name: str, name: str | None = "0") -> MackeyFunctor:
                          name=name)
 
 
-def covering_pairs(g: Group) -> list[tuple[str, str]]:
-    out = []
-    for s in g.subgroups():
-        for c in g.covers(s):
-            out.append((s.name, c.name))
-    return out
+@lru_cache(maxsize=None)
+def covering_pairs(g: Group) -> tuple[tuple[str, str], ...]:
+    """The (sub, cover) pairs of g's lattice, computed once per group."""
+    return tuple((s.name, c.name) for s in g.subgroups() for c in g.covers(s))
+
+
+def _expect_shape(h: AbHom, dom: tuple[int, ...], cod: tuple[int, ...], label: str, *args) -> None:
+    """Raise ValueError naming the map, label % args, unless h: dom -> cod."""
+    if h.dom.orders != dom or h.cod.orders != cod:
+        raise ValueError(f"{label % args} maps {h.dom.orders} -> {h.cod.orders}, not {dom} -> {cod}")
 
 
 def data_equal(a: MackeyFunctor, b: MackeyFunctor) -> bool:
@@ -250,10 +270,11 @@ class AxiomReport:
 
 
 def check_axioms(m: MackeyFunctor) -> AxiomReport:
-    """Check the Mackey axioms: maps present and of the right shape, path
-    independence of composite res and tr, the Weyl action, equivariance of
-    res and tr, and the double coset formula inside every subgroup.  Being
-    cohomological is no axiom: ``m.is_zmodule`` reads it off the data.
+    """Check the Mackey axioms: path independence of composite res and tr,
+    the Weyl action, equivariance of res and tr, and the double coset
+    formula inside every subgroup.  The maps' shapes need no check, since
+    construction refuses any other.  Being cohomological is no axiom:
+    ``m.is_zmodule`` reads it off the data.
 
     The action and equivariance clauses are checked for each generator s
     in ``Group.generators`` only, which proves them for every element, by
@@ -267,7 +288,7 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
     - res and tr commute with W(1) = 1, and if they commute with W(y) at
       both of their levels, they commute with W(ys) = W(y)W(s).
 
-    Q8 takes 282 checks this way, not the 654 of every pair of elements."""
+    Q8 takes 213 checks this way, not the 654 of every pair of elements."""
     g = m.group()
     failures = []
     checked = []
@@ -276,26 +297,6 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
         checked.append(label)
         if not cond:
             failures.append(label)
-
-    pairs = covering_pairs(g)
-    for low, high in pairs:
-        r = m.res.get((low, high))
-        t = m.tr.get((low, high))
-        expect(r is not None and t is not None, f"maps present {low}<{high}")
-        if r is None or t is None:
-            continue
-        expect(
-            r.dom.orders == m.levels[high].orders
-            and r.cod.orders == m.levels[low].orders,
-            f"res shape {low}<{high}",
-        )
-        expect(
-            t.dom.orders == m.levels[low].orders
-            and t.cod.orders == m.levels[high].orders,
-            f"tr shape {low}<{high}",
-        )
-    if failures:
-        return AxiomReport(failures, checked)
 
     # path independence of composite res / tr
     for s in g.subgroups():
@@ -317,17 +318,6 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
             )
 
     # Weyl actions are actions, trivial on the subgroup itself
-    known = len(failures)
-    for s in g.subgroups():
-        lvl = m.levels[s.name]
-        for e in g.elements:
-            w = m.weyl_action(s.name, e)
-            expect(
-                w.dom.orders == lvl.orders and w.cod.orders == lvl.orders,
-                f"weyl shape {s.name},{e}",
-            )
-    if len(failures) > known:  # maps of the wrong shape do not compose
-        return AxiomReport(failures, checked)
     for s in g.subgroups():
         ident = AbHom.identity(m.levels[s.name])
         # in the group's order: a frozenset's order varies with the hash seed
@@ -344,7 +334,7 @@ def check_axioms(m: MackeyFunctor) -> AxiomReport:
                 expect(wxy.equals(comp), f"weyl action {s.name}: {x}*{y}")
 
     # equivariance of res and tr
-    for low, high in pairs:
+    for low, high in covering_pairs(g):
         for e in g.generators:
             wl = m.weyl_action(low, e)
             wh = m.weyl_action(high, e)
@@ -564,9 +554,6 @@ class _HomSystem:
             for e in g.elements:
                 if (s.name, e) in a.weyl or (s.name, e) in b.weyl:
                     wa, wb = a.weyl_action(s.name, e), b.weyl_action(s.name, e)
-                    if not (wa.dom.orders == wa.cod.orders == a.levels[s.name].orders
-                            and wb.dom.orders == wb.cod.orders == b.levels[s.name].orders):
-                        raise NonComposable(f"weyl map at {s.name},{e} is not a level endomorphism")
                     pairs[(wa.matrix, wb.matrix)] = (wa, wb)
             for wa, wb in pairs.values():
                 self._block(f"Weyl at {s.name}", s.name, s.name, wa, wb)
@@ -611,8 +598,7 @@ class _HomSystem:
 def hom_group(a: MackeyFunctor, b: MackeyFunctor) -> tuple[FgAbelian, tuple[dict[str, AbHom], ...]]:
     """Hom(a, b) as a finitely generated abelian group, and each generator
     lifted to its level maps, read off one homology_at of the stacked
-    equations.  Raises NonComposable when a stored Weyl map is not an
-    endomorphism of its level."""
+    equations."""
     if a.group_name != b.group_name:
         raise Mismatch("source and target over different groups")
     system = _HomSystem(a, b)
@@ -756,8 +742,7 @@ def strip_g_summands(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
 @lru_cache(maxsize=None)
 def _maximals(group_name: str) -> tuple[str, ...]:
     g = group(group_name)
-    top = g.top().name
-    return tuple(s.name for s in g.subgroups() if any(c.name == top for c in g.covers(s)))
+    return tuple(low for low, high in covering_pairs(g) if high == g.top().name)
 
 
 def _strip_g(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
@@ -771,8 +756,6 @@ def _strip_g(m: MackeyFunctor) -> tuple[int, MackeyFunctor]:
     maximals = _maximals(m.group_name)
     res_maps = [m.res[(s, top)] for s in maximals]
     weyl_maps = [m.weyl[(top, e)] for e in g.elements if (top, e) in m.weyl]
-    if any(not w.dom.orders == w.cod.orders == T.orders for w in weyl_maps):
-        raise NonComposable(f"a weyl map at {top} is not a level endomorphism")
 
     def stacked(v):  # every restriction of v, then every (W_e - 1) v
         moved = (T.reduce_vec([a - b for a, b in zip(w(v), v)]) for w in weyl_maps)

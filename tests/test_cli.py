@@ -239,8 +239,13 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, out = run(capsys, "verify", "--suite", "nope")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "nope" in err
+    listed = err.split("choose from", 1)[1]
+    assert all(name in listed for name in cli.SUITES)
 
 
 def test_verify_detects_corrupted_fixture(edit_golden, capsys):

@@ -432,6 +432,15 @@ def test_fg_abelian_normal_form():
         FgAbelian.normal(0, (4, 2))
 
 
+def test_a_negative_order_is_refused_where_the_group_is_made():
+    # refused when made, so no hom reduces a matrix modulo a negative order
+    with pytest.raises(ValueError, match="negative order"):
+        FgAbelian((-2,))
+    with pytest.raises(ValueError, match="negative order"):
+        FgAbelian((0, 2, -3))
+    assert FgAbelian((0, 1, 2)).orders == (0, 1, 2)
+
+
 def test_abhom_torsion_check():
     z2 = FgAbelian((2,))
     z4 = FgAbelian((4,))
